@@ -19,6 +19,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,6 +35,10 @@ from .model import (
     sample_disorder,
 )
 from .statistics import (
+    BernsteinRow,
+    MultiscaleRow,
+    NegTailRow,
+    TailRow,
     bernstein_check,
     block_logdet_summands,
     cartan_tail_experiment,
@@ -47,8 +52,6 @@ from .transfer import lyapunov_spectrum
 from .verify import verify_all, verify_determinants, verify_interlacing, verify_wedge
 
 OUT_ROOT_ENV = "STRIPLYAP_OUT"
-
-EXPERIMENTS = ("variance", "ldt", "negtail", "cartan", "bernstein", "convergence", "pipeline")
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,10 @@ def config_from_document(doc: dict, command: str, overrides: dict | None = None)
     geo = doc.get("geometry")
     if not isinstance(dis, dict) or not isinstance(geo, dict):
         raise ConfigurationError("config needs 'disorder' and 'geometry' objects")
-    spec = DisorderSpec.from_json(json.dumps(dis))
+    try:
+        spec = DisorderSpec.from_json(json.dumps(dis))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad disorder: {exc}") from exc
     try:
         geometry = StripGeometry(
             width=int(geo["width"]),
@@ -113,25 +119,28 @@ def config_from_document(doc: dict, command: str, overrides: dict | None = None)
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad geometry: {exc}") from exc
-    n_samples = int(overrides.get("n_samples", doc.get("n_samples", 1000)))
-    seed = int(overrides.get("seed", doc.get("seed", 1)))
-    workers = int(overrides.get("workers", doc.get("workers", 1)))
-    if n_samples < 1 or workers < 1:
+    try:
+        config = RunConfig(
+            command=command,
+            disorder=spec,
+            geometry=geometry,
+            energy=float(doc.get("energy", 0.0)),
+            n_samples=int(overrides.get("n_samples", doc.get("n_samples", 1000))),
+            seed=int(overrides.get("seed", doc.get("seed", 1))),
+            workers=int(overrides.get("workers", doc.get("workers", 1))),
+            params=dict(doc.get("params", {})),
+            tolerances=dict(doc.get("tolerances", {})),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad run setting: {exc}") from exc
+    if config.n_samples < 1 or config.workers < 1:
         raise ConfigurationError("n_samples and workers must be positive")
-    return RunConfig(
-        command=command,
-        disorder=spec,
-        geometry=geometry,
-        energy=float(doc.get("energy", 0.0)),
-        n_samples=n_samples,
-        seed=seed,
-        workers=workers,
-        params=dict(doc.get("params", {})),
-        tolerances=dict(doc.get("tolerances", {})),
-    )
+    return config
 
 
 def _fmt(value) -> str:
+    if value is None:  # a value that does not apply to the row
+        return "nan"
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -266,143 +275,106 @@ def cmd_dets(config: RunConfig, out_dir: Path, route: str) -> list:
     return [path]
 
 
+# Runners take (spec, geometry, energy, params, (n_samples, seed, workers))
+# and return the CSV rows and the summary document of one experiment kind.
+
+
+def _variance(spec, geo, energy, p, mc):
+    shapes = [Region.rectangle(1, int(cols), 1, geo.width) for cols in p.get("columns", [8, 16, 32, 64])]
+    interval = IntervalSpec(*p.get("interval", [10.0, 1000.0]))
+    rows = variance_growth_experiment(spec, geo, shapes, energy, interval, *mc)
+    slope, intercept, r2 = linear_fit([r.n_sites for r in rows], [r.variance for r in rows])
+    return rows, {"slope": slope, "intercept": intercept, "r2": r2}
+
+
+def _ldt(spec, geo, energy, p, mc):
+    rectangles = [Region.rectangle(1, int(c), 1, geo.width) for c in p.get("columns", [16, 32])]
+    k_grid = p.get("k_grid", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
+    res = ldt_experiment(spec, geo, rectangles, energy, float(p.get("epsilon", 0.25)), k_grid, *mc)
+    rows = [SimpleNamespace(label=t.label, **vars(r)) for t in res.tables for r in t.rows]
+    summary = {"var_points": res.var_points, "var_exponent": res.var_exponent, "var_r2": res.var_r2}
+    return rows, {**summary, "onsets": {t.label: t.onset() for t in res.tables}}
+
+
+def _negtail(spec, geo, energy, p, mc):
+    k_grid = p.get("k_grid", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
+    res = negative_tail_experiment(spec, geo, energy, k_grid, *mc)
+    return res.table.rows, {"min_log": res.min_log, "onset": res.table.onset(), "n": res.n}
+
+
+def _cartan(spec, geo, energy, p, mc):
+    region = Region.rectangle(1, geo.columns, 1, geo.width)
+    table = cartan_tail_experiment(spec, geo, region, energy, p.get("k_grid", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0]), *mc)
+    rows = [SimpleNamespace(**vars(r), violations=r.implication_violations) for r in table.rows]
+    return rows, {"onset": table.onset(), "n": table.n}
+
+
+def _bernstein(spec, geo, energy, p, mc):
+    region = Region.rectangle(1, geo.columns, 1, geo.width)
+    cell = int(p.get("cell", 2))
+    summands, cells = block_logdet_summands(spec, geo, region, cell, energy, *mc)
+    x_grid = p.get("x_grid")
+    if x_grid is None:
+        top = float(np.quantile(np.abs(summands.sum(axis=1)), 0.999)) * 1.5
+        x_grid = list(np.linspace(0.0, max(top, 1.0), 9)[1:])
+    return bernstein_check(summands, x_grid), {"n_cells": len(cells), "cell": cell}
+
+
+def _convergence(spec, geo, energy, p, mc):
+    n2_values = [int(v) for v in p.get("n_small", [4, 8])]
+    rows = multiscale_compare(spec, energy, geo.width, geo.bandwidth, n2_values, *mc)
+    cs = [r.fitted_c for r in rows if r.fitted_c > 0]
+    return rows, {"c_values": cs, "c_spread": max(cs) / min(cs) if cs else None}
+
+
+def _pipeline(spec, geo, energy, p, mc):
+    n_steps, epsilon = int(p.get("n_steps", geo.columns)), float(p.get("epsilon", 0.25))
+    report = lyapunov_sum_pipeline(
+        spec, energy, geo.width, geo.bandwidth, n_steps, epsilon, *mc, gamma_steps=p.get("gamma_steps")
+    )
+    return [report], dataclasses.asdict(report)
+
+
+def _fields(cls) -> tuple:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+_TAIL = _fields(TailRow)
+
+# kind -> (runner, CSV name, CSV columns as row attributes, summary JSON name)
+_EXPERIMENT_TABLE = {
+    "variance": (
+        _variance, "variance.csv", ("label", "n_sites", "variance", "ci_lo", "ci_hi", "ratio"), "variance_summary.json"
+    ),
+    "ldt": (_ldt, "ldt.csv", ("label", *_TAIL), "ldt_summary.json"),
+    "negtail": (_negtail, "negtail.csv", _fields(NegTailRow), "negtail_summary.json"),
+    "cartan": (_cartan, "cartan.csv", (*_TAIL, "norm_count", "dist_count", "violations"), "cartan_summary.json"),
+    "bernstein": (_bernstein, "bernstein.csv", _fields(BernsteinRow), "bernstein_summary.json"),
+    "convergence": (_convergence, "convergence.csv", _fields(MultiscaleRow), "convergence_summary.json"),
+    "pipeline": (
+        _pipeline,
+        "pipeline.csv",
+        (
+            "gamma_sum", "mean_per_step", "gap", "fitted_c", "part_negative",
+            "part_middle", "part_upper", "chain_lhs", "chain_rhs",
+        ),
+        "pipeline.json",
+    ),
+}
+
+EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
+
+
 def run_experiment(config: RunConfig, out_dir: Path) -> list:
-    kind = config.command
-    p = config.params
-    spec, geo, energy = config.disorder, config.geometry, config.energy
-    n, seed, workers = config.n_samples, config.seed, config.workers
-    outputs = []
-    if kind == "variance":
-        shapes = [
-            Region.rectangle(1, int(cols), 1, geo.width)
-            for cols in p.get("columns", [8, 16, 32, 64])
-        ]
-        interval = IntervalSpec(*p.get("interval", [10.0, 1000.0]))
-        rows = variance_growth_experiment(spec, geo, shapes, energy, interval, n, seed, workers)
-        csv_path = out_dir / "variance.csv"
-        write_csv(
-            csv_path,
-            ["label", "n_sites", "variance", "ci_lo", "ci_hi", "ratio"],
-            [(r.label, r.n_sites, r.variance, r.ci_lo, r.ci_hi, r.ratio if r.ratio is not None else math.nan) for r in rows],
-        )
-        slope, intercept, r2 = linear_fit([r.n_sites for r in rows], [r.variance for r in rows])
-        write_json(out_dir / "variance_summary.json", {"slope": slope, "intercept": intercept, "r2": r2})
-        outputs = [csv_path, out_dir / "variance_summary.json"]
-    elif kind == "ldt":
-        rectangles = [Region.rectangle(1, int(c), 1, geo.width) for c in p.get("columns", [16, 32])]
-        k_grid = p.get("k_grid", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
-        res = ldt_experiment(spec, geo, rectangles, energy, float(p.get("epsilon", 0.25)), k_grid, n, seed, workers)
-        rows = []
-        for table in res.tables:
-            for row in table.rows:
-                rows.append((table.label, row.k, row.threshold, row.count, row.fraction, row.sigma, row.bound))
-        csv_path = out_dir / "ldt.csv"
-        write_csv(csv_path, ["label", "k", "threshold", "count", "fraction", "sigma", "bound"], rows)
-        write_json(
-            out_dir / "ldt_summary.json",
-            {
-                "var_points": res.var_points,
-                "var_exponent": res.var_exponent,
-                "var_r2": res.var_r2,
-                "onsets": {t.label: t.onset() for t in res.tables},
-            },
-        )
-        outputs = [csv_path, out_dir / "ldt_summary.json"]
-    elif kind == "negtail":
-        k_grid = p.get("k_grid", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0])
-        res = negative_tail_experiment(spec, geo, energy, k_grid, n, seed, workers)
-        csv_path = out_dir / "negtail.csv"
-        write_csv(
-            csv_path,
-            ["k", "threshold", "count", "fraction", "sigma", "bound", "naive_threshold", "naive_count"],
-            [
-                (r.k, r.threshold, r.count, r.fraction, r.sigma, r.bound, r.naive_threshold, r.naive_count)
-                for r in res.table.rows
-            ],
-        )
-        write_json(out_dir / "negtail_summary.json", {"min_log": res.min_log, "onset": res.table.onset(), "n": res.n})
-        outputs = [csv_path, out_dir / "negtail_summary.json"]
-    elif kind == "cartan":
-        region = Region.rectangle(1, geo.columns, 1, geo.width)
-        k_grid = p.get("k_grid", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
-        table = cartan_tail_experiment(spec, geo, region, energy, k_grid, n, seed, workers)
-        csv_path = out_dir / "cartan.csv"
-        write_csv(
-            csv_path,
-            ["k", "threshold", "count", "fraction", "sigma", "bound", "norm_count", "dist_count", "violations"],
-            [
-                (r.k, r.threshold, r.count, r.fraction, r.sigma, r.bound, r.norm_count, r.dist_count, r.implication_violations)
-                for r in table.rows
-            ],
-        )
-        write_json(out_dir / "cartan_summary.json", {"onset": table.onset(), "n": table.n})
-        outputs = [csv_path, out_dir / "cartan_summary.json"]
-    elif kind == "bernstein":
-        region = Region.rectangle(1, geo.columns, 1, geo.width)
-        cell = int(p.get("cell", 2))
-        summands, cells = block_logdet_summands(spec, geo, region, cell, energy, n, seed, workers)
-        x_grid = p.get("x_grid")
-        if x_grid is None:
-            top = float(np.quantile(np.abs(summands.sum(axis=1)), 0.999)) * 1.5
-            x_grid = list(np.linspace(0.0, max(top, 1.0), 9)[1:])
-        rows = bernstein_check(summands, x_grid)
-        csv_path = out_dir / "bernstein.csv"
-        write_csv(
-            csv_path,
-            ["x", "count", "fraction", "sigma", "bound", "admissible"],
-            [(r.x, r.count, r.fraction, r.sigma, r.bound, r.admissible) for r in rows],
-        )
-        write_json(out_dir / "bernstein_summary.json", {"n_cells": len(cells), "cell": cell})
-        outputs = [csv_path, out_dir / "bernstein_summary.json"]
-    elif kind == "convergence":
-        n2_values = [int(v) for v in p.get("n_small", [4, 8])]
-        rows = multiscale_compare(spec, energy, geo.width, geo.bandwidth, n2_values, n, seed, workers)
-        csv_path = out_dir / "convergence.csv"
-        write_csv(
-            csv_path,
-            ["n_small", "n_large", "mean_small", "mean_large", "gap", "gap_se", "fitted_c"],
-            [(r.n_small, r.n_large, r.mean_small, r.mean_large, r.gap, r.gap_se, r.fitted_c) for r in rows],
-        )
-        cs = [r.fitted_c for r in rows if r.fitted_c > 0]
-        write_json(out_dir / "convergence_summary.json", {"c_values": cs, "c_spread": max(cs) / min(cs) if cs else None})
-        outputs = [csv_path, out_dir / "convergence_summary.json"]
-    elif kind == "pipeline":
-        report = lyapunov_sum_pipeline(
-            spec,
-            energy,
-            geo.width,
-            geo.bandwidth,
-            int(p.get("n_steps", geo.columns)),
-            float(p.get("epsilon", 0.25)),
-            n,
-            seed,
-            workers,
-            gamma_steps=p.get("gamma_steps"),
-        )
-        doc = dataclasses.asdict(report)
-        write_json(out_dir / "pipeline.json", doc)
-        csv_path = out_dir / "pipeline.csv"
-        write_csv(
-            csv_path,
-            ["gamma_sum", "mean_per_step", "gap", "fitted_c", "part_negative", "part_middle", "part_upper", "chain_lhs", "chain_rhs"],
-            [
-                (
-                    report.gamma_sum,
-                    report.mean_per_step,
-                    report.gap,
-                    report.fitted_c,
-                    report.part_negative,
-                    report.part_middle,
-                    report.part_upper,
-                    report.chain_lhs,
-                    report.chain_rhs,
-                )
-            ],
-        )
-        outputs = [out_dir / "pipeline.json", csv_path]
-    else:
-        raise ConfigurationError(f"unknown experiment {kind!r}")
-    return outputs
+    if config.command not in _EXPERIMENT_TABLE:
+        raise ConfigurationError(f"unknown experiment {config.command!r}")
+    runner, csv_name, columns, summary_name = _EXPERIMENT_TABLE[config.command]
+    mc = (config.n_samples, config.seed, config.workers)
+    rows, summary = runner(config.disorder, config.geometry, config.energy, config.params, mc)
+    csv_path, json_path = out_dir / csv_name, out_dir / summary_name
+    write_csv(csv_path, columns, [[getattr(r, col) for col in columns] for r in rows])
+    write_json(json_path, summary)
+    return [csv_path, json_path]
 
 
 # ---------------------------------------------------------------- plotting
@@ -439,50 +411,40 @@ def plot_export(table_path: Path, kind: str, out_dir: Path) -> list:
             frac = [float(r["fraction"]) for r in rows]
             bound = [float(r["bound"]) for r in rows]
             ys = [math.log10(max(f, 1e-12)) for f in frac]
-            yb = [math.log10(max(b, 1e-12)) for b in bound]
-            lo, hi = min(ys + yb), max(ys + yb + [0.0])
+            reference = [math.log10(max(b, 1e-12)) for b in bound]
+            lo, hi = min(ys + reference), max(ys + reference + [0.0])
             out_rows = list(zip(xs, frac, bound))
-
-            def to_xy(x, y):
-                fx = pad + (x - min(xs)) / max(max(xs) - min(xs), 1e-12) * (width - 2 * pad)
-                fy = height - pad - (y - lo) / max(hi - lo, 1e-12) * (height - 2 * pad)
-                return fx, fy
-
-            body.append(_polyline([to_xy(x, y) for x, y in zip(xs, ys)], "steelblue"))
-            body.append(_polyline([to_xy(x, y) for x, y in zip(xs, yb)], "firebrick", dashed=True))
         elif kind == "fit":
             header = list(rows[0].keys())
             xcol, ycol = header[1], header[2]
             xs = [float(r[xcol]) for r in rows]
             ys = [float(r[ycol]) for r in rows]
             slope, intercept, _ = linear_fit(xs, ys)
-            out_rows = [(x, y, slope * x + intercept) for x, y in zip(xs, ys)]
-
-            def to_xy(x, y):
-                fx = pad + (x - min(xs)) / max(max(xs) - min(xs), 1e-12) * (width - 2 * pad)
-                fy = height - pad - (y - min(ys)) / max(max(ys) - min(ys), 1e-12) * (height - 2 * pad)
-                return fx, fy
-
-            body.append(_polyline([to_xy(x, y) for x, y in zip(xs, ys)], "steelblue"))
-            body.append(_polyline([to_xy(x, slope * x + intercept) for x in xs], "firebrick", dashed=True))
+            reference = [slope * x + intercept for x in xs]
+            lo, hi = min(ys), max(ys)
+            out_rows = list(zip(xs, ys, reference))
         elif kind == "spectrum":
             xs = [float(r["index"]) for r in rows]
             ys = [float(r["gamma"]) for r in rows]
             errs = [float(r.get("stderr", 0.0)) for r in rows]
+            lo, hi = min(ys), max(ys)
             out_rows = list(zip(xs, ys, errs))
+        else:
+            raise ConfigurationError(f"unknown plot kind {kind!r}")
 
-            def to_xy(x, y):
-                fx = pad + (x - min(xs)) / max(max(xs) - min(xs), 1e-12) * (width - 2 * pad)
-                fy = height - pad - (y - min(ys)) / max(max(ys) - min(ys), 1e-12) * (height - 2 * pad)
-                return fx, fy
+        def to_xy(x, y):
+            fx = pad + (x - min(xs)) / max(max(xs) - min(xs), 1e-12) * (width - 2 * pad)
+            fy = height - pad - (y - lo) / max(hi - lo, 1e-12) * (height - 2 * pad)
+            return fx, fy
 
-            body.append(_polyline([to_xy(x, y) for x, y in zip(xs, ys)], "steelblue"))
+        body.append(_polyline([to_xy(x, y) for x, y in zip(xs, ys)], "steelblue"))
+        if kind == "spectrum":
             for x, y, e in zip(xs, ys, errs):
                 x0, y0 = to_xy(x, y - e)
                 _, y1 = to_xy(x, y + e)
                 body.append(f'<line x1="{x0:.2f}" y1="{y0:.2f}" x2="{x0:.2f}" y2="{y1:.2f}" stroke="gray"/>')
         else:
-            raise ConfigurationError(f"unknown plot kind {kind!r}")
+            body.append(_polyline([to_xy(x, y) for x, y in zip(xs, reference)], "firebrick", dashed=True))
     svg_path = out_dir / f"plot_{kind}.svg"
     svg_path.write_text(_svg_document(width, height, "\n".join(body)))
     csv_path = out_dir / f"plot_{kind}.csv"

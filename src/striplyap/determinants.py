@@ -165,8 +165,8 @@ def logdet_via_transfer(sample: DisorderSample, energy: float, n_steps: int | No
 
     For the full rectangle [1, N] x [1, W] this block determinant equals
     det(H_N - E).  The block is recovered from the stabilized factorization
-    P = Q diag(exp(r)) S: the first W columns of the triangular factor are
-    upper triangular, so det(P[:W, :W]) = det(Q[:W, :W]) * exp(r_1 + .. + r_W).
+    P = Q R with log diag R = r: R is upper triangular, so
+    det(P[:W, :W]) = det(Q[:W, :W]) * exp(r_1 + .. + r_W).
     """
     n = _rectangle_steps(sample, n_steps)
     w = sample.geometry.width

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -28,16 +28,17 @@ __all__ = [
     "boundary",
     "assemble_hamiltonian",
     "build_hamiltonians",
-    "disorder_chunks",
 ]
 
 DENSITIES = ("uniform", "cauchy", "point", "table")
 U_LAWS = ("zero", "adjacency", "random_band")
 
-# stream domains for counter-based seed splitting
-_DOMAIN_SAMPLE = 0
-_DOMAIN_CHUNK = 1
-_DOMAIN_BOOT = 2
+# stream domains: every split_stream path in the package starts with one of these
+_DOMAIN_SAMPLE = 0  # sample_disorder, then (sample index, field)
+_DOMAIN_CHUNK = 1  # draw_chunk, then (chunk index, field)
+_DOMAIN_BOOT = 2  # block bootstrap of lyapunov_spectrum
+_DOMAIN_VERIFY = 7  # verify suites, then the suite number
+_DOMAIN_BOOT_CI = 9  # bootstrap_ci resampling
 
 
 class ConfigurationError(ValueError):
@@ -487,13 +488,6 @@ def assemble_hamiltonian(sample: DisorderSample, region: Region) -> HamiltonianM
     return HamiltonianMatrix(matrix=h, sites=plan.sites)
 
 
-@dataclass(frozen=True)
-class DisorderChunk:
-    start: int
-    potentials: np.ndarray
-    u_band: np.ndarray | None
-
-
 def draw_chunk(
     spec: DisorderSpec, geometry: StripGeometry, chunk_idx: int, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
@@ -507,21 +501,3 @@ def draw_chunk(
         rng_u = split_stream(seed, _DOMAIN_CHUNK, chunk_idx, 1)
         u_band = c * (2.0 * rng_u.random((m, n, d + 1, w)) - 1.0)
     return pot, u_band
-
-
-def disorder_chunks(
-    spec: DisorderSpec,
-    geometry: StripGeometry,
-    n_samples: int,
-    seed: int,
-    chunk_size: int = 4096,
-):
-    """Yield batched disorder draws; the content of chunk k depends only on (seed, k)."""
-    done = 0
-    chunk_idx = 0
-    while done < n_samples:
-        m = min(chunk_size, n_samples - done)
-        pot, u_band = draw_chunk(spec, geometry, chunk_idx, m, seed)
-        yield DisorderChunk(start=done, potentials=pot, u_band=u_band)
-        done += m
-        chunk_idx += 1

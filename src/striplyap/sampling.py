@@ -12,6 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from .model import (
+    _DOMAIN_BOOT_CI,
     ConfigurationError,
     DisorderSpec,
     Region,
@@ -19,6 +20,7 @@ from .model import (
     assembly_plan,
     build_hamiltonians,
     draw_chunk,
+    split_stream,
 )
 
 __all__ = [
@@ -34,30 +36,51 @@ DEFAULT_CHUNK = 4096
 _CHUNK_BUDGET = 1 << 23  # doubles per chunk of stacked Hamiltonians (~64 MB)
 
 
-def _effective_chunk(chunk_size: int, matrix_dim: int) -> int:
-    return max(16, min(chunk_size, _CHUNK_BUDGET // max(matrix_dim * matrix_dim, 1)))
+def _effective_chunk(matrix_dim: int) -> int:
+    return max(16, min(DEFAULT_CHUNK, _CHUNK_BUDGET // max(matrix_dim * matrix_dim, 1)))
 
 
-def _chunk_spans(n_samples: int, chunk_size: int) -> list[tuple[int, int, int]]:
-    spans = []
-    start = 0
-    idx = 0
-    while start < n_samples:
-        m = min(chunk_size, n_samples - start)
-        spans.append((idx, start, m))
-        start += m
-        idx += 1
-    return spans
+def _map_chunks(batch, spec, geometry, region, shift: float, n_samples: int, seed: int, workers: int) -> list[np.ndarray]:
+    """Run ``batch`` over the ensemble chunk by chunk and join its results.
 
+    Each chunk is drawn, assembled into a stack of H_region - shift, and handed
+    to ``batch(h, u_band)``, which returns a tuple of arrays with one value per
+    sample of the chunk.
+    """
+    if n_samples < 1:
+        raise ConfigurationError("need at least one sample")
+    plan = assembly_plan(region, geometry)
+    chunk = _effective_chunk(len(plan.sites))
+    diag = np.arange(len(plan.sites))
 
-def _run_chunks(task, n_samples: int, chunk_size: int, workers: int) -> None:
-    spans = _chunk_spans(n_samples, chunk_size)
+    def task(idx: int) -> tuple:
+        m = min(chunk, n_samples - idx * chunk)
+        pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
+        h = build_hamiltonians(plan, pot, spec.u_law, u_band)
+        h[:, diag, diag] -= shift
+        return batch(h, u_band)
+
+    chunks = range(-(-n_samples // chunk))
     if workers <= 1:
-        for span in spans:
-            task(*span)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(lambda s: task(*s), spans))
+        results = list(map(task, chunks))
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(task, chunks))
+    return [np.concatenate(parts) for parts in zip(*results)]
+
+
+def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Batched solve of h x = rhs; a singular sample gives a nan row, not a failed chunk."""
+    try:
+        return np.linalg.solve(h, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        x = np.full(rhs.shape, np.nan)
+        for i in range(len(h)):
+            try:
+                x[i] = np.linalg.solve(h[i], rhs[i])
+            except np.linalg.LinAlgError:
+                pass  # stays nan, counted by the caller
+        return x
 
 
 def sample_logdets(
@@ -68,30 +91,19 @@ def sample_logdets(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """log|det(H_region - E)| over independent realizations.
 
     Exactly singular samples are returned as -inf; the count is reported so
     callers can exclude them explicitly.
     """
-    if n_samples < 1:
-        raise ConfigurationError("need at least one sample")
-    plan = assembly_plan(region, geometry)
-    chunk_size = _effective_chunk(chunk_size, len(plan.sites))
-    out = np.empty(n_samples)
-    diag = np.arange(len(plan.sites))
 
-    def task(idx: int, start: int, m: int) -> None:
-        pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
-        h = build_hamiltonians(plan, pot, spec.u_law, u_band)
-        h[:, diag, diag] -= energy
+    def batch(h, u_band):
         sign, log_abs = np.linalg.slogdet(h)
-        out[start : start + m] = np.where(sign == 0.0, -np.inf, log_abs)
+        return (np.where(sign == 0.0, -np.inf, log_abs),)
 
-    _run_chunks(task, n_samples, chunk_size, workers)
-    n_singular = int(np.sum(np.isneginf(out)))
-    return out, n_singular
+    out = _map_chunks(batch, spec, geometry, region, energy, n_samples, seed, workers)[0]
+    return out, int(np.sum(np.isneginf(out)))
 
 
 def sample_spectral(
@@ -102,30 +114,22 @@ def sample_spectral(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> dict:
     """Joint samples of log|det(H - E)|, dist(E, spec H), and ||H||.
 
     One eigendecomposition per sample feeds all three, which keeps the
     pointwise relations between them exact.
     """
-    plan = assembly_plan(region, geometry)
-    chunk_size = _effective_chunk(chunk_size, len(plan.sites))
-    log_abs = np.empty(n_samples)
-    dist = np.empty(n_samples)
-    norm = np.empty(n_samples)
 
-    def task(idx: int, start: int, m: int) -> None:
-        pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
-        h = build_hamiltonians(plan, pot, spec.u_law, u_band)
+    def batch(h, u_band):
         eigs = np.linalg.eigvalsh(h)
         gaps = np.abs(eigs - energy)
         with np.errstate(divide="ignore"):
-            log_abs[start : start + m] = np.sum(np.log(gaps), axis=1)
-        dist[start : start + m] = np.min(gaps, axis=1)
-        norm[start : start + m] = np.max(np.abs(eigs), axis=1)
+            log_abs = np.sum(np.log(gaps), axis=1)
+        return log_abs, np.min(gaps, axis=1), np.max(np.abs(eigs), axis=1)
 
-    _run_chunks(task, n_samples, chunk_size, workers)
+    # the spectrum of H itself is factored, so the stack is not shifted
+    log_abs, dist, norm = _map_chunks(batch, spec, geometry, region, 0.0, n_samples, seed, workers)
     return {"log_abs": log_abs, "dist": dist, "norm": norm}
 
 
@@ -138,7 +142,6 @@ def sample_site_shifts(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> tuple[np.ndarray, int]:
     """Samples of the single-site Schur shift xi at site k over the ensemble.
 
@@ -146,57 +149,38 @@ def sample_site_shifts(
     """
     if k not in region:
         raise ConfigurationError(f"site {k} not in region")
-    if region.size == 1:
-        out = np.full(n_samples, energy)
-        if spec.u_law == "random_band":
-            # diagonal coupling still fluctuates for the random band law
-            def task(idx, start, m):
-                pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
-                out[start : start + m] = energy + u_band[:, k[0] - 1, 0, k[1] - 1]
-
-            _run_chunks(task, n_samples, chunk_size, workers)
-        return out, 0
-    rest = region.without_site(k)
-    plan = assembly_plan(rest, geometry)
-    chunk_size = _effective_chunk(chunk_size, len(plan.sites))
-    sites = plan.sites
-    d = geometry.bandwidth
     n0, w0 = k
+    random_band = spec.u_law == "random_band"
+    if region.size == 1:
+        if not random_band:
+            return np.full(n_samples, energy), 0
+
+        # diagonal coupling still fluctuates for the random band law
+        def batch(h, u_band):
+            return (energy + u_band[:, n0 - 1, 0, w0 - 1],)
+
+        return _map_chunks(batch, spec, geometry, region, energy, n_samples, seed, workers)[0], 0
+    rest = region.without_site(k)
+    sites = rest.sites
+    d = geometry.bandwidth
     hor_pos = [j for j, (n, w) in enumerate(sites) if w == w0 and abs(n - n0) == 1]
     ver_pos = [(j, abs(w - w0), min(w, w0)) for j, (n, w) in enumerate(sites) if n == n0 and 0 < abs(w - w0) <= d]
-    out = np.full(n_samples, np.nan)
-    diag = np.arange(len(sites))
 
-    def task(idx: int, start: int, m: int) -> None:
-        pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
-        h = build_hamiltonians(plan, pot, spec.u_law, u_band)
-        h[:, diag, diag] -= energy
+    def batch(h, u_band):
+        m = len(h)
         g = np.zeros((m, len(sites)))
         if hor_pos:
             g[:, hor_pos] = -1.0
         for j, off, wlo in ver_pos:
             if spec.u_law == "adjacency":
                 g[:, j] = -1.0 if off == 1 else 0.0
-            elif spec.u_law == "random_band":
+            elif random_band:
                 g[:, j] = -u_band[:, n0 - 1, off, wlo - 1]
-        if spec.u_law == "random_band":
-            u_kk = u_band[:, n0 - 1, 0, w0 - 1]
-        else:
-            u_kk = np.zeros(m)
-        try:
-            x = np.linalg.solve(h, g[..., None])[..., 0]
-            out[start : start + m] = u_kk + energy + np.sum(g * x, axis=1)
-        except np.linalg.LinAlgError:
-            for i in range(m):
-                try:
-                    xi = np.linalg.solve(h[i], g[i])
-                    out[start + i] = u_kk[i] + energy + float(g[i] @ xi)
-                except np.linalg.LinAlgError:
-                    pass  # stays nan, counted below
+        u_kk = u_band[:, n0 - 1, 0, w0 - 1] if random_band else np.zeros(m)
+        return (u_kk + energy + np.sum(g * _solve(h, g), axis=1),)
 
-    _run_chunks(task, n_samples, chunk_size, workers)
-    n_failed = int(np.sum(~np.isfinite(out)))
-    return out, n_failed
+    out = _map_chunks(batch, spec, geometry, rest, energy, n_samples, seed, workers)[0]
+    return out, int(np.sum(~np.isfinite(out)))
 
 
 def sample_resolvent_entries(
@@ -209,34 +193,17 @@ def sample_resolvent_entries(
     n_samples: int,
     seed: int,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> np.ndarray:
     """Samples of the resolvent entry (H_region - E)^-1(a, b) over the ensemble."""
-    plan = assembly_plan(region, geometry)
-    chunk_size = _effective_chunk(chunk_size, len(plan.sites))
-    sites = list(plan.sites)
+    sites = list(region.sites)
     ia, ib = sites.index(site_a), sites.index(site_b)
-    out = np.full(n_samples, np.nan)
-    diag = np.arange(len(sites))
 
-    def task(idx: int, start: int, m: int) -> None:
-        pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
-        h = build_hamiltonians(plan, pot, spec.u_law, u_band)
-        h[:, diag, diag] -= energy
-        rhs = np.zeros((m, len(sites)))
+    def batch(h, u_band):
+        rhs = np.zeros((len(h), len(sites)))
         rhs[:, ib] = 1.0
-        try:
-            x = np.linalg.solve(h, rhs[..., None])[..., 0]
-            out[start : start + m] = x[:, ia]
-        except np.linalg.LinAlgError:
-            for i in range(m):
-                try:
-                    out[start + i] = np.linalg.solve(h[i], rhs[i])[ia]
-                except np.linalg.LinAlgError:
-                    pass
+        return (_solve(h, rhs)[:, ia],)
 
-    _run_chunks(task, n_samples, chunk_size, workers)
-    return out
+    return _map_chunks(batch, spec, geometry, region, energy, n_samples, seed, workers)[0]
 
 
 def bootstrap_ci(
@@ -248,7 +215,7 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for a statistic of an i.i.d. sample."""
     values = np.asarray(values)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=int(seed) & ((1 << 63) - 1), spawn_key=(9,)))
+    rng = split_stream(seed, _DOMAIN_BOOT_CI)
     idx = rng.integers(0, len(values), size=(n_boot, len(values)))
     stats = np.array([statistic(values[row]) for row in idx])
     alpha = (1.0 - level) / 2.0

@@ -47,6 +47,19 @@ def _binom_sigma(fraction: float, n: int) -> float:
     return math.sqrt(max(fraction * (1.0 - fraction), 0.0) / n)
 
 
+def _tail_fields(k, threshold, hits: np.ndarray, decay: float) -> dict:
+    """The TailRow fields of one exceedance mask, against the bound exp(-k / decay)."""
+    frac = float(np.mean(hits))
+    return dict(
+        k=float(k),
+        threshold=float(threshold),
+        count=int(np.sum(hits)),
+        fraction=frac,
+        sigma=_binom_sigma(frac, len(hits)),
+        bound=math.exp(-k / decay),
+    )
+
+
 def linear_fit(x, y) -> tuple[float, float, float]:
     """Least squares line fit returning (slope, intercept, r_squared)."""
     x = np.asarray(x, dtype=float)
@@ -61,13 +74,12 @@ def linear_fit(x, y) -> tuple[float, float, float]:
 
 @dataclass(frozen=True)
 class MonteCarloSummary:
-    """Moments and tails of a sampled statistic, mergeable by sufficient statistics."""
+    """Moments and tails of a sampled statistic."""
 
     n: int
     mean: float
     variance: float
     central_moments: tuple[float, ...]
-    power_sums: tuple[float, ...]
     seed: int
     wall_time: float
     n_excluded: int = 0
@@ -84,56 +96,16 @@ class MonteCarloSummary:
         mean = float(np.mean(values))
         centered = values - mean
         cms = tuple(float(np.mean(centered**k)) for k in range(2, 7))
-        sums = tuple(float(np.sum(values**p)) for p in range(0, 7))
         var = float(np.var(values, ddof=1)) if n > 1 else 0.0
         return cls(
             n=n,
             mean=mean,
             variance=var,
             central_moments=cms,
-            power_sums=sums,
             seed=seed,
             wall_time=wall_time,
             n_excluded=n_excluded,
             samples=values,
-        )
-
-    @classmethod
-    def from_power_sums(
-        cls, sums, seed: int, wall_time: float = 0.0, n_excluded: int = 0, samples=None
-    ) -> "MonteCarloSummary":
-        sums = tuple(float(s) for s in sums)
-        n = int(sums[0])
-        mean = sums[1] / n
-        raw = [s / n for s in sums]
-        cms = []
-        for k in range(2, 7):
-            val = sum(math.comb(k, j) * raw[j] * (-mean) ** (k - j) for j in range(0, k + 1))
-            cms.append(float(val))
-        var = n / (n - 1) * cms[0] if n > 1 else 0.0
-        return cls(
-            n=n,
-            mean=float(mean),
-            variance=float(var),
-            central_moments=tuple(cms),
-            power_sums=sums,
-            seed=seed,
-            wall_time=wall_time,
-            n_excluded=n_excluded,
-            samples=samples,
-        )
-
-    def merge(self, other: "MonteCarloSummary") -> "MonteCarloSummary":
-        sums = tuple(a + b for a, b in zip(self.power_sums, other.power_sums))
-        samples = None
-        if self.samples is not None and other.samples is not None:
-            samples = np.concatenate([self.samples, other.samples])
-        return MonteCarloSummary.from_power_sums(
-            sums,
-            seed=self.seed,
-            wall_time=self.wall_time + other.wall_time,
-            n_excluded=self.n_excluded + other.n_excluded,
-            samples=samples,
         )
 
     def exceedance(self, thresholds, mode: str = "abs") -> np.ndarray:
@@ -242,15 +214,9 @@ def cartan_tail_experiment(
         with np.errstate(divide="ignore"):
             dist_hits = np.log(data["dist"]) < -k
         violations = int(np.sum(hits & ~(norm_hits | dist_hits)))
-        frac = float(np.mean(hits))
         rows.append(
             CartanRow(
-                k=float(k),
-                threshold=float(thr),
-                count=int(np.sum(hits)),
-                fraction=frac,
-                sigma=_binom_sigma(frac, n_samples),
-                bound=math.exp(-k / 4.0),
+                **_tail_fields(k, thr, hits, 4.0),
                 norm_count=int(np.sum(norm_hits)),
                 dist_count=int(np.sum(dist_hits)),
                 implication_violations=violations,
@@ -293,20 +259,7 @@ def ldt_experiment(
         kept = values[np.isfinite(values)]
         centered = np.abs(kept - np.mean(kept))
         scale = rect.size ** (0.5 + epsilon)
-        rows = []
-        for k in k_grid:
-            thr = scale * k
-            frac = float(np.mean(centered > thr))
-            rows.append(
-                TailRow(
-                    k=float(k),
-                    threshold=float(thr),
-                    count=int(np.sum(centered > thr)),
-                    fraction=frac,
-                    sigma=_binom_sigma(frac, len(kept)),
-                    bound=math.exp(-k / 2.0),
-                )
-            )
+        rows = [TailRow(**_tail_fields(k, scale * k, centered > scale * k, 2.0)) for k in k_grid]
         tables.append(TailTable(label=f"ldt_{rect.size}", n=len(kept), rows=rows))
         var_points.append((rect.size, float(np.var(kept, ddof=1))))
     sizes = [p[0] for p in var_points]
@@ -359,16 +312,9 @@ def negative_tail_experiment(
     for k in k_grid:
         thr = -10.0 * k * w
         thr_naive = -k * n * w
-        hits = values < thr
-        frac = float(np.mean(hits))
         rows.append(
             NegTailRow(
-                k=float(k),
-                threshold=float(thr),
-                count=int(np.sum(hits)),
-                fraction=frac,
-                sigma=_binom_sigma(frac, n_samples),
-                bound=math.exp(-k / 4.0),
+                **_tail_fields(k, thr, values < thr, 4.0),
                 naive_threshold=float(thr_naive),
                 naive_count=int(np.sum(values < thr_naive)),
             )

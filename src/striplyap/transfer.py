@@ -1,10 +1,9 @@
 """Transfer-matrix cocycles, stabilized products, and Lyapunov spectra.
 
-The N-step product of one-step blocks [[S_k - E, -I], [I, 0]] is kept in the
-factored form  P = Q diag(exp(r)) S  with Q orthogonal, r the accumulated log
-radii (diagonal of the triangular factor) and S unit upper triangular.  The
-factorization is exact up to roundoff, so singular values and determinant
-minors of very long products can be recovered without overflow.
+The N-step product of one-step blocks [[S_k - E, -I], [I, 0]] is carried as
+an orthogonal frame Q and accumulated log radii r, the log diagonal of the
+triangular factor: P = Q R with log diag R = r.  Both stay finite for very
+long products, so growth rates and determinant minors never overflow.
 """
 
 from __future__ import annotations
@@ -14,7 +13,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, s_matrix, sample_disorder, split_stream
+from .model import (
+    _DOMAIN_BOOT, ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, s_matrix, sample_disorder, split_stream
+)
 
 __all__ = [
     "NumericError",
@@ -32,9 +33,6 @@ __all__ = [
 ]
 
 MIN_COCYCLE_STEPS = 16
-
-_EXP_CLIP = 700.0  # largest exponent fed to np.exp, keeps inf out of the shear update
-_BOOT_DOMAIN = 2  # stream tag for bootstrap resampling
 
 
 class NumericError(ArithmeticError):
@@ -74,63 +72,32 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class CocycleAccumulator:
-    """Stabilized product state: P = frame . diag(exp(log_radii)) . shear."""
+    """Stabilized product state: P = frame . R with log diag R = log_radii."""
 
     frame: np.ndarray
     log_radii: np.ndarray
-    shear: np.ndarray
     steps: int = 0
 
     @classmethod
     def identity(cls, width: int) -> "CocycleAccumulator":
         m = 2 * width
-        return cls(frame=np.eye(m), log_radii=np.zeros(m), shear=np.eye(m), steps=0)
-
-    @property
-    def width(self) -> int:
-        return self.frame.shape[0] // 2
+        return cls(frame=np.eye(m), log_radii=np.zeros(m), steps=0)
 
     def copy(self) -> "CocycleAccumulator":
-        return CocycleAccumulator(
-            frame=self.frame.copy(),
-            log_radii=self.log_radii.copy(),
-            shear=self.shear.copy(),
-            steps=self.steps,
-        )
+        return CocycleAccumulator(frame=self.frame.copy(), log_radii=self.log_radii.copy(), steps=self.steps)
 
     def step(self, t: np.ndarray) -> None:
         if not np.all(np.isfinite(t)):
             raise NumericError("non-finite transfer matrix entries")
         q, r = _qr_positive(t @ self.frame)
-        d = np.diag(r).copy()
+        d = np.diag(r)
         if np.any(d <= 0.0):
             raise NumericError("rank-deficient step in cocycle product")
-        m = d.size
-        iu, ju = np.triu_indices(m)
-        expo = np.minimum(self.log_radii[ju] - self.log_radii[iu], _EXP_CLIP)
-        sp = np.zeros((m, m))
-        sp[iu, ju] = (r[iu, ju] / d[iu]) * np.exp(expo)
-        np.fill_diagonal(sp, 1.0)
-        self.shear = np.triu(sp @ self.shear)
-        np.fill_diagonal(self.shear, 1.0)
         self.log_radii = self.log_radii + np.log(d)
         self.frame = q
         self.steps += 1
-        if not (np.all(np.isfinite(self.log_radii)) and np.all(np.isfinite(self.shear))):
+        if not np.all(np.isfinite(self.log_radii)):
             raise NumericError("cocycle state lost finiteness")
-
-    def log_singular_values(self) -> np.ndarray:
-        """Log singular values of the accumulated product, sorted descending.
-
-        Exact (up to roundoff) while the radii spread stays below ~700 in log;
-        for larger spreads the smallest directions underflow and come back as
-        -inf, and the raw log radii remain the meaningful growth estimates.
-        """
-        top = float(np.max(self.log_radii))
-        graded = np.exp(self.log_radii - top)[:, None] * self.shear
-        sv = np.linalg.svd(graded, compute_uv=False)
-        with np.errstate(divide="ignore"):
-            return np.sort(np.log(sv) + top)[::-1]
 
 
 def accumulate(
@@ -201,17 +168,12 @@ class LyapunovSpectrum:
     n_steps: int
     burn_in: int
 
-    @property
-    def strictly_ordered(self) -> bool:
-        return bool(np.all(np.diff(self.exponents) < 0))
-
 
 def _radii_checkpoints(sample: DisorderSample, energy: float, edges: np.ndarray) -> np.ndarray:
     """Accumulated log radii of the QR cocycle at the given step counts.
 
-    Lean inner loop: only the orthogonal frame and the running log radii are
-    carried (no shear), and column signs are left unfixed since radii only
-    need pivot magnitudes.
+    Lean inner loop: unlike CocycleAccumulator.step, column signs are left
+    unfixed since radii only need pivot magnitudes.
     """
     w = sample.geometry.width
     m = 2 * w
@@ -284,7 +246,7 @@ def lyapunov_spectrum(
     increments = np.diff(checkpoints[block_rows], axis=0)
     w = geometry.width
     gamma_all = (final - r0) / span
-    rng = split_stream(seed, _BOOT_DOMAIN, 0)
+    rng = split_stream(seed, _DOMAIN_BOOT, 0)
     idx = rng.integers(0, len(increments), size=(n_boot, len(increments)))
     boot = increments[idx].sum(axis=1) / span
     stderr = boot.std(axis=0, ddof=1) if n_boot > 1 else np.zeros(2 * w)

@@ -20,6 +20,7 @@ from .exterior import (
     wedge_indices,
 )
 from .model import (
+    _DOMAIN_VERIFY,
     DisorderSpec,
     Region,
     StripGeometry,
@@ -48,7 +49,7 @@ def _rel_log_gap(a, b) -> float:
 
 def verify_wedge(seed: int = 1, trials: int = 20) -> dict:
     """Exterior power identity suite: frames, expansions, minors, drift."""
-    rng = split_stream(seed, 7, 0)
+    rng = split_stream(seed, _DOMAIN_VERIFY, 0)
     worst_structure = 0.0
     worst_expand = 0.0
     worst_identity = 0.0
@@ -107,7 +108,7 @@ def verify_wedge(seed: int = 1, trials: int = 20) -> dict:
 
 def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
     """Weyl chains and the rank-perturbation log-det bound on random instances."""
-    rng = split_stream(seed, 7, 1)
+    rng = split_stream(seed, _DOMAIN_VERIFY, 1)
     weyl_violations = 0
     bound_violations = 0
     worst_slack = math.inf
@@ -168,7 +169,7 @@ def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
 
 def verify_determinants(seed: int = 1, trials: int = 50) -> dict:
     """Three-route agreement, the single-site peel identity, and sign flips."""
-    rng = split_stream(seed, 7, 2)
+    rng = split_stream(seed, _DOMAIN_VERIFY, 2)
     worst_route = 0.0
     sign_mismatches = 0
     worst_peel = 0.0

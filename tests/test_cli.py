@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -40,6 +42,13 @@ def test_bad_config_exits_2(tmp_path):
     assert main(["sample", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     neg = write_config(tmp_path, geometry={"width": -2, "columns": 4})
     assert main(["sample", "--config", str(neg), "--out", str(tmp_path / "o")]) == 2
+    for bad in (
+        {"disorder": {"density": "uniform", "params": {"lo": -1}}},
+        {"energy": "zero"},
+        {"n_samples": "many"},
+    ):
+        cfg = write_config(tmp_path, **bad)
+        assert main(["experiment", "negtail", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_sample_command_outputs(tmp_path):
@@ -99,6 +108,34 @@ def test_experiment_variance_and_convergence(tmp_path):
     assert main(["experiment", "convergence", "--config", str(cfg2), "--out", str(out2)]) == 0
     rows = (out2 / "convergence.csv").read_text().splitlines()
     assert rows[0].startswith("n_small,n_large")
+
+
+@pytest.mark.parametrize(
+    "kind, params, header",
+    [
+        ("variance", {"columns": [4, 8], "interval": [10.0, 100.0]}, "label,n_sites,variance,ci_lo,ci_hi,ratio"),
+        ("ldt", {"columns": [4, 8]}, "label,k,threshold,count,fraction,sigma,bound"),
+        ("negtail", {}, "k,threshold,count,fraction,sigma,bound,naive_threshold,naive_count"),
+        ("cartan", {}, "k,threshold,count,fraction,sigma,bound,norm_count,dist_count,violations"),
+        ("bernstein", {"cell": 2}, "x,count,fraction,sigma,bound,admissible"),
+        ("convergence", {"n_small": [3]}, "n_small,n_large,mean_small,mean_large,gap,gap_se,fitted_c"),
+        (
+            "pipeline",
+            {"n_steps": 8, "gamma_steps": 20000},
+            "gamma_sum,mean_per_step,gap,fitted_c,part_negative,part_middle,part_upper,chain_lhs,chain_rhs",
+        ),
+    ],
+)
+def test_experiment_csv_header(tmp_path, kind, params, header):
+    cfg = write_config(tmp_path, n_samples=100, params=params)
+    out = tmp_path / kind
+    assert kind in cli_mod.EXPERIMENTS
+    assert main(["experiment", kind, "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / f"{kind}.csv").read_text()
+    assert text.splitlines()[0] == header
+    rows = list(csv.reader(io.StringIO(text)))
+    assert len(rows) > 1
+    assert all(len(row) == len(rows[0]) for row in rows)
 
 
 def test_experiment_pipeline_and_bernstein(tmp_path):

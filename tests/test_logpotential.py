@@ -17,8 +17,8 @@ from striplyap.logpotential import (
     split_measure,
     variance_growth_experiment,
 )
-from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry
-from striplyap.sampling import sample_logdets, sample_resolvent_entries
+from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, draw_chunk
+from striplyap.sampling import sample_logdets, sample_resolvent_entries, sample_site_shifts
 from striplyap.statistics import linear_fit
 
 
@@ -124,6 +124,28 @@ def test_site_shift_samples_two_site_formula():
     lo = e + 1.0 / (3.0 - e)
     hi = e + 1.0 / (2.0 - e)
     assert np.all((mu.atoms >= lo - 1e-12) & (mu.atoms <= hi + 1e-12))
+
+
+@pytest.mark.parametrize(
+    "spec, geo, k",
+    [
+        (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), StripGeometry(2, 1, 20), (9, 2)),
+        (DisorderSpec.cauchy(1.0, u_law="random_band", coupling=0.8), StripGeometry(4, 2, 10), (5, 2)),
+    ],
+)
+def test_site_shift_peel_across_kernels(spec, geo, k):
+    # det(H - E) = (V_k - xi) det(H without k - E) pointwise, so the kernels
+    # must see the same realization for every (seed, sample index); at <= 40
+    # sites all 4096 samples sit in chunk 0, which draw_chunk reproduces
+    n, seed, energy = 4096, 17, 0.3
+    region = Region.rectangle(1, geo.columns, 1, geo.width)
+    full, _ = sample_logdets(spec, geo, region, energy, n, seed)
+    rest, _ = sample_logdets(spec, geo, region.without_site(k), energy, n, seed)
+    xi, n_failed = sample_site_shifts(spec, geo, region, k, energy, n, seed)
+    pot, _ = draw_chunk(spec, geo, 0, n, seed)
+    assert n_failed == 0
+    gap = np.abs(full - rest - np.log(np.abs(pot[:, k[0] - 1, k[1] - 1] - xi)))
+    assert np.max(gap) < 1e-9
 
 
 def test_site_shift_tail_decay():

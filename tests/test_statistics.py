@@ -33,20 +33,6 @@ class TestSummary:
         assert s.central_moments[0] == pytest.approx(np.mean((values - 2.5) ** 2))
         assert s.central_moments[1] == pytest.approx(np.mean((values - 2.5) ** 3))
 
-    def test_merge_matches_pooled(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=300)
-        b = rng.normal(loc=0.5, size=200)
-        merged = MonteCarloSummary.from_samples(a, seed=0).merge(
-            MonteCarloSummary.from_samples(b, seed=0)
-        )
-        pooled = MonteCarloSummary.from_samples(np.concatenate([a, b]), seed=0)
-        assert merged.n == pooled.n
-        assert merged.mean == pytest.approx(pooled.mean, rel=1e-12)
-        assert merged.variance == pytest.approx(pooled.variance, rel=1e-9)
-        for x, y in zip(merged.central_moments, pooled.central_moments):
-            assert x == pytest.approx(y, rel=1e-7, abs=1e-10)
-
     def test_exceedance_modes(self):
         s = MonteCarloSummary.from_samples(np.array([-2.0, -1.0, 1.0, 3.0]), seed=0)
         assert s.exceedance([1.5], mode="abs")[0] == pytest.approx(0.5)

@@ -60,8 +60,9 @@ def test_accumulate_composition_chaining():
     assert np.allclose(full.frame, chained.frame, atol=1e-8)
 
 
-def test_small_product_singular_values_match_dense_svd():
-    # oracle: naive dense product + SVD
+def test_small_product_frame_and_radii_match_dense_qr():
+    # oracle: naive dense product P = Q R with diag R > 0; QR is unique, so
+    # frame must be Q and log_radii must be log diag R
     for width, n, seed in [(1, 6, 0), (2, 8, 1), (3, 10, 2)]:
         geo = StripGeometry(width, 1, n)
         spec = DisorderSpec.uniform(-1, 1, u_law="adjacency")
@@ -70,9 +71,11 @@ def test_small_product_singular_values_match_dense_svd():
         dense = np.eye(2 * width)
         for k in range(1, n + 1):
             dense = one_step(s_matrix(sample, k), 0.4) @ dense
-        oracle = np.sort(np.log(np.linalg.svd(dense, compute_uv=False)))[::-1]
-        got = acc.log_singular_values()
-        assert np.max(np.abs(got - oracle) / np.maximum(np.abs(oracle), 1.0)) < 1e-8
+        q, r = np.linalg.qr(dense)
+        signs = np.sign(np.diag(r))
+        oracle_frame, oracle_radii = q * signs, np.log(np.abs(np.diag(r)))
+        assert np.max(np.abs(acc.frame - oracle_frame)) < 1e-8
+        assert np.max(np.abs(acc.log_radii - oracle_radii) / np.maximum(np.abs(oracle_radii), 1.0)) < 1e-8
 
 
 def test_constant_hyperbolic_radii():
