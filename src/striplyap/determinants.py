@@ -19,9 +19,8 @@ from .model import (
     HamiltonianMatrix,
     Region,
     assemble_hamiltonian,
-    s_matrix,
 )
-from .transfer import accumulate
+from .transfer import _column_blocks, accumulate
 
 __all__ = [
     "SignedLogDet",
@@ -111,22 +110,16 @@ def _ldl_signed_logdet(matrix: np.ndarray) -> tuple[SignedLogDet, float, float]:
     i = 0
     while i < n:
         if i + 1 < n and d[i + 1, i] != 0.0:
-            a, b, c = d[i, i], d[i + 1, i + 1], d[i + 1, i]
-            det2 = a * b - c * c
-            pivots.append(abs(det2))
-            if abs(det2) < PIVOT_FLOOR:
-                return SignedLogDet.zero(), 0.0, max(pivots) if pivots else 0.0
-            sign *= 1 if det2 > 0 else -1
-            log_abs += math.log(abs(det2))
-            i += 2
+            c = d[i + 1, i]
+            p, size = d[i, i] * d[i + 1, i + 1] - c * c, 2
         else:
-            p = d[i, i]
-            pivots.append(abs(p))
-            if abs(p) < PIVOT_FLOOR:
-                return SignedLogDet.zero(), 0.0, max(pivots) if pivots else 0.0
-            sign *= 1 if p > 0 else -1
-            log_abs += math.log(abs(p))
-            i += 1
+            p, size = d[i, i], 1
+        pivots.append(abs(p))
+        if abs(p) < PIVOT_FLOOR:
+            return SignedLogDet.zero(), 0.0, max(pivots)
+        sign *= 1 if p > 0 else -1
+        log_abs += math.log(abs(p))
+        i += size
     return SignedLogDet(sign, log_abs), min(pivots), max(pivots)
 
 
@@ -171,10 +164,7 @@ def logdet_via_transfer(sample: DisorderSample, energy: float, n_steps: int | No
     n = _rectangle_steps(sample, n_steps)
     w = sample.geometry.width
     acc = accumulate(sample, energy, n)
-    block = signed_logdet(acc.frame[:w, :w]) if w > 1 else SignedLogDet.from_value(acc.frame[0, 0])
-    if block.sign == 0:
-        return SignedLogDet.zero()
-    return SignedLogDet(block.sign, block.log_abs + float(np.sum(acc.log_radii[:w])))
+    return signed_logdet(acc.frame[:w, :w]) * SignedLogDet(1, float(np.sum(acc.log_radii[:w])))
 
 
 def logdet_via_schur(
@@ -192,12 +182,10 @@ def logdet_via_schur(
     """
     n = _rectangle_steps(sample, n_steps)
     w = sample.geometry.width
-    eye = np.eye(w)
     result = SignedLogDet.one()
     b = None
     fallback = False
-    for k in range(1, n + 1):
-        block = s_matrix(sample, k) - energy * eye
+    for block in _column_blocks(sample, energy, 0, n):
         if b is not None:
             try:
                 binv = np.linalg.inv(b)

@@ -174,16 +174,9 @@ def minor(beta: WedgeIndex, alpha: WedgeIndex, transfer) -> SignedLogDet:
     the standard columns of alpha (log-scaled product route).
     """
     if isinstance(transfer, FrameShadow):
-        rows = transfer.frame[beta.zero_based(), :]
-        block = signed_logdet(rows) if rows.shape[0] > 1 else SignedLogDet.from_value(rows[0, 0])
-        if block.sign == 0:
-            return SignedLogDet.zero()
-        return SignedLogDet(block.sign, block.log_abs + transfer.log_scale)
+        return signed_logdet(transfer.frame[beta.zero_based(), :]) * SignedLogDet(1, transfer.log_scale)
     t = np.asarray(transfer, dtype=float)
-    sub = t[np.ix_(beta.zero_based(), alpha.zero_based())]
-    if sub.shape == (1, 1):
-        return SignedLogDet.from_value(sub[0, 0])
-    return signed_logdet(sub)
+    return signed_logdet(t[np.ix_(beta.zero_based(), alpha.zero_based())])
 
 
 class ExteriorProduct:
@@ -227,10 +220,7 @@ class ExteriorProduct:
             for i, beta in enumerate(idxs):
                 rows = sh.frame[beta.zero_based(), :]
                 g[i, j] = np.linalg.det(rows) if rows.shape[0] > 1 else rows[0, 0]
-        sign, log_abs = np.linalg.slogdet(g)
-        if sign == 0.0:
-            return -math.inf
-        return float(log_abs + scale)
+        return (signed_logdet(g) * SignedLogDet(1, scale)).log_abs
 
 
 @dataclass(frozen=True)
@@ -296,13 +286,9 @@ def boundary_identity_check(
     applied to [u], then contracts with [v]; the left side goes through the
     boundary-modified operator.  The two sides must agree.
     """
-    det_au = signed_logdet(u.top) if u.width > 1 else SignedLogDet.from_value(u.top[0, 0])
-    det_av = signed_logdet(v.top) if v.width > 1 else SignedLogDet.from_value(v.top[0, 0])
-    lhs = det_au * det_av * boundary_logdet(sample, u, v, n_steps, energy)
+    lhs = signed_logdet(u.top) * signed_logdet(v.top) * boundary_logdet(sample, u, v, n_steps, energy)
     sh = shadow_product(sample, energy, n_steps, u.matrix)
-    contracted = v.matrix.T @ sh.frame
-    blk = signed_logdet(contracted) if contracted.shape[0] > 1 else SignedLogDet.from_value(contracted[0, 0])
-    rhs = SignedLogDet.zero() if blk.sign == 0 else SignedLogDet(blk.sign, blk.log_abs + sh.log_scale)
+    rhs = signed_logdet(v.matrix.T @ sh.frame) * SignedLogDet(1, sh.log_scale)
     return lhs, rhs
 
 

@@ -519,6 +519,8 @@ def lyapunov_sum_pipeline(
     values, _ = sample_logdets(spec, geo, region, energy, n_samples, seed, workers)
     values = values[np.isfinite(values)]
     n_kept = len(values)
+    if n_kept == 0:
+        raise ConfigurationError(f"all {n_samples} samples excluded as singular")
     if gamma_steps is None:
         gamma_steps = max(100_000, 20 * n_steps)
     spectrum = lyapunov_spectrum(

@@ -4,6 +4,10 @@ The N-step product of one-step blocks [[S_k - E, -I], [I, 0]] is carried as
 an orthogonal frame Q and accumulated log radii r, the log diagonal of the
 triangular factor: P = Q R with log diag R = r.  Both stay finite for very
 long products, so growth rates and determinant minors never overflow.
+Every product runs through one QR sweep, which fixes the column signs of Q
+once, at the end: negating a column of T Q leaves the next Householder Q
+unchanged and only negates the matching pivot of R, so the per-step signs
+just multiply up.
 """
 
 from __future__ import annotations
@@ -70,6 +74,65 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, r * signs[:, None]
 
 
+def _column_blocks(sample: DisorderSample, energy: float, start: int, n_steps: int) -> np.ndarray:
+    """S_k - E for k = start+1 .. start+n_steps as an (n, W, W) stack, checked finite.
+
+    Same arithmetic as s_matrix(sample, k) - E I: (diag(V_k) - U_k) - E.
+    """
+    w = sample.geometry.width
+    diag = np.arange(w)
+    blocks = np.zeros((n_steps, w, w))
+    blocks[:, diag, diag] = sample.potentials[start : start + n_steps]
+    if sample.u_law == "random_band":
+        band = sample.u_band[start : start + n_steps]
+        for o in range(min(band.shape[1], w)):
+            x = np.arange(w - o)
+            blocks[:, x, x + o] -= band[:, o, : w - o]
+            if o:
+                blocks[:, x + o, x] -= band[:, o, : w - o]
+    else:
+        blocks -= sample.u_matrix(1)
+    blocks[:, diag, diag] -= energy
+    if not np.all(np.isfinite(blocks)):
+        raise NumericError("non-finite transfer matrix entries")
+    return blocks
+
+
+def _sweep(
+    blocks: np.ndarray, frame: np.ndarray, log_radii: np.ndarray, edges: Sequence[int] = ()
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """QR-stabilized product of the one-step matrices on ``blocks`` applied to ``frame``.
+
+    Returns the sign-fixed frame, ``log_radii`` plus the accumulated log
+    pivots, and the radii after each of the distinct step counts in ``edges``.
+    """
+    w = blocks.shape[1]
+    t = np.zeros((2 * w, 2 * w))
+    t[:w, w:] = -np.eye(w)
+    t[w:, :w] = np.eye(w)
+    q = frame
+    radii = np.array(log_radii, dtype=float)
+    signs = np.ones(frame.shape[1])
+    rows = {int(e): i for i, e in enumerate(edges)}
+    out = np.empty((len(edges), len(radii)))
+    if 0 in rows:
+        out[rows[0]] = radii
+    for k in range(len(blocks)):
+        t[:w, :w] = blocks[k]
+        q, r = np.linalg.qr(t @ q)
+        d = np.diagonal(r)
+        a = np.abs(d)
+        if not np.all(a > 0.0):
+            raise NumericError("rank-deficient step in cocycle product")
+        radii += np.log(a)
+        signs *= np.copysign(1.0, d)
+        if k + 1 in rows:
+            out[rows[k + 1]] = radii
+    if not np.all(np.isfinite(radii)):
+        raise NumericError("cocycle state lost finiteness")
+    return q * signs, radii, out
+
+
 @dataclass
 class CocycleAccumulator:
     """Stabilized product state: P = frame . R with log diag R = log_radii."""
@@ -82,22 +145,6 @@ class CocycleAccumulator:
     def identity(cls, width: int) -> "CocycleAccumulator":
         m = 2 * width
         return cls(frame=np.eye(m), log_radii=np.zeros(m), steps=0)
-
-    def copy(self) -> "CocycleAccumulator":
-        return CocycleAccumulator(frame=self.frame.copy(), log_radii=self.log_radii.copy(), steps=self.steps)
-
-    def step(self, t: np.ndarray) -> None:
-        if not np.all(np.isfinite(t)):
-            raise NumericError("non-finite transfer matrix entries")
-        q, r = _qr_positive(t @ self.frame)
-        d = np.diag(r)
-        if np.any(d <= 0.0):
-            raise NumericError("rank-deficient step in cocycle product")
-        self.log_radii = self.log_radii + np.log(d)
-        self.frame = q
-        self.steps += 1
-        if not np.all(np.isfinite(self.log_radii)):
-            raise NumericError("cocycle state lost finiteness")
 
 
 def accumulate(
@@ -114,10 +161,10 @@ def accumulate(
     """
     if start + n_steps > sample.potentials.shape[0]:
         raise ConfigurationError("accumulation range exceeds sampled extent")
-    acc = CocycleAccumulator.identity(sample.geometry.width) if init is None else init.copy()
-    for k in range(start + 1, start + n_steps + 1):
-        acc.step(one_step(s_matrix(sample, k), energy))
-    return acc
+    if init is None:
+        init = CocycleAccumulator.identity(sample.geometry.width)
+    frame, radii, _ = _sweep(_column_blocks(sample, energy, start, n_steps), init.frame, init.log_radii)
+    return CocycleAccumulator(frame=frame, log_radii=radii, steps=init.steps + n_steps)
 
 
 @dataclass(frozen=True)
@@ -148,13 +195,8 @@ def shadow_product(
     if x.ndim != 2 or x.shape[0] != 2 * sample.geometry.width:
         raise ConfigurationError("init_frame must be 2W x k")
     q, r = _qr_positive(x)
-    scale = float(np.sum(np.log(np.diag(r))))
-    for k in range(start + 1, start + n_steps + 1):
-        q, r = _qr_positive(one_step(s_matrix(sample, k), energy) @ q)
-        d = np.diag(r)
-        if np.any(d <= 0.0) or not np.all(np.isfinite(d)):
-            raise NumericError("rank-deficient shadow step")
-        scale += float(np.sum(np.log(d)))
+    q, radii, _ = _sweep(_column_blocks(sample, energy, start, n_steps), q, np.zeros(q.shape[1]))
+    scale = float(np.sum(np.log(np.diag(r)))) + float(np.sum(radii))
     return FrameShadow(frame=q, log_scale=scale, steps=n_steps)
 
 
@@ -167,46 +209,6 @@ class LyapunovSpectrum:
     radii: np.ndarray
     n_steps: int
     burn_in: int
-
-
-def _radii_checkpoints(sample: DisorderSample, energy: float, edges: np.ndarray) -> np.ndarray:
-    """Accumulated log radii of the QR cocycle at the given step counts.
-
-    Lean inner loop: unlike CocycleAccumulator.step, column signs are left
-    unfixed since radii only need pivot magnitudes.
-    """
-    w = sample.geometry.width
-    m = 2 * w
-    t = np.zeros((m, m))
-    t[w:, :w] = np.eye(w)
-    t[:w, w:] = -np.eye(w)
-    static_u = None
-    if sample.u_law != "random_band":
-        static_u = -sample.u_matrix(1) - energy * np.eye(w)
-    pot = sample.potentials
-    diag = np.arange(w)
-    q = np.eye(m)
-    radii = np.zeros(m)
-    out = np.empty((len(edges), m))
-    pos = 0
-    while pos < len(edges) and edges[pos] == 0:
-        out[pos] = 0.0
-        pos += 1
-    for k in range(int(edges[-1])):
-        if static_u is not None:
-            t[:w, :w] = static_u
-        else:
-            t[:w, :w] = -sample.u_matrix(k + 1) - energy * np.eye(w)
-        t[diag, diag] += pot[k]
-        q, r = np.linalg.qr(t @ q)
-        d = np.abs(np.diagonal(r))
-        if not np.all(d > 0.0):
-            raise NumericError("rank-deficient step in cocycle product")
-        radii += np.log(d)
-        while pos < len(edges) and k + 1 == edges[pos]:
-            out[pos] = radii
-            pos += 1
-    return out
 
 
 def lyapunov_spectrum(
@@ -235,16 +237,14 @@ def lyapunov_spectrum(
     sample = sample_disorder(work_geo, spec, seed)
     span = n_steps - burn_in
     n_blocks = max(1, min(n_blocks, span))
-    edges = np.unique(
-        np.concatenate([[0, burn_in], burn_in + np.linspace(0, span, n_blocks + 1).astype(int), [n_steps]])
-    )
-    checkpoints = _radii_checkpoints(sample, energy, edges)
+    block_edges = burn_in + np.linspace(0, span, n_blocks + 1).astype(int)
+    edges = np.unique(np.concatenate([[0, burn_in], block_edges, [n_steps]]))
+    w = geometry.width
+    _, _, checkpoints = _sweep(_column_blocks(sample, energy, 0, n_steps), np.eye(2 * w), np.zeros(2 * w), edges)
     r0 = checkpoints[list(edges).index(burn_in)]
     final = checkpoints[-1]
-    block_edges = burn_in + np.linspace(0, span, n_blocks + 1).astype(int)
     block_rows = [list(edges).index(e) for e in block_edges]
     increments = np.diff(checkpoints[block_rows], axis=0)
-    w = geometry.width
     gamma_all = (final - r0) / span
     rng = split_stream(seed, _DOMAIN_BOOT, 0)
     idx = rng.integers(0, len(increments), size=(n_boot, len(increments)))

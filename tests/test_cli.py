@@ -34,7 +34,7 @@ def write_config(tmp_path: Path, **updates) -> Path:
     return path
 
 
-def test_bad_config_exits_2(tmp_path):
+def test_bad_config_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"disorder": {"density": "uniform", "params": {"lo": -1, "hi": 1}}}))
     assert main(["experiment", "negtail", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
@@ -49,6 +49,15 @@ def test_bad_config_exits_2(tmp_path):
     ):
         cfg = write_config(tmp_path, **bad)
         assert main(["experiment", "negtail", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    singular = write_config(
+        tmp_path,
+        disorder={"density": "point", "params": {"value": 0.0}, "u_law": "zero", "u_params": {}},
+        geometry={"width": 1, "bandwidth": 1, "columns": 5},
+        n_samples=200,
+        params={"gamma_steps": 2000},
+    )
+    assert main(["experiment", "pipeline", "--config", str(singular), "--out", str(tmp_path / "o")]) == 2
+    assert "all 200 samples excluded as singular" in capsys.readouterr().err
 
 
 def test_sample_command_outputs(tmp_path):

@@ -15,6 +15,7 @@ from striplyap.determinants import (
     signed_logdet,
     site_shift,
 )
+from striplyap.exterior import WedgeIndex, minor
 from striplyap.model import (
     DisorderSample,
     DisorderSpec,
@@ -23,6 +24,7 @@ from striplyap.model import (
     assemble_hamiltonian,
     sample_disorder,
 )
+from striplyap.transfer import FrameShadow
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -57,6 +59,15 @@ class TestSignedLogDet:
     def test_from_value(self):
         sld = SignedLogDet.from_value(-math.exp(2.0))
         assert sld.sign == -1 and sld.log_abs == pytest.approx(2.0)
+
+    @pytest.mark.parametrize("x", [-2.5, 0.0, 1e-300, 3.0])
+    def test_one_by_one_matches_from_value(self, x):
+        assert signed_logdet(np.array([[x]])) == SignedLogDet.from_value(x)
+
+    def test_w1_shadow_minor_with_zero_frame_entry(self):
+        shadow = FrameShadow(frame=np.array([[0.0], [1.0]]), log_scale=3.0, steps=1)
+        top = WedgeIndex.of([1], 1)
+        assert minor(top, top, shadow) == SignedLogDet.zero()
 
 
 class TestDirect:

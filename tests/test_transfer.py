@@ -4,8 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplyap.model import ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, s_matrix, sample_disorder
+from striplyap.determinants import logdet_via_transfer
 from striplyap.transfer import (
     CocycleAccumulator,
+    NumericError,
     accumulate,
     lyapunov_spectrum,
     one_step,
@@ -182,3 +184,32 @@ def test_shadow_product_matches_dense_minor():
     minor_dense = np.linalg.det(target[rows, :])
     minor_shadow = np.linalg.det(sh.frame[rows, :]) * np.exp(sh.log_scale)
     assert minor_shadow == pytest.approx(minor_dense, rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "width, bandwidth, spec",
+    [
+        (2, 1, DisorderSpec.uniform(-1, 1, u_law="adjacency")),
+        (3, 2, DisorderSpec.uniform(-1.2, 1.2, u_law="random_band", coupling=0.5)),
+    ],
+)
+def test_lyapunov_radii_are_the_accumulated_radii(width, bandwidth, spec):
+    # lyapunov_spectrum and accumulate run the same product, bit for bit
+    n, seed = 400, 8
+    spectrum = lyapunov_spectrum(spec, StripGeometry(width, bandwidth, 1), 0.3, n, seed)
+    acc = accumulate(sample_disorder(StripGeometry(width, bandwidth, n), spec, seed), 0.3, n)
+    assert np.array_equal(spectrum.radii, acc.log_radii)
+
+
+def test_non_finite_potential_raises_numeric_error():
+    pot = np.zeros((6, 2))
+    pot[3, 1] = np.inf
+    sample = DisorderSample(geometry=StripGeometry(2, 1, 6), u_law="adjacency", potentials=pot)
+    runs = (
+        lambda: accumulate(sample, 0.1, 6),
+        lambda: shadow_product(sample, 0.1, 6, np.eye(4)[:, :2]),
+        lambda: logdet_via_transfer(sample, 0.1),
+    )
+    for run in runs:
+        with pytest.raises(NumericError, match="non-finite"):
+            run()
