@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import SimpleNamespace
@@ -490,6 +491,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     started = time.time()
+    out_dir = None
     try:
         if args.command == "verify":
             out_dir = _resolve_out(args.out, "verify")
@@ -533,6 +535,8 @@ def main(argv=None) -> int:
         return 2
     except Exception as exc:  # noqa: BLE001 - the CLI boundary maps to exit codes
         print(f"error: {exc}", file=sys.stderr)
+        if out_dir is not None:
+            (out_dir / "traceback.txt").write_text(traceback.format_exc())
         return 1
 
 

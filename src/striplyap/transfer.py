@@ -5,13 +5,26 @@ an orthogonal frame Q and accumulated log radii r, the log diagonal of the
 triangular factor: P = Q R with log diag R = r.  Both stay finite for very
 long products, so growth rates and determinant minors never overflow.
 Every product runs through one QR sweep, which fixes the column signs of Q
-once, at the end: negating a column of T Q leaves the next Householder Q
-unchanged and only negates the matching pivot of R, so the per-step signs
+once, at the end: negating a column of B Q leaves the next Householder Q
+unchanged and only negates the matching pivot of R, so the per-QR signs
 just multiply up.
+
+The sweep is blocked.  It builds the one-step matrices a window of 4096
+steps at a time, multiplies them by pairwise doubling into blocks of up to
+64 steps, and does one QR per block.  Doubling stops for the whole window as
+soon as a doubled product has |B|_F^2 > e^20: a symplectic B has
+cond_2(B) = |B|_2^2 <= |B|_F^2, so the smallest pivot of a block QR loses at
+most about e^20 eps.  Heavy-tailed potentials therefore fall back to shorter
+blocks on their own.  The n mod 64 steps at the end of a product run one QR
+per step, so a product shorter than 64 steps is the plain per-step sweep,
+bit for bit.  A requested checkpoint inside a block is reached on a side
+branch from the Q before the block, one step at a time, so checkpoints never
+change the main chain: the final radii do not depend on which were asked for.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,6 +50,9 @@ __all__ = [
 ]
 
 MIN_COCYCLE_STEPS = 16
+_BLOCK_STEPS = 64  # longest run of one-step matrices multiplied before one QR
+_WINDOW_STEPS = 4096  # one-step matrices built at a time, a multiple of _BLOCK_STEPS
+_FROB_SQ_BUDGET = np.exp(20.0)  # cap on |B|_F^2, which bounds cond_2(B) for a symplectic block B
 
 
 class NumericError(ArithmeticError):
@@ -98,36 +114,71 @@ def _column_blocks(sample: DisorderSample, energy: float, start: int, n_steps: i
     return blocks
 
 
+def _qr_step(m: np.ndarray, q: np.ndarray, radii: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """Reorthonormalize ``m @ q``: add log|pivots| to ``radii``, multiply ``signs`` by theirs."""
+    q, r = np.linalg.qr(m @ q)
+    d = np.diagonal(r)
+    a = np.abs(d)
+    if not np.all(a > 0.0):
+        raise NumericError("rank-deficient step in cocycle product")
+    radii += np.log(a)
+    signs *= np.copysign(1.0, d)
+    return q
+
+
 def _sweep(
-    blocks: np.ndarray, frame: np.ndarray, log_radii: np.ndarray, edges: Sequence[int] = ()
+    sample: DisorderSample,
+    energy: float,
+    start: int,
+    n_steps: int,
+    frame: np.ndarray,
+    log_radii: np.ndarray,
+    edges: Sequence[int] = (),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """QR-stabilized product of the one-step matrices on ``blocks`` applied to ``frame``.
+    """QR-stabilized product of the one-step matrices of columns start+1 .. start+n_steps on ``frame``.
 
     Returns the sign-fixed frame, ``log_radii`` plus the accumulated log
     pivots, and the radii after each of the distinct step counts in ``edges``.
     """
-    w = blocks.shape[1]
-    t = np.zeros((2 * w, 2 * w))
-    t[:w, w:] = -np.eye(w)
-    t[w:, :w] = np.eye(w)
+    w = sample.geometry.width
     q = frame
     radii = np.array(log_radii, dtype=float)
     signs = np.ones(frame.shape[1])
     rows = {int(e): i for i, e in enumerate(edges)}
+    marks = sorted(rows)
     out = np.empty((len(edges), len(radii)))
-    if 0 in rows:
-        out[rows[0]] = radii
-    for k in range(len(blocks)):
-        t[:w, :w] = blocks[k]
-        q, r = np.linalg.qr(t @ q)
-        d = np.diagonal(r)
-        a = np.abs(d)
-        if not np.all(a > 0.0):
-            raise NumericError("rank-deficient step in cocycle product")
-        radii += np.log(a)
-        signs *= np.copysign(1.0, d)
-        if k + 1 in rows:
-            out[rows[k + 1]] = radii
+
+    def record(step: int, r: np.ndarray) -> None:
+        if step in rows:
+            out[rows[step]] = r
+
+    record(0, radii)
+    for w0 in range(0, n_steps, _WINDOW_STEPS):
+        n = min(_WINDOW_STEPS, n_steps - w0)
+        mats = np.zeros((n, 2 * w, 2 * w))
+        mats[:, :w, :w] = _column_blocks(sample, energy, start + w0, n)
+        mats[:, :w, w:] = -np.eye(w)
+        mats[:, w:, :w] = np.eye(w)
+        n_full = n - n % _BLOCK_STEPS
+        prods, span = mats[:n_full], 1
+        while span < _BLOCK_STEPS:
+            doubled = prods[1::2] @ prods[0::2]
+            if not np.all(np.einsum("kij,kij->k", doubled, doubled) <= _FROB_SQ_BUDGET):
+                break
+            prods, span = doubled, 2 * span
+        for b, block in enumerate(prods):
+            k0 = b * span
+            lo, hi = bisect_right(marks, w0 + k0), bisect_left(marks, w0 + k0 + span)
+            if lo < hi:  # checkpoints inside the block: side branch from the Q before it
+                q_side, r_side = q, radii.copy()
+                for k in range(k0, marks[hi - 1] - w0):
+                    q_side = _qr_step(mats[k], q_side, r_side, np.ones_like(signs))
+                    record(w0 + k + 1, r_side)
+            q = _qr_step(block, q, radii, signs)
+            record(w0 + k0 + span, radii)
+        for k in range(n_full, n):
+            q = _qr_step(mats[k], q, radii, signs)
+            record(w0 + k + 1, radii)
     if not np.all(np.isfinite(radii)):
         raise NumericError("cocycle state lost finiteness")
     return q * signs, radii, out
@@ -163,7 +214,7 @@ def accumulate(
         raise ConfigurationError("accumulation range exceeds sampled extent")
     if init is None:
         init = CocycleAccumulator.identity(sample.geometry.width)
-    frame, radii, _ = _sweep(_column_blocks(sample, energy, start, n_steps), init.frame, init.log_radii)
+    frame, radii, _ = _sweep(sample, energy, start, n_steps, init.frame, init.log_radii)
     return CocycleAccumulator(frame=frame, log_radii=radii, steps=init.steps + n_steps)
 
 
@@ -195,7 +246,7 @@ def shadow_product(
     if x.ndim != 2 or x.shape[0] != 2 * sample.geometry.width:
         raise ConfigurationError("init_frame must be 2W x k")
     q, r = _qr_positive(x)
-    q, radii, _ = _sweep(_column_blocks(sample, energy, start, n_steps), q, np.zeros(q.shape[1]))
+    q, radii, _ = _sweep(sample, energy, start, n_steps, q, np.zeros(q.shape[1]))
     scale = float(np.sum(np.log(np.diag(r)))) + float(np.sum(radii))
     return FrameShadow(frame=q, log_scale=scale, steps=n_steps)
 
@@ -240,7 +291,7 @@ def lyapunov_spectrum(
     block_edges = burn_in + np.linspace(0, span, n_blocks + 1).astype(int)
     edges = np.unique(np.concatenate([[0, burn_in], block_edges, [n_steps]]))
     w = geometry.width
-    _, _, checkpoints = _sweep(_column_blocks(sample, energy, 0, n_steps), np.eye(2 * w), np.zeros(2 * w), edges)
+    _, _, checkpoints = _sweep(sample, energy, 0, n_steps, np.eye(2 * w), np.zeros(2 * w), edges)
     r0 = checkpoints[list(edges).index(burn_in)]
     final = checkpoints[-1]
     block_rows = [list(edges).index(e) for e in block_edges]

@@ -195,12 +195,21 @@ def test_out_root_env(tmp_path, monkeypatch):
     assert (tmp_path / "root" / "sample" / "sites.csv").exists()
 
 
-def test_runtime_error_exit_1(tmp_path, monkeypatch):
+def test_runtime_error_exit_1(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path)
     def boom(config, out_dir):
         raise RuntimeError("forced failure")
     monkeypatch.setitem(main.__globals__, "cmd_sample", boom)
     assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "x")]) == 1
+    # the error line goes to stderr and the full traceback to the output directory
+    monkeypatch.setattr(cli_mod, "cmd_lyapunov", boom)
+    out = tmp_path / "lyap"
+    capsys.readouterr()
+    assert main(["lyapunov", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: forced failure\n"
+    text = (out / "traceback.txt").read_text()
+    assert text.startswith("Traceback") and "in boom" in text
+    assert text.rstrip().endswith("RuntimeError: forced failure")
 
 
 def test_verify_all_fresh_checkout(tmp_path):

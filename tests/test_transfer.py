@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from striplyap.model import ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, s_matrix, sample_disorder
-from striplyap.determinants import logdet_via_transfer
+from striplyap.model import (
+    ConfigurationError, DisorderSample, DisorderSpec, Region, StripGeometry, assemble_hamiltonian, s_matrix, sample_disorder
+)
+from striplyap.determinants import logdet_direct, logdet_via_transfer
 from striplyap.transfer import (
     CocycleAccumulator,
     NumericError,
@@ -213,3 +215,58 @@ def test_non_finite_potential_raises_numeric_error():
     for run in runs:
         with pytest.raises(NumericError, match="non-finite"):
             run()
+
+
+STRIP_CASES = [
+    (2, 1, DisorderSpec.uniform(-1, 1, u_law="adjacency")),
+    (3, 2, DisorderSpec.uniform(-1.2, 1.2, u_law="random_band", coupling=0.5)),
+]
+
+
+@pytest.mark.parametrize("width, bandwidth, spec", STRIP_CASES)
+@pytest.mark.parametrize("n", [1, 12, 63])
+def test_short_products_match_per_step_oracle(width, bandwidth, spec, n):
+    # products shorter than one block run one QR per step, bit for bit as this loop
+    energy = 0.3
+    sample = sample_disorder(StripGeometry(width, bandwidth, n), spec, seed=13)
+    q, radii, signs = np.eye(2 * width), np.zeros(2 * width), np.ones(2 * width)
+    for k in range(1, n + 1):
+        q, r = np.linalg.qr(one_step(s_matrix(sample, k), energy) @ q)
+        d = np.diagonal(r)
+        radii += np.log(np.abs(d))
+        signs *= np.copysign(1.0, d)
+    acc = accumulate(sample, energy, n)
+    assert np.array_equal(acc.frame, q * signs)
+    assert np.array_equal(acc.log_radii, radii)
+
+
+BLOCKED_CASES = {
+    "uniform": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 1, 0.0),
+    "cauchy": (DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency"), 1, 0.5),
+    "resonant": (DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency"), 1, 0.0),
+    "random_band": (DisorderSpec.uniform(-1.2, 1.2, u_law="random_band", coupling=0.5), 2, 0.5),
+    "point": (DisorderSpec.point(0.0, u_law="adjacency"), 1, 0.3),
+}
+
+
+@pytest.mark.parametrize("width", [2, 3])
+@pytest.mark.parametrize("name", sorted(BLOCKED_CASES))
+def test_blocked_transfer_route_matches_dense(name, width):
+    spec, bandwidth, energy = BLOCKED_CASES[name]
+    n = 300
+    sample = sample_disorder(StripGeometry(width, bandwidth, n), spec, seed=31)
+    direct = logdet_direct(assemble_hamiltonian(sample, Region.rectangle(1, n, 1, width)), energy)
+    transfer = logdet_via_transfer(sample, energy)
+    assert transfer.sign == direct.sign != 0
+    assert abs(transfer.log_abs - direct.log_abs) <= 1e-9 * max(1.0, abs(direct.log_abs))
+
+
+@pytest.mark.parametrize("width, bandwidth, spec", STRIP_CASES)
+def test_lyapunov_checkpoints_inside_blocks(width, bandwidth, spec):
+    # burn_in = 100 falls inside the second 64-step block, so its radii come from a side branch
+    n, burn_in, seed, energy = 1000, 100, 5, 0.3
+    spectrum = lyapunov_spectrum(spec, StripGeometry(width, bandwidth, 1), energy, n, seed, burn_in=burn_in)
+    sample = sample_disorder(StripGeometry(width, bandwidth, n), spec, seed)
+    growth = (accumulate(sample, energy, n).log_radii - accumulate(sample, energy, burn_in).log_radii) / (n - burn_in)
+    expected = np.sort(growth[:width])[::-1]
+    assert np.allclose(spectrum.exponents, expected, rtol=1e-12, atol=0.0)
