@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""Time the stabilized transfer products or the log-determinant sampler.
+
+Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
+strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
+11's law), and `logdet_via_transfer` on the two strips of the benchmark's
+`routes` workload (Cauchy 2000 x 2 and random band 500 x 4, d = 2, both at
+E = 0.5).  Unit: steps.
+
+Suite ``logdets``: `sample_logdets` on full rectangles with one worker:
+criterion 11's law (uniform [-1.5, 1.5], adjacency, W = 2, E = 0) at N = 16,
+64 and 256; Cauchy (scale 1, cutoff 1e6, adjacency) 32 x 2 at E = 0.5; and
+the resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0.
+Unit: samples.
+
+Each case runs three times in this process with one BLAS thread; the file
+records every run, the median in seconds and in microseconds per unit, and
+the host (nproc, CPU model, numpy and BLAS versions, git revision, with
+-dirty for uncommitted changes).
+
+Run from the repository root:  python3 scripts/bench.py {cocycle,logdets} [--out PATH]
+The default output is BENCH_<suite>.json in the repository root.
+"""
+
+import os
+
+# one BLAS thread, set before numpy loads BLAS
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import argparse
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+import numpy as np
+
+from striplyap.determinants import logdet_via_transfer
+from striplyap.model import DisorderSpec, Region, StripGeometry, sample_disorder
+from striplyap.sampling import sample_logdets
+from striplyap.transfer import lyapunov_spectrum
+
+REPEATS = 3
+UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
+CAUCHY = DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency")
+BAND = DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0)
+RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
+
+
+def lyapunov_case(width, n_steps):
+    def run():
+        lyapunov_spectrum(UNIFORM, StripGeometry(width, 1, 1), 0.0, n_steps, seed=31)
+
+    return f"lyapunov uniform adjacency W={width} N={n_steps}", n_steps, run
+
+
+def transfer_case(name, spec, width, bandwidth, columns):
+    sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=1)
+
+    def run():
+        logdet_via_transfer(sample, 0.5)
+
+    return f"logdet_via_transfer {name} {columns}x{width}", columns, run
+
+
+def logdets_case(name, spec, columns, energy, n_samples):
+    geometry = StripGeometry(2, 1, columns)
+    region = Region.rectangle(1, columns, 1, 2)
+
+    def run():
+        sample_logdets(spec, geometry, region, energy, n_samples, seed=32)
+
+    return f"sample_logdets {name} {columns}x2 E={energy} n={n_samples}", n_samples, run
+
+
+SUITES = {
+    "cocycle": lambda: [
+        lyapunov_case(2, 50_000),
+        lyapunov_case(4, 50_000),
+        lyapunov_case(2, 600_000),
+        lyapunov_case(4, 600_000),
+        transfer_case("cauchy", CAUCHY, 2, 1, 2000),
+        transfer_case("random_band d=2", BAND, 4, 2, 500),
+    ],
+    "logdets": lambda: [
+        logdets_case("uniform adjacency", UNIFORM, 16, 0.0, 20_000),
+        logdets_case("uniform adjacency", UNIFORM, 64, 0.0, 4_000),
+        logdets_case("uniform adjacency", UNIFORM, 256, 0.0, 1_000),
+        logdets_case("cauchy", CAUCHY, 32, 0.5, 16_384),
+        logdets_case("resonant", RESONANT, 17, 0.0, 16_384),
+    ],
+}
+
+
+def host() -> dict:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    try:
+        rev = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=ROOT, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        rev = "unknown"
+    cpu = platform.processor()
+    try:
+        models = [line.split(":", 1)[1].strip() for line in Path("/proc/cpuinfo").read_text().splitlines() if line.startswith("model name")]
+        cpu = models[0] if models else cpu
+    except OSError:
+        pass
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "git_revision": rev,
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("suite", choices=sorted(SUITES))
+    parser.add_argument("--out", help="output path (default BENCH_<suite>.json in the repository root)")
+    args = parser.parse_args()
+    unit = "steps" if args.suite == "cocycle" else "samples"
+    results = []
+    for name, units, run in SUITES[args.suite]():
+        seconds = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            run()
+            seconds.append(time.perf_counter() - t0)
+        median = statistics.median(seconds)
+        per_unit = 1e6 * median / units
+        results.append({"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit})
+        print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}", flush=True)
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
+    out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,8 +1,13 @@
 """Chunked, worker-parallel Monte Carlo kernels over disorder ensembles.
 
-Chunk k of an ensemble is a pure function of (spec, geometry, seed, k), and
-workers only schedule whole chunks, so every sampler here returns the same
-arrays for any worker count.
+Draws come in chunks: chunk k of an ensemble is a pure function of (spec,
+geometry, seed, k), with a chunk size set by the dense memory budget of the
+region.  A kernel batch is a run of consecutive whole chunks, and workers
+only schedule whole batches, so every sampler here returns the same arrays
+for any worker count.  Rectangles in ``sample_logdets`` go through the
+batched Schur sweep (route c) on column blocks cut straight from the draws,
+in batches of up to DEFAULT_CHUNK samples; every other kernel factors the
+dense stack of H_region, one chunk per batch.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from .determinants import _schur_sweep
 from .model import (
     _DOMAIN_BOOT_CI,
     ConfigurationError,
@@ -22,6 +28,7 @@ from .model import (
     draw_chunk,
     split_stream,
 )
+from .transfer import _column_blocks
 
 __all__ = [
     "sample_logdets",
@@ -33,40 +40,61 @@ __all__ = [
 ]
 
 DEFAULT_CHUNK = 4096
-_CHUNK_BUDGET = 1 << 23  # doubles per chunk of stacked Hamiltonians (~64 MB)
+_CHUNK_BUDGET = 1 << 23  # doubles per batch of stacked Hamiltonians or column blocks (~64 MB)
 
 
 def _effective_chunk(matrix_dim: int) -> int:
     return max(16, min(DEFAULT_CHUNK, _CHUNK_BUDGET // max(matrix_dim * matrix_dim, 1)))
 
 
-def _map_chunks(batch, spec, geometry, region, shift: float, n_samples: int, seed: int, workers: int) -> list[np.ndarray]:
-    """Run ``batch`` over the ensemble chunk by chunk and join its results.
+def _map_draws(batch, spec, geometry, region, n_samples: int, seed: int, workers: int, sample_doubles: int) -> list[np.ndarray]:
+    """Run ``batch(pot, u_band)`` over the ensemble batch by batch and join its results.
 
-    Each chunk is drawn, assembled into a stack of H_region - shift, and handed
-    to ``batch(h, u_band)``, which returns a tuple of arrays with one value per
-    sample of the chunk.
+    The draws are cut into chunks of ``_effective_chunk(|region|)`` samples.  A
+    batch is a run of consecutive whole chunks of at most DEFAULT_CHUNK samples
+    whose working set, at ``sample_doubles`` per sample, fits in _CHUNK_BUDGET
+    doubles, and always at least one chunk.  ``batch`` returns a tuple of
+    arrays with one value per sample of the batch.
     """
     if n_samples < 1:
         raise ConfigurationError("need at least one sample")
-    plan = assembly_plan(region, geometry)
-    chunk = _effective_chunk(len(plan.sites))
-    diag = np.arange(len(plan.sites))
+    chunk = _effective_chunk(region.size)
+    n_chunks = -(-n_samples // chunk)
+    per_batch = max(1, min(DEFAULT_CHUNK, _CHUNK_BUDGET // sample_doubles) // chunk)
 
-    def task(idx: int) -> tuple:
-        m = min(chunk, n_samples - idx * chunk)
-        pot, u_band = draw_chunk(spec, geometry, idx, m, seed)
-        h = build_hamiltonians(plan, pot, spec.u_law, u_band)
-        h[:, diag, diag] -= shift
-        return batch(h, u_band)
+    def task(first: int) -> tuple:
+        draws = [
+            draw_chunk(spec, geometry, idx, min(chunk, n_samples - idx * chunk), seed)
+            for idx in range(first, min(first + per_batch, n_chunks))
+        ]
+        pot = np.concatenate([p for p, _ in draws])
+        u_band = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
+        return batch(pot, u_band)
 
-    chunks = range(-(-n_samples // chunk))
+    batches = range(0, n_chunks, per_batch)
     if workers <= 1:
-        results = list(map(task, chunks))
+        results = list(map(task, batches))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, chunks))
+            results = list(pool.map(task, batches))
     return [np.concatenate(parts) for parts in zip(*results)]
+
+
+def _stack(spec, plan, pot: np.ndarray, u_band, shift: float) -> np.ndarray:
+    """Dense stack of H_region - shift for a batch of draws."""
+    h = build_hamiltonians(plan, pot, spec.u_law, u_band)
+    diag = np.arange(len(plan.sites))
+    h[:, diag, diag] -= shift
+    return h
+
+
+def _map_chunks(batch, spec, geometry, region, shift: float, n_samples: int, seed: int, workers: int) -> list[np.ndarray]:
+    """Run ``batch(h, u_band)`` on the dense stack of H_region - shift, one chunk at a time."""
+    plan = assembly_plan(region, geometry)
+    return _map_draws(
+        lambda pot, u_band: batch(_stack(spec, plan, pot, u_band, shift), u_band),
+        spec, geometry, region, n_samples, seed, workers, region.size**2,
+    )
 
 
 def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -94,15 +122,39 @@ def sample_logdets(
 ) -> tuple[np.ndarray, int]:
     """log|det(H_region - E)| over independent realizations.
 
-    Exactly singular samples are returned as -inf; the count is reported so
-    callers can exclude them explicitly.
+    A rectangle goes through the batched Schur sweep; a sample the sweep marks
+    bad, and every sample of any other region, is factored densely by slogdet.
+    Either way a sample is the same realization, so the kernel moves a value
+    only by roundoff.  Exactly singular samples are returned as -inf; the count
+    is reported so callers can exclude them explicitly.
     """
+    plan = assembly_plan(region, geometry)
 
-    def batch(h, u_band):
-        sign, log_abs = np.linalg.slogdet(h)
-        return (np.where(sign == 0.0, -np.inf, log_abs),)
+    def dense(pot, u_band):
+        sign, log_abs = np.linalg.slogdet(_stack(spec, plan, pot, u_band, energy))
+        return np.where(sign == 0.0, -np.inf, log_abs)
 
-    out = _map_chunks(batch, spec, geometry, region, energy, n_samples, seed, workers)[0]
+    if region.is_rectangle:
+        n0, n1, w0, w1 = region.bounds()
+        chunk = _effective_chunk(region.size)
+
+        def batch(pot, u_band):
+            blocks = _column_blocks(pot, spec.u_law, u_band, energy, (n0 - 1, n1), (w0 - 1, w1))
+            _, log_abs, bad = _schur_sweep(blocks)
+            idx = np.flatnonzero(bad)
+            for lo in range(0, len(idx), chunk):  # dense stacks keep to the chunk's memory budget
+                sel = idx[lo : lo + chunk]
+                log_abs[sel] = dense(pot[sel], None if u_band is None else u_band[sel])
+            return (log_abs,)
+
+        doubles = (n1 - n0 + 1) * (w1 - w0 + 1) ** 2
+    else:
+
+        def batch(pot, u_band):
+            return (dense(pot, u_band),)
+
+        doubles = region.size**2
+    out = _map_draws(batch, spec, geometry, region, n_samples, seed, workers, doubles)[0]
     return out, int(np.sum(np.isneginf(out)))
 
 

@@ -60,6 +60,14 @@ def _tail_fields(k, threshold, hits: np.ndarray, decay: float) -> dict:
     )
 
 
+def _nonsingular(values: np.ndarray) -> np.ndarray:
+    """The finite samples of a log-determinant ensemble; an all-singular one is a configuration error."""
+    kept = values[np.isfinite(values)]
+    if len(kept) == 0:
+        raise ConfigurationError(f"all {len(values)} samples excluded as singular")
+    return kept
+
+
 def linear_fit(x, y) -> tuple[float, float, float]:
     """Least squares line fit returning (slope, intercept, r_squared)."""
     x = np.asarray(x, dtype=float)
@@ -256,7 +264,7 @@ def ldt_experiment(
     var_points = []
     for i, rect in enumerate(rectangles):
         values, _ = sample_logdets(spec, geometry, rect, energy, n_samples, seed + i, workers)
-        kept = values[np.isfinite(values)]
+        kept = _nonsingular(values)
         centered = np.abs(kept - np.mean(kept))
         scale = rect.size ** (0.5 + epsilon)
         rows = [TailRow(**_tail_fields(k, scale * k, centered > scale * k, 2.0)) for k in k_grid]
@@ -446,8 +454,8 @@ def multiscale_compare(
         reg_large = Region.rectangle(1, n1, 1, width)
         v_small, _ = sample_logdets(spec, geo, reg_small, energy, n_samples, seed + 2 * i, workers)
         v_large, _ = sample_logdets(spec, geo, reg_large, energy, n_samples, seed + 2 * i + 1, workers)
-        v_small = v_small[np.isfinite(v_small)]
-        v_large = v_large[np.isfinite(v_large)]
+        v_small = _nonsingular(v_small)
+        v_large = _nonsingular(v_large)
         m_small = float(np.mean(v_small)) / n2
         m_large = float(np.mean(v_large)) / n1
         se = math.sqrt(
@@ -517,10 +525,8 @@ def lyapunov_sum_pipeline(
     geo = StripGeometry(width, bandwidth, n_steps)
     region = Region.rectangle(1, n_steps, 1, width)
     values, _ = sample_logdets(spec, geo, region, energy, n_samples, seed, workers)
-    values = values[np.isfinite(values)]
+    values = _nonsingular(values)
     n_kept = len(values)
-    if n_kept == 0:
-        raise ConfigurationError(f"all {n_samples} samples excluded as singular")
     if gamma_steps is None:
         gamma_steps = max(100_000, 20 * n_steps)
     spectrum = lyapunov_spectrum(

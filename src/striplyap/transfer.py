@@ -90,25 +90,40 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, r * signs[:, None]
 
 
-def _column_blocks(sample: DisorderSample, energy: float, start: int, n_steps: int) -> np.ndarray:
-    """S_k - E for k = start+1 .. start+n_steps as an (n, W, W) stack, checked finite.
+def _column_blocks(
+    potentials: np.ndarray,
+    u_law: str,
+    u_band: np.ndarray | None,
+    energy: float,
+    cols: tuple[int, int],
+    rows: tuple[int, int] | None = None,
+) -> np.ndarray:
+    """S_k - E on columns cols[0]+1 .. cols[1] and rows rows[0]+1 .. rows[1], checked finite.
 
-    Same arithmetic as s_matrix(sample, k) - E I: (diag(V_k) - U_k) - E.
+    ``potentials`` is (..., N, W) and ``u_band`` (..., N, d+1, W), laid out as
+    drawn; the result is an (..., n, w, w) stack with the same leading axes.
+    Rows default to the full width.  Same arithmetic as s_matrix(sample, k) - E I
+    cut to the rows: (diag(V_k) - U_k) - E, so the adjacency law gives the
+    adjacency block of the slice width.
     """
-    w = sample.geometry.width
+    c0, c1 = cols
+    r0, r1 = (0, potentials.shape[-1]) if rows is None else rows
+    w = r1 - r0
     diag = np.arange(w)
-    blocks = np.zeros((n_steps, w, w))
-    blocks[:, diag, diag] = sample.potentials[start : start + n_steps]
-    if sample.u_law == "random_band":
-        band = sample.u_band[start : start + n_steps]
-        for o in range(min(band.shape[1], w)):
+    blocks = np.zeros(potentials.shape[:-2] + (c1 - c0, w, w))
+    blocks[..., diag, diag] = potentials[..., c0:c1, r0:r1]
+    if u_law == "random_band":
+        band = u_band[..., c0:c1, :, r0:r1]
+        for o in range(min(band.shape[-2], w)):
             x = np.arange(w - o)
-            blocks[:, x, x + o] -= band[:, o, : w - o]
+            blocks[..., x, x + o] -= band[..., o, : w - o]
             if o:
-                blocks[:, x + o, x] -= band[:, o, : w - o]
-    else:
-        blocks -= sample.u_matrix(1)
-    blocks[:, diag, diag] -= energy
+                blocks[..., x + o, x] -= band[..., o, : w - o]
+    elif u_law == "adjacency":
+        x = np.arange(w - 1)
+        blocks[..., x, x + 1] = -1.0
+        blocks[..., x + 1, x] = -1.0
+    blocks[..., diag, diag] -= energy
     if not np.all(np.isfinite(blocks)):
         raise NumericError("non-finite transfer matrix entries")
     return blocks
@@ -156,7 +171,9 @@ def _sweep(
     for w0 in range(0, n_steps, _WINDOW_STEPS):
         n = min(_WINDOW_STEPS, n_steps - w0)
         mats = np.zeros((n, 2 * w, 2 * w))
-        mats[:, :w, :w] = _column_blocks(sample, energy, start + w0, n)
+        mats[:, :w, :w] = _column_blocks(
+            sample.potentials, sample.u_law, sample.u_band, energy, (start + w0, start + w0 + n)
+        )
         mats[:, :w, w:] = -np.eye(w)
         mats[:, w:, :w] = np.eye(w)
         n_full = n - n % _BLOCK_STEPS

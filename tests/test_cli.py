@@ -58,6 +58,17 @@ def test_bad_config_exits_2(tmp_path, capsys):
     )
     assert main(["experiment", "pipeline", "--config", str(singular), "--out", str(tmp_path / "o")]) == 2
     assert "all 200 samples excluded as singular" in capsys.readouterr().err
+    # odd chains at E = 0 with zero potential are singular, at both scales of the comparison
+    for kind, params in (("ldt", {"columns": [9]}), ("convergence", {"n_small": [3]})):
+        singular = write_config(
+            tmp_path,
+            disorder={"density": "point", "params": {"value": 0.0}, "u_law": "zero", "u_params": {}},
+            geometry={"width": 1, "bandwidth": 1, "columns": 9},
+            n_samples=200,
+            params=params,
+        )
+        assert main(["experiment", kind, "--config", str(singular), "--out", str(tmp_path / "o")]) == 2
+        assert "all 200 samples excluded as singular" in capsys.readouterr().err
 
 
 def test_sample_command_outputs(tmp_path):

@@ -1,0 +1,116 @@
+import numpy as np
+import pytest
+
+import striplyap.sampling as sampling
+from striplyap.determinants import _schur_sweep
+from striplyap.model import DisorderSpec, Region, StripGeometry
+from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets
+
+UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
+RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
+CAUCHY = DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency")
+BAND = DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0)
+LAWS = (UNIFORM, DisorderSpec.uniform(-1.5, 1.5), BAND)
+
+
+def _dense_logdets(spec, geometry, region, energy, n, seed):
+    """Dense slogdet of H_region - E on the same draws as sample_logdets."""
+
+    def batch(h, u_band):
+        sign, log_abs = np.linalg.slogdet(h)
+        return (np.where(sign == 0.0, -np.inf, log_abs),)
+
+    return _map_chunks(batch, spec, geometry, region, energy, n, seed, 1)[0]
+
+
+KERNEL_CASES = [
+    ("resonant 17x2", RESONANT, StripGeometry(2, 1, 17), Region.rectangle(1, 17, 1, 2), 0.0),
+    ("cauchy 30x2", CAUCHY, StripGeometry(2, 1, 30), Region.rectangle(1, 30, 1, 2), 0.5),
+    ("band d=2 20x4", BAND, StripGeometry(4, 2, 20), Region.rectangle(1, 20, 1, 4), 0.3),
+    *[
+        (f"W={w}", LAWS[w % 3], StripGeometry(w, 1, 12), Region.rectangle(1, 12, 1, w), 0.2)
+        for w in range(1, 7)
+    ],
+    ("adjacency (5..30)x(2..4) of 40x4", UNIFORM, StripGeometry(4, 1, 40), Region.rectangle(5, 30, 2, 4), 0.1),
+    ("band (5..30)x(2..4) of 40x4", BAND, StripGeometry(4, 2, 40), Region.rectangle(5, 30, 2, 4), 0.1),
+]
+
+
+@pytest.mark.parametrize("name, spec, geometry, region, energy", KERNEL_CASES, ids=[c[0] for c in KERNEL_CASES])
+def test_rectangle_kernel_matches_dense_slogdet(name, spec, geometry, region, energy):
+    got, n_singular = sample_logdets(spec, geometry, region, energy, 1500, seed=41)
+    ref = _dense_logdets(spec, geometry, region, energy, 1500, seed=41)
+    assert n_singular == 0 and np.all(np.isfinite(ref))
+    assert np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-9
+
+
+def test_point_mass_stays_singular_and_counted():
+    geo = StripGeometry(1, 1, 9)
+    region = Region.rectangle(1, 9, 1, 1)
+    got, n_singular = sample_logdets(DisorderSpec.point(0.0), geo, region, 0.0, 200, seed=3)
+    ref = _dense_logdets(DisorderSpec.point(0.0), geo, region, 0.0, 200, seed=3)
+    assert np.array_equal(got, ref) and np.all(np.isneginf(got))
+    assert n_singular == 200
+
+
+def test_schur_sweep_masks_bad_samples_and_spares_the_rest():
+    rng = np.random.default_rng(5)
+    blocks = rng.uniform(-2.0, 2.0, (5, 7, 2, 2))
+    blocks = blocks + np.swapaxes(blocks, -1, -2)
+    # sample 1: B_1 = I, so B_2 = I - I^-1 is an exact zero block mid-sweep
+    blocks[1, 0] = blocks[1, 1] = np.eye(2)
+    # sample 3: B_1 = I and B_2 = diag(1e17, 1), of condition 1e17, inverted at step 3
+    blocks[3, 0] = np.eye(2)
+    blocks[3, 1] = np.diag([1e17, 2.0])
+    sign, log_abs, bad = _schur_sweep(blocks)
+    assert bad.tolist() == [False, True, False, True, False]
+    assert np.all(sign[bad] == 0.0) and np.all(np.isnan(log_abs[bad]))
+    for i in np.flatnonzero(~bad):
+        one = _schur_sweep(blocks[i : i + 1])
+        assert not one[2][0]
+        assert one[0][0] == sign[i] and one[1][0] == log_abs[i]
+        assert log_abs[i] == pytest.approx(np.linalg.slogdet(_block_tridiagonal(blocks[i]))[1], rel=1e-12)
+
+
+def _block_tridiagonal(diag_blocks):
+    n, w, _ = diag_blocks.shape
+    h = np.zeros((n * w, n * w))
+    for k in range(n):
+        h[k * w : (k + 1) * w, k * w : (k + 1) * w] = diag_blocks[k]
+        if k:
+            h[k * w : (k + 1) * w, (k - 1) * w : k * w] = -np.eye(w)
+            h[(k - 1) * w : k * w, k * w : (k + 1) * w] = -np.eye(w)
+    return h
+
+
+def test_rectangle_batches_are_deterministic():
+    geo = StripGeometry(2, 1, 40)
+    region = Region.rectangle(1, 40, 1, 2)
+    # 80 sites: draw chunks of 1310 samples, kernel batches of three whole chunks
+    assert 2 * _effective_chunk(region.size) <= DEFAULT_CHUNK
+    one, _ = sample_logdets(UNIFORM, geo, region, 0.0, 9000, seed=17, workers=1)
+    two, _ = sample_logdets(UNIFORM, geo, region, 0.0, 9000, seed=17, workers=2)
+    assert np.array_equal(one, two)
+    long, _ = sample_logdets(UNIFORM, geo, region, 0.0, 3000, seed=17)
+    short, _ = sample_logdets(UNIFORM, geo, region, 0.0, 1000, seed=17)
+    assert np.array_equal(long[:1000], short)
+
+
+def test_dense_recompute_keeps_to_the_chunk_budget(monkeypatch):
+    # odd chains at E = 0 are singular: every sample of a 33 x 2 strip without
+    # vertical coupling goes back to the dense route, in one two-chunk batch
+    geo = StripGeometry(2, 1, 33)
+    region = Region.rectangle(1, 33, 1, 2)
+    chunk = _effective_chunk(region.size)
+    sizes = []
+    build = sampling.build_hamiltonians
+
+    def recording(plan, pot, u_law, u_band):
+        sizes.append(len(pot))
+        return build(plan, pot, u_law, u_band)
+
+    monkeypatch.setattr(sampling, "build_hamiltonians", recording)
+    got, n_singular = sample_logdets(DisorderSpec.point(0.0), geo, region, 0.0, 3000, seed=3)
+    assert 2 * chunk <= DEFAULT_CHUNK and chunk < 3000
+    assert sizes and max(sizes) <= chunk and sum(sizes) == 3000
+    assert np.all(np.isneginf(got)) and n_singular == 3000
