@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stabilized transfer products or the log-determinant sampler.
+"""Time the stabilized transfer products, the log-determinant sampler or route (a).
 
 Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
@@ -13,12 +13,17 @@ criterion 11's law (uniform [-1.5, 1.5], adjacency, W = 2, E = 0) at N = 16,
 the resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0.
 Unit: samples.
 
+Suite ``direct``: `logdet_direct` (with its condition estimate) on the two
+strips of the `routes` workload (Cauchy 2000 x 2 and random band 500 x 4,
+d = 2, both at E = 0.5, seed 1) and on a uniform [-1.5, 1.5] adjacency strip
+1000 x 6 at E = 0.  The matrix is assembled outside the timer.  Unit: sites.
+
 Each case runs three times in this process with one BLAS thread; the file
 records every run, the median in seconds and in microseconds per unit, and
 the host (nproc, CPU model, numpy and BLAS versions, git revision, with
 -dirty for uncommitted changes).
 
-Run from the repository root:  python3 scripts/bench.py {cocycle,logdets} [--out PATH]
+Run from the repository root:  python3 scripts/bench.py {cocycle,direct,logdets} [--out PATH]
 The default output is BENCH_<suite>.json in the repository root.
 """
 
@@ -42,8 +47,8 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
-from striplyap.determinants import logdet_via_transfer
-from striplyap.model import DisorderSpec, Region, StripGeometry, sample_disorder
+from striplyap.determinants import logdet_direct, logdet_via_transfer
+from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, sample_disorder
 from striplyap.sampling import sample_logdets
 from striplyap.transfer import lyapunov_spectrum
 
@@ -80,6 +85,16 @@ def logdets_case(name, spec, columns, energy, n_samples):
     return f"sample_logdets {name} {columns}x2 E={energy} n={n_samples}", n_samples, run
 
 
+def direct_case(name, spec, width, bandwidth, columns, energy):
+    sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=1)
+    h = assemble_hamiltonian(sample, Region.rectangle(1, columns, 1, width))
+
+    def run():
+        logdet_direct(h, energy, with_condition=True)
+
+    return f"logdet_direct {name} {columns}x{width} E={energy}", columns * width, run
+
+
 SUITES = {
     "cocycle": lambda: [
         lyapunov_case(2, 50_000),
@@ -88,6 +103,11 @@ SUITES = {
         lyapunov_case(4, 600_000),
         transfer_case("cauchy", CAUCHY, 2, 1, 2000),
         transfer_case("random_band d=2", BAND, 4, 2, 500),
+    ],
+    "direct": lambda: [
+        direct_case("cauchy", CAUCHY, 2, 1, 2000, 0.5),
+        direct_case("random_band d=2", BAND, 4, 2, 500, 0.5),
+        direct_case("uniform adjacency", UNIFORM, 6, 1, 1000, 0.0),
     ],
     "logdets": lambda: [
         logdets_case("uniform adjacency", UNIFORM, 16, 0.0, 20_000),
@@ -129,7 +149,7 @@ def main() -> int:
     parser.add_argument("suite", choices=sorted(SUITES))
     parser.add_argument("--out", help="output path (default BENCH_<suite>.json in the repository root)")
     args = parser.parse_args()
-    unit = "steps" if args.suite == "cocycle" else "samples"
+    unit = {"cocycle": "steps", "direct": "sites", "logdets": "samples"}[args.suite]
     results = []
     for name, units, run in SUITES[args.suite]():
         seconds = []

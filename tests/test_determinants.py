@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
+from striplyap import determinants
 from striplyap.determinants import (
     NearSingularError,
     SignedLogDet,
@@ -23,6 +25,7 @@ from striplyap.model import (
     StripGeometry,
     assemble_hamiltonian,
     sample_disorder,
+    split_stream,
 )
 from striplyap.transfer import FrameShadow
 
@@ -136,6 +139,120 @@ class TestDirect:
         for i in range(5):
             mid = 0.5 * (eigs[i] + eigs[i + 1])
             assert logdet_direct(h, mid).sign == (-1) ** (i + 1)
+
+
+def _dense_ldl(h, energy):
+    """Route (a) as one ``scipy.linalg.ldl`` call on all of H - E: (sign, log|det|, condition)."""
+    m = np.asarray(h, dtype=float) - energy * np.eye(len(h))
+    _, d, _ = scipy.linalg.ldl(m)
+    sign, log_abs, pivots, i = 1, 0.0, [], 0
+    while i < len(m):
+        if i + 1 < len(m) and d[i + 1, i] != 0.0:
+            c = d[i + 1, i]
+            p, size = d[i, i] * d[i + 1, i + 1] - c * c, 2
+        else:
+            p, size = d[i, i], 1
+        pivots.append(abs(p))
+        if abs(p) < determinants.PIVOT_FLOOR:
+            return 0, -math.inf, math.inf
+        sign *= 1 if p > 0 else -1
+        log_abs += math.log(abs(p))
+        i += size
+    return sign, log_abs, max(pivots) / min(pivots)
+
+
+def _strip(spec, width, bandwidth, columns, seed):
+    sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=seed)
+    return assemble_hamiltonian(sample, Region.rectangle(1, columns, 1, width)).matrix
+
+
+RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
+# (spec, W, d, N, E): every strip spans more than three windows
+WINDOWED_STRIPS = {
+    "cauchy": (DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency"), 2, 1, 400, 0.5),
+    "random_band": (DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0), 4, 2, 200, 0.5),
+    "resonant": (RESONANT, 2, 1, 400, 0.0),
+    "uniform": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 6, 1, 150, 0.0),
+}
+
+
+class TestWindowedDirect:
+    """Route (a) factors the band in overlapping ``dsytrf`` windows.
+
+    It must keep the pivots of one dense call: equal sign, log|det| within
+    1e-12 and the pivot-ratio condition within 1e-9, relative.  Not compared:
+    point mass 0 at E = 1 on a W = 2, N = 301 adjacency strip.  It is singular
+    in exact arithmetic, but LAPACK sees a pivot of about 1e-15, above
+    PIVOT_FLOOR, so both routes return roundoff noise there (log|det| near
+    -30, with either sign).
+    """
+
+    @staticmethod
+    def _assert_matches_dense(h, energy):
+        got, cond = logdet_direct(h, energy, with_condition=True)
+        sign, log_abs, ref_cond = _dense_ldl(h, energy)
+        assert got.sign == sign
+        assert got.log_abs == pytest.approx(log_abs, rel=1e-12)
+        assert cond == pytest.approx(ref_cond, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("name", sorted(WINDOWED_STRIPS))
+    def test_matches_one_dense_call(self, name, seed):
+        spec, width, bandwidth, columns, energy = WINDOWED_STRIPS[name]
+        h = _strip(spec, width, bandwidth, columns, 50 + seed)
+        assert len(h) > 3 * determinants._WINDOW
+        self._assert_matches_dense(h, energy)
+
+    @pytest.mark.parametrize("width, columns", [(1, 501), (3, 333)])
+    def test_point_mass_zero_stays_singular(self, width, columns):
+        h = _strip(DisorderSpec.point(0.0, u_law="adjacency"), width, 1, columns, 1)
+        assert logdet_direct(h, 0.0).sign == 0 and _dense_ldl(h, 0.0)[0] == 0
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_short_windows_cut_between_pivots(self, monkeypatch, width):
+        # near-zero diagonals: Bunch-Kaufman takes many 2x2 pivots and interchanges
+        h = _strip(RESONANT, width, 1, 600 // width, 3)
+        _, ipiv, _ = scipy.linalg.lapack.dsytrf(h, lower=1)
+        assert np.sum(ipiv < 0) > 100
+        assert np.sum(np.abs(ipiv) != np.arange(1, len(h) + 1)) > 100
+        monkeypatch.setattr(determinants, "_WINDOW", 32)
+        monkeypatch.setattr(determinants, "_MARGIN", 16)
+        self._assert_matches_dense(h, 0.0)
+
+    @pytest.mark.parametrize("bandwidth", [15, 16])
+    def test_no_cut_runs_to_the_end(self, monkeypatch, bandwidth):
+        # interchanges reach past every candidate cut (15), or the band is as
+        # wide as the margin (16): one call on the whole matrix
+        rng = np.random.default_rng(9)
+        a = np.triu(np.tril(rng.normal(size=(120, 120)), bandwidth), -bandwidth)
+        h = a + a.T
+        np.fill_diagonal(h, 0.0)
+        monkeypatch.setattr(determinants, "_WINDOW", 32)
+        monkeypatch.setattr(determinants, "_MARGIN", 16)
+        got, cond = logdet_direct(h, 0.0, with_condition=True)
+        assert (got.sign, got.log_abs, cond) == _dense_ldl(h, 0.0)
+
+    def test_single_window_is_scipy_ldl_bit_for_bit(self):
+        cases = []
+        rng = split_stream(101, 0)  # criterion 01's configurations
+        for t in range(200):
+            width, columns = int(rng.integers(1, 7)), int(rng.integers(2, 33))
+            energy = float(rng.choice([0.0, 1.0, -1.0]))
+            spec = DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency") if t % 2 == 0 else DisorderSpec.cauchy(1.0, u_law="adjacency")
+            cases.append((_strip(spec, width, 1, columns, 1000 + t), energy))
+        rng = np.random.default_rng(3)  # verify_determinants' random symmetric matrices
+        for _ in range(10):
+            a = rng.normal(size=(6, 6))
+            h = (a + a.T) / 2.0
+            eigs = np.linalg.eigvalsh(h)
+            cases += [(h, 0.5 * (lo + hi)) for lo, hi in zip(eigs, eigs[1:])]
+        sample = sample_disorder(StripGeometry(4, 2, 64), DisorderSpec.uniform(-1.5, 1.5, u_law="random_band"), seed=4)
+        holey = Region.from_sites([(n, w) for n in range(1, 65) for w in range(1, 5) if (n + w) % 7])
+        cases.append((assemble_hamiltonian(sample, holey).matrix, 0.25))
+        assert max(len(h) for h, _ in cases[:200]) == 192 and len(cases[-1][0]) == 220 <= determinants._WINDOW
+        for h, energy in cases:
+            got, cond = logdet_direct(h, energy, with_condition=True)
+            assert (got.sign, got.log_abs, cond) == _dense_ldl(h, energy)
 
 
 class TestTransferRoute:
