@@ -2,7 +2,12 @@
 
 The entries of the W-th exterior power of a 2W x 2W transfer product are its
 W x W minors.  Minors of long products are evaluated through log-scaled column
-shadows, never through naive products.
+shadows, never through naive products.  The determinant of the whole
+exterior power comes from one stabilized product T = Q R instead: the
+C(2W, W)-square matrix of minors of T has condition number (s_1 ... s_W)^2
+in the singular values of T, which no column rescaling removes, while
+Lambda^W T = Lambda^W Q . Lambda^W R with Lambda^W Q orthogonal and
+Lambda^W R triangular in lexicographic order.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import numpy as np
 
 from .determinants import SignedLogDet, logdet_direct, signed_logdet
 from .model import ConfigurationError, DisorderSample, Region, assemble_hamiltonian
-from .transfer import FrameShadow, shadow_product
+from .transfer import CocycleAccumulator, accumulate, shadow_product
 
 __all__ = [
     "WedgeIndex",
@@ -26,7 +31,6 @@ __all__ = [
     "wedge_inner",
     "wedge_coordinates",
     "minor",
-    "ExteriorProduct",
     "BoundaryOperator",
     "boundary_operator",
     "boundary_logdet",
@@ -161,66 +165,17 @@ def wedge_coordinates(frame, width: int) -> np.ndarray:
     return np.array([np.linalg.det(m[idx.zero_based(), :]) for idx in wedge_indices(width)])
 
 
-def _standard_selection(alpha: WedgeIndex) -> np.ndarray:
-    m = np.zeros((2 * alpha.width, alpha.width))
-    m[alpha.zero_based(), np.arange(alpha.width)] = 1.0
-    return m
-
-
 def minor(beta: WedgeIndex, alpha: WedgeIndex, transfer) -> SignedLogDet:
     """SignedLogDet of the (beta, alpha) minor of a transfer matrix or product.
 
-    ``transfer`` is either a dense 2W x 2W array or a FrameShadow built from
-    the standard columns of alpha (log-scaled product route).
+    ``transfer`` is either a dense 2W x 2W array or the shadow_product of the
+    standard columns of alpha (log-scaled product route).
     """
-    if isinstance(transfer, FrameShadow):
-        return signed_logdet(transfer.frame[beta.zero_based(), :]) * SignedLogDet(1, transfer.log_scale)
+    if isinstance(transfer, CocycleAccumulator):
+        scale = SignedLogDet(1, float(np.sum(transfer.log_radii)))
+        return signed_logdet(transfer.frame[beta.zero_based(), :]) * scale
     t = np.asarray(transfer, dtype=float)
     return signed_logdet(t[np.ix_(beta.zero_based(), alpha.zero_based())])
-
-
-class ExteriorProduct:
-    """All W x W minors of an N-step transfer product, shadows cached per column set."""
-
-    def __init__(self, sample: DisorderSample, energy: float, n_steps: int):
-        width = sample.geometry.width
-        if width > MAX_EXTERIOR_WIDTH:
-            raise ConfigurationError(
-                f"exterior power materialized only for width <= {MAX_EXTERIOR_WIDTH}"
-            )
-        self.sample = sample
-        self.energy = energy
-        self.n_steps = n_steps
-        self.width = width
-        self._shadows: dict[WedgeIndex, FrameShadow] = {}
-
-    def shadow(self, alpha: WedgeIndex) -> FrameShadow:
-        if alpha not in self._shadows:
-            self._shadows[alpha] = shadow_product(
-                self.sample, self.energy, self.n_steps, _standard_selection(alpha)
-            )
-        return self._shadows[alpha]
-
-    def minor(self, beta: WedgeIndex, alpha: WedgeIndex) -> SignedLogDet:
-        return minor(beta, alpha, self.shadow(alpha))
-
-    def log_abs_det(self) -> float:
-        """log |det| of the exterior power, assembled in log-scaled form.
-
-        Column alpha of the exterior power carries the common scale of its
-        shadow; factoring the scales out leaves a matrix of frame-row
-        determinants bounded by one, whose log det is added back.
-        """
-        idxs = wedge_indices(self.width)
-        g = np.empty((len(idxs), len(idxs)))
-        scale = 0.0
-        for j, alpha in enumerate(idxs):
-            sh = self.shadow(alpha)
-            scale += sh.log_scale
-            for i, beta in enumerate(idxs):
-                rows = sh.frame[beta.zero_based(), :]
-                g[i, j] = np.linalg.det(rows) if rows.shape[0] > 1 else rows[0, 0]
-        return (signed_logdet(g) * SignedLogDet(1, scale)).log_abs
 
 
 @dataclass(frozen=True)
@@ -288,7 +243,7 @@ def boundary_identity_check(
     """
     lhs = signed_logdet(u.top) * signed_logdet(v.top) * boundary_logdet(sample, u, v, n_steps, energy)
     sh = shadow_product(sample, energy, n_steps, u.matrix)
-    rhs = signed_logdet(v.matrix.T @ sh.frame) * SignedLogDet(1, sh.log_scale)
+    rhs = signed_logdet(v.matrix.T @ sh.frame) * SignedLogDet(1, float(np.sum(sh.log_radii)))
     return lhs, rhs
 
 
@@ -297,10 +252,20 @@ def sylvester_franke_check(sample: DisorderSample, energy: float, n_steps: int) 
 
     The exterior power of a unit-determinant symplectic product has modulus
     one determinant, so the return value measures pure numerical drift and
-    should stay below a small multiple of N.
+    should stay below a small multiple of N.  With T = Q R from one sweep,
+    Lambda^W R is triangular with diagonal exp(sum of r_i over alpha), and
+    each index lies in C(2W-1, W-1) of the subsets alpha, so
+    log |det Lambda^W T| = log |det Lambda^W Q| + C(2W-1, W-1) sum_i r_i.
     """
-    ext = ExteriorProduct(sample, energy, n_steps)
-    return abs(ext.log_abs_det())
+    w = sample.geometry.width
+    if w > MAX_EXTERIOR_WIDTH:
+        raise ConfigurationError(f"exterior power materialized only for width <= {MAX_EXTERIOR_WIDTH}")
+    acc = accumulate(sample, energy, n_steps)
+    rows = np.array([idx.zero_based() for idx in wedge_indices(w)])
+    # compound[b, a] = det of the rows beta_b and columns alpha_a of Q
+    compound = np.linalg.det(acc.frame[rows[:, None, :, None], rows[None, :, None, :]])
+    log_q = signed_logdet(compound).log_abs
+    return abs(log_q + math.comb(2 * w - 1, w - 1) * float(np.sum(acc.log_radii)))
 
 
 def frame_det_gap(sample: DisorderSample, energy: float, n_steps: int) -> float:

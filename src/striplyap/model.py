@@ -329,15 +329,10 @@ def sample_disorder(
     geometry: StripGeometry, spec: DisorderSpec, seed: int, index: int = 0
 ) -> DisorderSample:
     """Draw one disorder realization, a pure function of (geometry, spec, seed, index)."""
-    n, w, d = geometry.columns, geometry.width, geometry.bandwidth
-    rng_v = split_stream(seed, _DOMAIN_SAMPLE, index, 0)
-    potentials = spec.potentials_from_uniform(rng_v.random((n, w)))
-    u_band = None
-    if spec.u_law == "random_band":
-        c = spec.u_params.get("coupling", 1.0)
-        rng_u = split_stream(seed, _DOMAIN_SAMPLE, index, 1)
-        u_band = c * (2.0 * rng_u.random((n, d + 1, w)) - 1.0)
-    return DisorderSample(geometry=geometry, u_law=spec.u_law, potentials=potentials, u_band=u_band)
+    pot, u_band = _draw(spec, geometry, seed, (_DOMAIN_SAMPLE, index), 1)
+    return DisorderSample(
+        geometry=geometry, u_law=spec.u_law, potentials=pot[0], u_band=None if u_band is None else u_band[0]
+    )
 
 
 def s_matrix(sample: DisorderSample, n: int) -> np.ndarray:
@@ -492,12 +487,17 @@ def draw_chunk(
     spec: DisorderSpec, geometry: StripGeometry, chunk_idx: int, m: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """Batched draw of m realizations; depends only on (spec, geometry, seed, chunk_idx)."""
+    return _draw(spec, geometry, seed, (_DOMAIN_CHUNK, chunk_idx), m)
+
+
+def _draw(
+    spec: DisorderSpec, geometry: StripGeometry, seed: int, path: tuple[int, int], m: int
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """(m, N, W) potentials and (m, N, d+1, W) band entries from the streams (seed, *path, field)."""
     n, w, d = geometry.columns, geometry.width, geometry.bandwidth
-    rng_v = split_stream(seed, _DOMAIN_CHUNK, chunk_idx, 0)
-    pot = spec.potentials_from_uniform(rng_v.random((m, n, w)))
+    pot = spec.potentials_from_uniform(split_stream(seed, *path, 0).random((m, n, w)))
     u_band = None
     if spec.u_law == "random_band":
         c = spec.u_params.get("coupling", 1.0)
-        rng_u = split_stream(seed, _DOMAIN_CHUNK, chunk_idx, 1)
-        u_band = c * (2.0 * rng_u.random((m, n, d + 1, w)) - 1.0)
+        u_band = c * (2.0 * split_stream(seed, *path, 1).random((m, n, d + 1, w)) - 1.0)
     return pot, u_band

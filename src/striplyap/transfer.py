@@ -41,7 +41,6 @@ __all__ = [
     "symplectic_defect",
     "CocycleAccumulator",
     "accumulate",
-    "FrameShadow",
     "shadow_product",
     "LyapunovSpectrum",
     "lyapunov_spectrum",
@@ -203,7 +202,12 @@ def _sweep(
 
 @dataclass
 class CocycleAccumulator:
-    """Stabilized product state: P = frame . R with log diag R = log_radii."""
+    """Stabilized product state: P = frame . R with log diag R = log_radii.
+
+    ``frame`` is 2W x k with orthonormal columns: k = 2W for the whole
+    product, fewer for the shadow of P on a k-column frame, so det of any k
+    row selection of the shadow is det(frame[rows]) * exp(sum(log_radii)).
+    """
 
     frame: np.ndarray
     log_radii: np.ndarray
@@ -235,37 +239,22 @@ def accumulate(
     return CocycleAccumulator(frame=frame, log_radii=radii, steps=init.steps + n_steps)
 
 
-@dataclass(frozen=True)
-class FrameShadow:
-    """Log-scaled product applied to a column frame: P[u] = frame . signed exp scale.
-
-    ``frame`` is 2W x k with orthonormal columns and ``log_scale`` accumulates
-    log det of the triangular factors, so det of any k row selection of P[u]
-    is det(frame[rows]) * exp(log_scale).
-    """
-
-    frame: np.ndarray
-    log_scale: float
-    steps: int
-
-
 def shadow_product(
     sample: DisorderSample,
     energy: float,
     n_steps: int,
     init_frame: np.ndarray,
     start: int = 0,
-) -> FrameShadow:
-    """Carry a k-column shadow of the transfer product in log-scaled form."""
+) -> CocycleAccumulator:
+    """Carry a k-column shadow of the transfer product: init_frame = Q0 R0, radii from log diag R0."""
     if start + n_steps > sample.potentials.shape[0]:
         raise ConfigurationError("shadow range exceeds sampled extent")
     x = np.asarray(init_frame, dtype=float)
     if x.ndim != 2 or x.shape[0] != 2 * sample.geometry.width:
         raise ConfigurationError("init_frame must be 2W x k")
     q, r = _qr_positive(x)
-    q, radii, _ = _sweep(sample, energy, start, n_steps, q, np.zeros(q.shape[1]))
-    scale = float(np.sum(np.log(np.diag(r)))) + float(np.sum(radii))
-    return FrameShadow(frame=q, log_scale=scale, steps=n_steps)
+    q, radii, _ = _sweep(sample, energy, start, n_steps, q, np.log(np.diag(r)))
+    return CocycleAccumulator(frame=q, log_radii=radii, steps=n_steps)
 
 
 @dataclass(frozen=True)

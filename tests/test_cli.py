@@ -183,6 +183,12 @@ def test_verify_exit_codes(tmp_path, monkeypatch):
     assert main(["verify", "wedge", "--trials", "2", "--out", str(tmp_path / "ver2")]) == 3
 
 
+def test_verify_wedge_exits_0_on_drift_seed(tmp_path):
+    out = tmp_path / "wedge"
+    assert main(["verify", "wedge", "--seed", "21000", "--trials", "25", "--out", str(out)]) == 0
+    assert json.loads((out / "verify_wedge.json").read_text())["passed"] is True
+
+
 def test_plot_tail_and_fit(tmp_path):
     cfg = write_config(tmp_path, params={"k_grid": [0.5, 1.0, 2.0]})
     out = tmp_path / "neg"

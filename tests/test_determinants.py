@@ -27,7 +27,7 @@ from striplyap.model import (
     sample_disorder,
     split_stream,
 )
-from striplyap.transfer import FrameShadow
+from striplyap.transfer import CocycleAccumulator
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 
@@ -68,7 +68,7 @@ class TestSignedLogDet:
         assert signed_logdet(np.array([[x]])) == SignedLogDet.from_value(x)
 
     def test_w1_shadow_minor_with_zero_frame_entry(self):
-        shadow = FrameShadow(frame=np.array([[0.0], [1.0]]), log_scale=3.0, steps=1)
+        shadow = CocycleAccumulator(frame=np.array([[0.0], [1.0]]), log_radii=np.array([3.0]), steps=1)
         top = WedgeIndex.of([1], 1)
         assert minor(top, top, shadow) == SignedLogDet.zero()
 

@@ -184,7 +184,7 @@ def test_shadow_product_matches_dense_minor():
     target = dense @ frame
     rows = [0, 1]
     minor_dense = np.linalg.det(target[rows, :])
-    minor_shadow = np.linalg.det(sh.frame[rows, :]) * np.exp(sh.log_scale)
+    minor_shadow = np.linalg.det(sh.frame[rows, :]) * np.exp(np.sum(sh.log_radii))
     assert minor_shadow == pytest.approx(minor_dense, rel=1e-10)
 
 
