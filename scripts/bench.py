@@ -9,9 +9,10 @@ E = 0.5).  Unit: steps.
 
 Suite ``logdets``: `sample_logdets` on full rectangles with one worker:
 criterion 11's law (uniform [-1.5, 1.5], adjacency, W = 2, E = 0) at N = 16,
-64 and 256; Cauchy (scale 1, cutoff 1e6, adjacency) 32 x 2 at E = 0.5; and
-the resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0.
-Unit: samples.
+64 and 256; Cauchy (scale 1, cutoff 1e6, adjacency) 32 x 2 at E = 0.5; the
+resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0; and,
+as a control off the closed-form W = 2 sweep, a random band (uniform
+[-1.5, 1.5], coupling 1, d = 2) 32 x 4 at E = 0.3.  Unit: samples.
 
 Suite ``direct``: `logdet_direct` (with its condition estimate) on the two
 strips of the `routes` workload (Cauchy 2000 x 2 and random band 500 x 4,
@@ -75,14 +76,14 @@ def transfer_case(name, spec, width, bandwidth, columns):
     return f"logdet_via_transfer {name} {columns}x{width}", columns, run
 
 
-def logdets_case(name, spec, columns, energy, n_samples):
-    geometry = StripGeometry(2, 1, columns)
-    region = Region.rectangle(1, columns, 1, 2)
+def logdets_case(name, spec, columns, energy, n_samples, width=2, bandwidth=1):
+    geometry = StripGeometry(width, bandwidth, columns)
+    region = Region.rectangle(1, columns, 1, width)
 
     def run():
         sample_logdets(spec, geometry, region, energy, n_samples, seed=32)
 
-    return f"sample_logdets {name} {columns}x2 E={energy} n={n_samples}", n_samples, run
+    return f"sample_logdets {name} {columns}x{width} E={energy} n={n_samples}", n_samples, run
 
 
 def direct_case(name, spec, width, bandwidth, columns, energy):
@@ -115,6 +116,7 @@ SUITES = {
         logdets_case("uniform adjacency", UNIFORM, 256, 0.0, 1_000),
         logdets_case("cauchy", CAUCHY, 32, 0.5, 16_384),
         logdets_case("resonant", RESONANT, 17, 0.0, 16_384),
+        logdets_case("random_band d=2", BAND, 32, 0.3, 16_384, width=4, bandwidth=2),
     ],
 }
 

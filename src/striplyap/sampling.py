@@ -6,8 +6,9 @@ region.  A kernel batch is a run of consecutive whole chunks, and workers
 only schedule whole batches, so every sampler here returns the same arrays
 for any worker count.  Rectangles in ``sample_logdets`` go through the
 batched Schur sweep (route c) on column blocks cut straight from the draws,
-in batches of up to DEFAULT_CHUNK samples; every other kernel factors the
-dense stack of H_region, one chunk per batch.
+in batches of up to DEFAULT_CHUNK samples; at W = 2 that sweep is elementwise
+numpy over the batch, so a second worker speeds it up.  Every other kernel
+factors the dense stack of H_region, one chunk per batch.
 """
 
 from __future__ import annotations

@@ -113,6 +113,20 @@ class TestDirect:
         with pytest.raises(ValueError):
             logdet_direct(np.array([[0.0, 1.0], [0.5, 0.0]]), 0.0)
 
+    @pytest.mark.parametrize(
+        "row, col", [(50, 51), (50, 54), (50, 55), (119, 0)], ids=["in band", "band edge", "past band", "far corner"]
+    )
+    def test_rejects_asymmetric_entry_of_a_banded_matrix(self, row, col):
+        spec = DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0)
+        sample = sample_disorder(StripGeometry(4, 2, 30), spec, seed=8)
+        h = assemble_hamiltonian(sample, Region.rectangle(1, 30, 1, 4)).matrix.copy()
+        rows, cols = np.nonzero(h)
+        assert np.max(cols - rows) == 4  # sites in column order: the band reaches the next column
+        logdet_direct(h, 0.5)
+        h[row, col] += 1e-3
+        with pytest.raises(ValueError):
+            logdet_direct(h, 0.5)
+
     def test_block_diagonal_additivity(self):
         rng = np.random.default_rng(5)
         blocks = []

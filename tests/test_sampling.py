@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import striplyap.sampling as sampling
-from striplyap.determinants import _schur_sweep
-from striplyap.model import DisorderSpec, Region, StripGeometry
+from striplyap.determinants import _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
+from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, draw_chunk, sample_disorder
 from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets
+from striplyap.transfer import _column_blocks
 
 UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
@@ -53,15 +54,19 @@ def test_point_mass_stays_singular_and_counted():
     assert n_singular == 200
 
 
-def test_schur_sweep_masks_bad_samples_and_spares_the_rest():
+def _masked_blocks(w):
     rng = np.random.default_rng(5)
-    blocks = rng.uniform(-2.0, 2.0, (5, 7, 2, 2))
+    blocks = rng.uniform(-2.0, 2.0, (5, 7, w, w))
     blocks = blocks + np.swapaxes(blocks, -1, -2)
     # sample 1: B_1 = I, so B_2 = I - I^-1 is an exact zero block mid-sweep
-    blocks[1, 0] = blocks[1, 1] = np.eye(2)
-    # sample 3: B_1 = I and B_2 = diag(1e17, 1), of condition 1e17, inverted at step 3
-    blocks[3, 0] = np.eye(2)
-    blocks[3, 1] = np.diag([1e17, 2.0])
+    blocks[1, 0] = blocks[1, 1] = np.eye(w)
+    # sample 3: B_1 = I and B_2 = diag(1e17, 1, ..), of condition 1e17, inverted at step 3
+    blocks[3, 0] = np.eye(w)
+    blocks[3, 1] = np.diag([1e17] + [2.0] * (w - 1))
+    return blocks
+
+
+def _check_masks_and_spares(blocks):
     sign, log_abs, bad = _schur_sweep(blocks)
     assert bad.tolist() == [False, True, False, True, False]
     assert np.all(sign[bad] == 0.0) and np.all(np.isnan(log_abs[bad]))
@@ -70,6 +75,58 @@ def test_schur_sweep_masks_bad_samples_and_spares_the_rest():
         assert not one[2][0]
         assert one[0][0] == sign[i] and one[1][0] == log_abs[i]
         assert log_abs[i] == pytest.approx(np.linalg.slogdet(_block_tridiagonal(blocks[i]))[1], rel=1e-12)
+
+
+def test_schur_sweep_masks_bad_samples_and_spares_the_rest():
+    _check_masks_and_spares(_masked_blocks(2))
+
+
+def test_schur_sweep_masks_bad_samples_at_width_3():
+    # W = 3 runs the LAPACK loop, which the 2 x 2 case above no longer reaches
+    _check_masks_and_spares(_masked_blocks(3))
+
+
+ADVERSARIAL = [
+    *[
+        (f"point {v:g} E={e:g} {n}x2", DisorderSpec.point(v, u_law="adjacency"), n, e, 64)
+        for n in (17, 301)
+        for v, e in ((0.0, 0.0), (0.0, 1.0), (1.0, 0.0))
+    ],
+    ("resonant E=0 17x2", RESONANT, 17, 0.0, 4096),
+    ("cauchy E=0.5 32x2", CAUCHY, 32, 0.5, 4096),
+]
+
+
+def _strip_blocks(spec, columns, energy, m, seed=23):
+    pot, u_band = draw_chunk(spec, StripGeometry(2, 1, columns), 0, m, seed)
+    return _column_blocks(pot, spec.u_law, u_band, energy, (0, columns))
+
+
+@pytest.mark.parametrize("name, spec, columns, energy, m", ADVERSARIAL, ids=[c[0] for c in ADVERSARIAL])
+def test_closed_form_sweep_matches_lapack_loop(name, spec, columns, energy, m):
+    blocks = _strip_blocks(spec, columns, energy, m)
+    sign, log_abs, bad = _schur_sweep(blocks)
+    ref_sign, ref_log, ref_bad = _lapack_sweep(blocks)
+    assert np.array_equal(bad, ref_bad)
+    good = ~bad
+    assert np.array_equal(sign[good], ref_sign[good])
+    assert np.all(np.abs(log_abs[good] - ref_log[good]) <= 1e-9 * np.maximum(1.0, np.abs(ref_log[good])))
+
+
+@pytest.mark.parametrize("spec, columns, energy", [(RESONANT, 17, 0.0), (CAUCHY, 32, 0.5)], ids=["resonant", "cauchy"])
+def test_closed_form_sweep_is_independent_of_batch_composition(spec, columns, energy):
+    blocks = _strip_blocks(spec, columns, energy, 3000)
+    long, short = _schur_sweep(blocks), _schur_sweep(blocks[:1000])
+    assert all(np.array_equal(x[:1000], y, equal_nan=True) for x, y in zip(long, short))
+
+
+def test_schur_route_matches_direct_on_cauchy_strip():
+    # the Cauchy 2000 x 2 strip of the routes benchmark, one sample through the closed form
+    sample = sample_disorder(StripGeometry(2, 1, 2000), CAUCHY, seed=1)
+    got, fell_back = logdet_via_schur(sample, 0.5, return_info=True)
+    ref = logdet_direct(assemble_hamiltonian(sample, Region.rectangle(1, 2000, 1, 2)), 0.5)
+    assert not fell_back and got.sign == ref.sign
+    assert got.log_abs == pytest.approx(ref.log_abs, rel=1e-8)
 
 
 def _block_tridiagonal(diag_blocks):
