@@ -17,7 +17,9 @@ as a control off the closed-form W = 2 sweep, a random band (uniform
 Suite ``direct``: `logdet_direct` (with its condition estimate) on the two
 strips of the `routes` workload (Cauchy 2000 x 2 and random band 500 x 4,
 d = 2, both at E = 0.5, seed 1) and on a uniform [-1.5, 1.5] adjacency strip
-1000 x 6 at E = 0.  The matrix is assembled outside the timer.  Unit: sites.
+1000 x 6 at E = 0, in both input forms: the dense matrix, assembled outside
+the timer, and the disorder sample, as `striplyap dets` calls it.  Each case
+also records the peak of `tracemalloc` over one more call, in MB.  Unit: sites.
 
 Each case runs three times in this process with one BLAS thread; the file
 records every run, the median in seconds and in microseconds per unit, and
@@ -41,6 +43,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -86,14 +89,31 @@ def logdets_case(name, spec, columns, energy, n_samples, width=2, bandwidth=1):
     return f"sample_logdets {name} {columns}x{width} E={energy} n={n_samples}", n_samples, run
 
 
-def direct_case(name, spec, width, bandwidth, columns, energy):
+def direct_case(name, spec, width, bandwidth, columns, energy, form):
     sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=1)
-    h = assemble_hamiltonian(sample, Region.rectangle(1, columns, 1, width))
+    h = assemble_hamiltonian(sample, Region.rectangle(1, columns, 1, width)) if form == "matrix" else sample
 
     def run():
         logdet_direct(h, energy, with_condition=True)
 
-    return f"logdet_direct {name} {columns}x{width} E={energy}", columns * width, run
+    return f"logdet_direct {form} {name} {columns}x{width} E={energy}", columns * width, run
+
+
+DIRECT_STRIPS = [
+    ("cauchy", CAUCHY, 2, 1, 2000, 0.5),
+    ("random_band d=2", BAND, 4, 2, 500, 0.5),
+    ("uniform adjacency", UNIFORM, 6, 1, 1000, 0.0),
+]
+
+
+def peak_mb(run) -> float:
+    """Peak traced allocation of one call, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 SUITES = {
@@ -105,11 +125,7 @@ SUITES = {
         transfer_case("cauchy", CAUCHY, 2, 1, 2000),
         transfer_case("random_band d=2", BAND, 4, 2, 500),
     ],
-    "direct": lambda: [
-        direct_case("cauchy", CAUCHY, 2, 1, 2000, 0.5),
-        direct_case("random_band d=2", BAND, 4, 2, 500, 0.5),
-        direct_case("uniform adjacency", UNIFORM, 6, 1, 1000, 0.0),
-    ],
+    "direct": lambda: [direct_case(*strip, form) for form in ("matrix", "sample") for strip in DIRECT_STRIPS],
     "logdets": lambda: [
         logdets_case("uniform adjacency", UNIFORM, 16, 0.0, 20_000),
         logdets_case("uniform adjacency", UNIFORM, 64, 0.0, 4_000),
@@ -161,8 +177,13 @@ def main() -> int:
             seconds.append(time.perf_counter() - t0)
         median = statistics.median(seconds)
         per_unit = 1e6 * median / units
-        results.append({"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit})
-        print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}", flush=True)
+        result = {"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit}
+        line = f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}"
+        if args.suite == "direct":
+            result["peak_mb"] = peak_mb(run)
+            line += f", peak {result['peak_mb']:.1f} MB"
+        results.append(result)
+        print(line, flush=True)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
     out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")
     return 0

@@ -32,7 +32,6 @@ from .model import (
     DisorderSpec,
     Region,
     StripGeometry,
-    assemble_hamiltonian,
     sample_disorder,
 )
 from .statistics import (
@@ -253,11 +252,10 @@ def cmd_lyapunov(config: RunConfig, out_dir: Path) -> list:
 
 def cmd_dets(config: RunConfig, out_dir: Path, route: str) -> list:
     sample = sample_disorder(config.geometry, config.disorder, config.seed)
-    region = Region.rectangle(1, config.geometry.columns, 1, config.geometry.width)
     results = {}
     cond = None
     if route in ("direct", "all"):
-        sld, cond = logdet_direct(assemble_hamiltonian(sample, region), config.energy, with_condition=True)
+        sld, cond = logdet_direct(sample, config.energy, with_condition=True)
         results["direct"] = sld
     if route in ("transfer", "all"):
         results["transfer"] = logdet_via_transfer(sample, config.energy)

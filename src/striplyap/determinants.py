@@ -6,11 +6,15 @@ compose exactly.  The routes are (a) LAPACK's Bunch-Kaufman LDL^t, run in
 overlapping 256-row windows along the band with the pivots of one dense call,
 so that its cost grows linearly in N W on a strip instead of as (N W)^3,
 (b) the stabilized transfer product and (c) the Schur sweep over column
-blocks.  Route (c) is written once, for a stack of samples:
-``logdet_via_schur`` is its one-sample call, and ``sampling.sample_logdets``
-runs it on every rectangle of a Monte Carlo ensemble.  At W = 2 the sweep
-inverts its 2 x 2 blocks in closed form, elementwise over the samples; every
-other width calls LAPACK on the stack once per column.
+blocks.  Route (a) reads H through a window source, (start, end) ->
+H[start:end, start:end]: slices of a dense matrix, or, given the disorder
+sample, windows assembled one at a time from the rectangle's assembly plan,
+so that a strip's dense matrix is never built.  Route (c) is written once,
+for a stack of samples: ``logdet_via_schur`` is its one-sample call, and
+``sampling.sample_logdets`` runs it on every rectangle of a Monte Carlo
+ensemble.  At W = 2 the sweep inverts its 2 x 2 blocks in closed form,
+elementwise over the samples; every other width calls LAPACK on the stack
+once per column.
 """
 
 from __future__ import annotations
@@ -28,6 +32,8 @@ from .model import (
     HamiltonianMatrix,
     Region,
     assemble_hamiltonian,
+    assembly_plan,
+    build_hamiltonians,
 )
 from .transfer import _column_blocks, accumulate
 
@@ -109,32 +115,34 @@ def signed_logdet(matrix: np.ndarray) -> SignedLogDet:
     return SignedLogDet(int(sign), float(log_abs))
 
 
-def _ldl_signed_logdet(matrix: np.ndarray) -> tuple[SignedLogDet, float, float]:
-    """Symmetric-indefinite route: returns (result, min pivot, max pivot).
+def _ldl_signed_logdet(window, n: int, b: int, energy: float) -> tuple[SignedLogDet, float, float]:
+    """Symmetric-indefinite route on H - E: returns (result, min pivot, max pivot).
 
-    The pivots are the magnitudes of the 1x1 and 2x2 block determinants of
-    LAPACK's Bunch-Kaufman LDL^t (``dsytrf``); their ratio doubles as a cheap
+    ``window(start, end)`` returns H[start:end, start:end] of an n-row
+    symmetric matrix H of bandwidth at most b; each window is copied and
+    shifted by E on its diagonal, so H - E is never formed whole.  The pivots
+    are the magnitudes of the 1x1 and 2x2 block determinants of LAPACK's
+    Bunch-Kaufman LDL^t (``dsytrf``); their ratio doubles as a cheap
     condition estimate.  ``dsytrf`` runs on overlapping windows of _WINDOW
     rows along the band.  A window keeps its pivots up to a cut: a block
     boundary at least _MARGIN rows before its end, which no earlier
-    interchange reaches, with no earlier L entry in the window's last b rows
-    (b the bandwidth).  Up to rounding these are the pivots one call on the
-    whole matrix picks; the next window starts at the cut, its leading b x b
-    block reduced by A21 A11^-1 A12 of the kept block.  A window without a cut runs
-    to the end of the matrix, and a matrix of at most _WINDOW rows gets the
-    one call of ``scipy.linalg.ldl``, bit for bit.
+    interchange reaches, with no earlier L entry in the window's last b rows.
+    Up to rounding these are the pivots one call on the whole matrix picks;
+    the next window starts at the cut, its leading b x b block reduced by
+    A21 A11^-1 A12 of the kept block.  A window without a cut runs to the end
+    of the matrix, and a matrix of at most _WINDOW rows gets the one call of
+    ``scipy.linalg.ldl``, bit for bit.
     """
-    n = matrix.shape[0]
-    b = max(1, int(np.max(np.arange(n) - (matrix != 0).argmax(axis=1))))  # a zero row widens b
     sign, log_abs, pivots = 1, 0.0, []
     start, to_end = 0, b >= _MARGIN
     while start < n:
         end = n if to_end else min(n, start + _WINDOW)
-        size, window = end - start, matrix[start:end, start:end]
+        size = end - start
+        shifted = np.array(window(start, end), dtype=float)
+        shifted.flat[:: size + 1] -= energy
         if start:
-            window = window.copy()
-            window[:b, :b] = corner
-        ldu, ipiv, _ = _SYTRF(window, lower=1, lwork=_compute_lwork(_SYTRF_LWORK, size, lower=1))
+            shifted[:b, :b] = corner
+        ldu, ipiv, _ = _SYTRF(shifted, lower=1, lwork=_compute_lwork(_SYTRF_LWORK, size, lower=1))
         piv, diag, sub = ipiv.tolist(), ldu.diagonal().tolist(), ldu.diagonal(-1).tolist()
         blocks, i = [], 0  # (start, block determinant); ipiv < 0 marks a 2x2 block
         while i < size:
@@ -161,51 +169,42 @@ def _ldl_signed_logdet(matrix: np.ndarray) -> tuple[SignedLogDet, float, float]:
             sign *= 1 if p > 0 else -1
             log_abs += math.log(abs(p))
         if cut < size:
-            x, _ = _SYTRS(ldu[:cut, :cut], ipiv[:cut], window[:cut, cut : cut + b], lower=1)
-            corner = window[cut : cut + b, cut : cut + b] - window[cut : cut + b, :cut] @ x
+            x, _ = _SYTRS(ldu[:cut, :cut], ipiv[:cut], shifted[:cut, cut : cut + b], lower=1)
+            corner = shifted[cut : cut + b, cut : cut + b] - shifted[cut : cut + b, :cut] @ x
         start += cut
     return SignedLogDet(sign, log_abs), min(pivots), max(pivots)
 
 
-def _is_symmetric(h: np.ndarray) -> bool:
-    """Exact symmetry test of a square matrix, read along its band.
+def _symmetric_bandwidth(h: np.ndarray) -> int | None:
+    """Bandwidth (at least 1) of a square matrix if it is exactly symmetric, else None.
 
     The lower and upper bandwidths read off the nonzero pattern must be equal,
     so both sides are zero outside one band b, and the off-diagonals 1..b
     must equal their mirrors.  Every pass reads h along its rows;
     ``np.array_equal(h, h.T)`` reads it across them, at ten times the cost.
+    A zero row of H - E needs no wider band: it stays zero through every
+    elimination and gives an exact zero pivot.
     """
     nz = h != 0
     first, last = nz.argmax(axis=1), h.shape[1] - 1 - nz[:, ::-1].argmax(axis=1)
     rows = np.flatnonzero(nz[np.arange(h.shape[0]), first])  # rows with a nonzero entry
     b = int(np.max(rows - first[rows], initial=0))
     if b != int(np.max(last[rows] - rows, initial=0)):
-        return False
-    return all(np.array_equal(np.diagonal(h, o), np.diagonal(h, -o)) for o in range(1, b + 1))
+        return None
+    if not all(np.array_equal(np.diagonal(h, o), np.diagonal(h, -o)) for o in range(1, b + 1)):
+        return None
+    return max(1, b)
 
 
-def logdet_direct(
-    hamiltonian: HamiltonianMatrix | np.ndarray,
-    energy: float,
-    with_condition: bool = False,
-):
-    """SignedLogDet of H - E through a symmetric-indefinite factorization.
-
-    With ``with_condition=True`` also returns max|pivot|/min|pivot|, a crude
-    estimate of how close E sits to the spectrum.
-    """
+def _matrix_source(hamiltonian: HamiltonianMatrix | np.ndarray):
+    """(rows, bandwidth, window source) of a dense matrix, after its input checks."""
     h = hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else np.asarray(hamiltonian, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
-    if h.shape[0] != h.shape[1] or not _is_symmetric(h):
+    b = _symmetric_bandwidth(h) if h.shape[0] == h.shape[1] else None
+    if b is None:
         raise ValueError("logdet_direct expects an exactly symmetric matrix")
-    shifted = h.copy()
-    shifted.flat[:: h.shape[0] + 1] -= energy
-    result, pmin, pmax = _ldl_signed_logdet(shifted)
-    if with_condition:
-        cond = math.inf if pmin == 0.0 else pmax / pmin
-        return result, cond
-    return result
+    return h.shape[0], b, lambda start, end: h[start:end, start:end]
 
 
 def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
@@ -213,6 +212,63 @@ def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
     if n < 1 or n > sample.potentials.shape[0]:
         raise ConfigurationError("n_steps outside the sampled extent")
     return n
+
+
+def _sample_source(sample: DisorderSample, n_steps: int | None):
+    """(rows, bandwidth, window source) of H on the rectangle [1, n] x [1, W].
+
+    Past one window, each window is assembled on its own from the rectangle's
+    cached assembly plan; the horizontal hops set the bandwidth to W.  The
+    finiteness check reads the potentials and band entries that H uses.
+    """
+    n, w = _rectangle_steps(sample, n_steps), sample.geometry.width
+    region = Region.rectangle(1, n, 1, w)
+    if n * w <= _WINDOW or n == 1:
+        return _matrix_source(assemble_hamiltonian(sample, region))
+    used = [sample.potentials[:n]]
+    if sample.u_band is not None:
+        used += [sample.u_band[:n, o, : w - o] for o in range(sample.u_band.shape[1])]
+    if not all(np.all(np.isfinite(a)) for a in used):
+        raise ValueError("Hamiltonian has non-finite entries")
+    plan = assembly_plan(region, sample.geometry)
+
+    def window(start, end):
+        return build_hamiltonians(plan.block(start, end), sample.potentials, sample.u_law, sample.u_band)[0]
+
+    return n * w, w, window
+
+
+def logdet_direct(
+    hamiltonian: HamiltonianMatrix | np.ndarray | DisorderSample,
+    energy: float,
+    with_condition: bool = False,
+    n_steps: int | None = None,
+):
+    """SignedLogDet of H - E through a symmetric-indefinite factorization.
+
+    H is a symmetric matrix (plain or a ``HamiltonianMatrix``), or a
+    ``DisorderSample`` standing for H on the rectangle [1, n_steps] x [1, W]
+    (the whole sampled extent by default), as in ``logdet_via_transfer``.
+    A matrix is checked for finite entries and exact symmetry.  A sample
+    larger than one window is never assembled whole: each window of the
+    band is filled from the sample by the model's assembly code, bit for bit
+    the slice of the dense matrix, so on a strip narrower than _MARGIN
+    memory stays O(_WINDOW^2 + N W).
+
+    With ``with_condition=True`` also returns max|pivot|/min|pivot|, a crude
+    estimate of how close E sits to the spectrum.
+    """
+    if isinstance(hamiltonian, DisorderSample):
+        rows, b, window = _sample_source(hamiltonian, n_steps)
+    elif n_steps is not None:
+        raise ConfigurationError("n_steps applies to a DisorderSample only")
+    else:
+        rows, b, window = _matrix_source(hamiltonian)
+    result, pmin, pmax = _ldl_signed_logdet(window, rows, b, energy)
+    if with_condition:
+        cond = math.inf if pmin == 0.0 else pmax / pmin
+        return result, cond
+    return result
 
 
 def logdet_via_transfer(sample: DisorderSample, energy: float, n_steps: int | None = None) -> SignedLogDet:
@@ -337,8 +393,7 @@ def logdet_via_schur(
     sign, log_abs, bad = _schur_sweep(blocks[None])
     fallback = bool(bad[0])
     if fallback:
-        region = Region.rectangle(1, n, 1, sample.geometry.width)
-        result = logdet_direct(assemble_hamiltonian(sample, region), energy)
+        result = logdet_direct(sample, energy, n_steps=n)
     else:
         result = SignedLogDet(int(sign[0]), float(log_abs[0]))
     if return_info:

@@ -397,6 +397,30 @@ class AssemblyPlan:
     ver_x: np.ndarray
     ver_off: np.ndarray
 
+    def block(self, start: int, end: int) -> "AssemblyPlan":
+        """Plan of the diagonal block H[start:end, start:end] of this plan's matrix.
+
+        It keeps the entries whose row and column both fall in [start, end).
+        Bonds run from a site to a later one and are listed by ascending first
+        site, so each list is cut by two binary searches and one mask.
+        """
+        hor = slice(*np.searchsorted(self.hor_i, (start, end)))
+        ver = slice(*np.searchsorted(self.ver_i, (start, end)))
+        keep_hor = self.hor_j[hor] < end
+        keep_ver = self.ver_j[ver] < end
+        return AssemblyPlan(
+            sites=self.sites[start:end],
+            diag_n=self.diag_n[start:end],
+            diag_w=self.diag_w[start:end],
+            hor_i=self.hor_i[hor][keep_hor] - start,
+            hor_j=self.hor_j[hor][keep_hor] - start,
+            ver_i=self.ver_i[ver][keep_ver] - start,
+            ver_j=self.ver_j[ver][keep_ver] - start,
+            ver_n=self.ver_n[ver][keep_ver],
+            ver_x=self.ver_x[ver][keep_ver],
+            ver_off=self.ver_off[ver][keep_ver],
+        )
+
 
 @lru_cache(maxsize=256)
 def assembly_plan(region: Region, geometry: StripGeometry) -> AssemblyPlan:

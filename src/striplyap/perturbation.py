@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import logdet_direct, signed_logdet
+from .determinants import logdet_direct
 from .model import (
     ConfigurationError,
     DisorderSample,
@@ -48,34 +48,40 @@ def log_minus(x: float) -> float:
     return max(-math.log(x), 0.0)
 
 
-def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL) -> int:
-    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > rtol * sv[0]))
+def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL):
+    """Numerical rank of a matrix (an int), or of each matrix of a (..., n, n) stack."""
+    matrix = np.asarray(matrix, dtype=float)
+    sv = np.linalg.svd(matrix, compute_uv=False)
+    rank = np.count_nonzero(sv > rtol * sv[..., :1], axis=-1)
+    return int(rank) if matrix.ndim == 2 else rank
 
 
-def weyl_check(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-9) -> bool:
+def weyl_check(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-9, rank: int | np.ndarray | None = None):
     """Both interlacing chains for a rank-r difference of symmetric matrices.
 
     With eigenvalues in increasing order the chains are E1_j <= E2_{j+r} and
-    E2_{j-r} <= E1_j; the rank is the numerical rank of the difference.
+    E2_{j-r} <= E1_j; the rank is the numerical rank of the difference unless
+    given.  On (..., n, n) stacks (``rank`` then one per matrix) it returns a
+    boolean array, on two matrices a bool.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     if h1.shape != h2.shape:
         raise ConfigurationError("matrices must have the same shape")
-    r = numerical_rank(h1 - h2)
+    r = np.asarray(numerical_rank(h1 - h2) if rank is None else rank)[..., None]
     e1 = np.linalg.eigvalsh(h1)
     e2 = np.linalg.eigvalsh(h2)
-    n = len(e1)
-    scale = max(1.0, float(np.max(np.abs(e1))), float(np.max(np.abs(e2))))
-    slack = tol * scale
-    if r == 0:
-        return bool(np.all(np.abs(e1 - e2) <= slack))
-    up = np.all(e1[: n - r] <= e2[r:] + slack)
-    down = np.all(e2[: n - r] <= e1[r:] + slack)
-    return bool(up and down)
+    n = e1.shape[-1]
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(e1), axis=-1), np.max(np.abs(e2), axis=-1)))
+    slack = (tol * scale)[..., None]
+    # chain entry j compares E1_j with E2_{j+r} (and E2_j with E1_{j+r}) for j < n - r
+    j = np.arange(n)
+    outside = j >= n - r
+    partner = np.minimum(j + r, n - 1)
+    up = outside | (e1 <= np.take_along_axis(e2, partner, axis=-1) + slack)
+    down = outside | (e2 <= np.take_along_axis(e1, partner, axis=-1) + slack)
+    holds = np.where(r[..., 0] == 0, np.all(np.abs(e1 - e2) <= slack, axis=-1), np.all(up & down, axis=-1))
+    return bool(holds) if h1.ndim == 2 else holds
 
 
 @dataclass(frozen=True)
@@ -101,29 +107,40 @@ class InterlacingReport:
 def logdet_gap_bound(
     h1: np.ndarray,
     h2: np.ndarray,
-    energy: float,
-    rank: int | None = None,
-) -> InterlacingReport:
+    energy: float | np.ndarray,
+    rank: int | np.ndarray | None = None,
+):
     """Evaluate log|det(H1-E)| - log|det(H2-E)| against the rank bound.
 
     The bound is 4 rank(H1-H2) max(log+(|E| + ||H1||), log-(dist(E, spec H2))).
     A singular H2 - E makes the bound vacuous; this is flagged, not raised.
+    On (m, n, n) stacks, with ``energy`` and ``rank`` scalars or one per
+    matrix, it returns a list of m reports; the factorizations run once on
+    each stack and the scalar terms per matrix, as for a single pair.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    r = numerical_rank(h1 - h2) if rank is None else int(rank)
-    d1 = signed_logdet(h1 - energy * np.eye(h1.shape[0]))
-    d2 = signed_logdet(h2 - energy * np.eye(h2.shape[0]))
-    e2 = np.linalg.eigvalsh(h2)
-    dist = float(np.min(np.abs(e2 - energy)))
-    norm_term = log_plus(abs(energy) + float(np.linalg.norm(h1, 2)))
-    dist_term = log_minus(dist)
-    vacuous = d2.sign == 0 or not math.isfinite(dist_term)
-    lhs = d1.log_abs - d2.log_abs if not vacuous else -math.inf
-    rhs = 4.0 * r * max(norm_term, dist_term)
-    return InterlacingReport(
-        lhs=float(lhs), rhs=float(rhs), rank=r, norm_term=norm_term, dist_term=dist_term, vacuous=vacuous
-    )
+    single = h1.ndim == 2
+    h1, h2 = (h.reshape(-1, *h.shape[-2:]) for h in (h1, h2))
+    m, n = h1.shape[:2]
+    e = np.broadcast_to(np.asarray(energy, dtype=float), (m,))
+    ranks = np.broadcast_to(numerical_rank(h1 - h2) if rank is None else np.asarray(rank, dtype=int), (m,))
+    shifted = [h - e[:, None, None] * np.eye(n) for h in (h1, h2)]
+    if not all(np.all(np.isfinite(s)) for s in shifted):
+        raise ValueError("matrix has non-finite entries")
+    (_, log1), (sign2, log2) = (np.linalg.slogdet(s) for s in shifted)
+    dists = np.min(np.abs(np.linalg.eigvalsh(h2) - e[:, None]), axis=1)
+    norms = np.linalg.norm(h1, 2, axis=(1, 2))
+    reports = []
+    rows = zip(e.tolist(), ranks.tolist(), norms.tolist(), dists.tolist(), sign2.tolist(), log1.tolist(), log2.tolist())
+    for energy, r, norm, dist, s2, l1, l2 in rows:
+        norm_term = log_plus(abs(energy) + norm)
+        dist_term = log_minus(dist)
+        vacuous = s2 == 0.0 or not math.isfinite(dist_term)
+        lhs = l1 - l2 if not vacuous else -math.inf
+        rhs = 4.0 * r * max(norm_term, dist_term)
+        reports.append(InterlacingReport(lhs, rhs, rank=r, norm_term=norm_term, dist_term=dist_term, vacuous=vacuous))
+    return reports[0] if single else reports
 
 
 def grid_partition(region: Region, cell: int) -> list[Region]:

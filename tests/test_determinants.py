@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -175,15 +176,25 @@ def _dense_ldl(h, energy):
     return sign, log_abs, max(pivots) / min(pivots)
 
 
+def _strip_sample(spec, width, bandwidth, columns, seed):
+    return sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=seed)
+
+
 def _strip(spec, width, bandwidth, columns, seed):
-    sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=seed)
-    return assemble_hamiltonian(sample, Region.rectangle(1, columns, 1, width)).matrix
+    return _dense(_strip_sample(spec, width, bandwidth, columns, seed))
+
+
+def _dense(sample, n_steps=None):
+    n = sample.potentials.shape[0] if n_steps is None else n_steps
+    return assemble_hamiltonian(sample, Region.rectangle(1, n, 1, sample.geometry.width)).matrix
 
 
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
-# (spec, W, d, N, E): every strip spans more than three windows
+# (spec, W, d, N, E): every strip spans more than three windows; one column
+# has bandwidth d, not W
 WINDOWED_STRIPS = {
     "cauchy": (DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency"), 2, 1, 400, 0.5),
+    "one column": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 800, 1, 1, 0.3),
     "random_band": (DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0), 4, 2, 200, 0.5),
     "resonant": (RESONANT, 2, 1, 400, 0.0),
     "uniform": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 6, 1, 150, 0.0),
@@ -194,7 +205,9 @@ class TestWindowedDirect:
     """Route (a) factors the band in overlapping ``dsytrf`` windows.
 
     It must keep the pivots of one dense call: equal sign, log|det| within
-    1e-12 and the pivot-ratio condition within 1e-9, relative.  Not compared:
+    1e-12 and the pivot-ratio condition within 1e-9, relative.  Given the
+    disorder sample instead of H, it assembles each window on its own and
+    must return exactly what the dense matrix gives.  Not compared:
     point mass 0 at E = 1 on a W = 2, N = 301 adjacency strip.  It is singular
     in exact arithmetic, but LAPACK sees a pivot of about 1e-15, above
     PIVOT_FLOOR, so both routes return roundoff noise there (log|det| near
@@ -209,18 +222,40 @@ class TestWindowedDirect:
         assert got.log_abs == pytest.approx(log_abs, rel=1e-12)
         assert cond == pytest.approx(ref_cond, rel=1e-9)
 
+    @staticmethod
+    def _assert_sample_form_exact(sample, energy, n_steps=None):
+        got = logdet_direct(sample, energy, with_condition=True, n_steps=n_steps)
+        assert got == logdet_direct(_dense(sample, n_steps), energy, with_condition=True)
+
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("name", sorted(WINDOWED_STRIPS))
     def test_matches_one_dense_call(self, name, seed):
         spec, width, bandwidth, columns, energy = WINDOWED_STRIPS[name]
-        h = _strip(spec, width, bandwidth, columns, 50 + seed)
+        sample = _strip_sample(spec, width, bandwidth, columns, 50 + seed)
+        h = _dense(sample)
         assert len(h) > 3 * determinants._WINDOW
         self._assert_matches_dense(h, energy)
+        self._assert_sample_form_exact(sample, energy)
 
     @pytest.mark.parametrize("width, columns", [(1, 501), (3, 333)])
     def test_point_mass_zero_stays_singular(self, width, columns):
-        h = _strip(DisorderSpec.point(0.0, u_law="adjacency"), width, 1, columns, 1)
+        sample = _strip_sample(DisorderSpec.point(0.0, u_law="adjacency"), width, 1, columns, 1)
+        h = _dense(sample)
         assert logdet_direct(h, 0.0).sign == 0 and _dense_ldl(h, 0.0)[0] == 0
+        assert logdet_direct(sample, 0.0).sign == 0
+
+    @pytest.mark.parametrize("energy", [0.0, 0.7])
+    def test_zero_row_of_shifted_matrix_gives_sign_zero(self, monkeypatch, energy):
+        # row 300 of H - E is zero, while the band around it is narrow
+        rng = np.random.default_rng(7)
+        a = np.triu(np.tril(rng.normal(size=(600, 600)), 3), -3)
+        h = a + a.T
+        h[300, :] = h[:, 300] = 0.0
+        h[300, 300] = energy
+        monkeypatch.setattr(determinants, "_WINDOW", 32)
+        monkeypatch.setattr(determinants, "_MARGIN", 16)
+        got, cond = logdet_direct(h, energy, with_condition=True)
+        assert (got.sign, cond) == (0, math.inf) and _dense_ldl(h, energy)[0] == 0
 
     @pytest.mark.parametrize("width", [2, 3])
     def test_short_windows_cut_between_pivots(self, monkeypatch, width):
@@ -232,6 +267,9 @@ class TestWindowedDirect:
         monkeypatch.setattr(determinants, "_WINDOW", 32)
         monkeypatch.setattr(determinants, "_MARGIN", 16)
         self._assert_matches_dense(h, 0.0)
+        sample = _strip_sample(RESONANT, width, 1, 600 // width, 3)
+        for n_steps in (None, 250 // width, 17):
+            self._assert_sample_form_exact(sample, 0.0, n_steps)
 
     @pytest.mark.parametrize("bandwidth", [15, 16])
     def test_no_cut_runs_to_the_end(self, monkeypatch, bandwidth):
@@ -267,6 +305,41 @@ class TestWindowedDirect:
         for h, energy in cases:
             got, cond = logdet_direct(h, energy, with_condition=True)
             assert (got.sign, got.log_abs, cond) == _dense_ldl(h, energy)
+        # the sample form up to one window: one call on the assembled rectangle
+        sample = sample_disorder(StripGeometry(4, 2, 64), DisorderSpec.uniform(-1.5, 1.5, u_law="random_band"), seed=4)
+        for n_steps in (64, 33, 1):
+            got, cond = logdet_direct(sample, 0.25, with_condition=True, n_steps=n_steps)
+            assert (got.sign, got.log_abs, cond) == _dense_ldl(_dense(sample, n_steps), 0.25)
+
+    @pytest.mark.parametrize("columns", [20, 300])  # one window, and many
+    @pytest.mark.parametrize("u_law", ["adjacency", "random_band"])
+    def test_sample_form_rejects_non_finite_entries(self, columns, u_law):
+        sample = _strip_sample(DisorderSpec.uniform(-1, 1, u_law=u_law), 3, 2, columns, 5)
+        potentials = sample.potentials.copy()
+        potentials[columns // 2, 1] = np.inf
+        bad = [DisorderSample(sample.geometry, u_law, potentials, sample.u_band)]
+        if u_law == "random_band":
+            u_band = sample.u_band.copy()
+            u_band[columns - 1, 2, 0] = np.nan  # U(1, 3) of the last column
+            bad.append(DisorderSample(sample.geometry, u_law, sample.potentials, u_band))
+        for s in bad:
+            with pytest.raises(ValueError, match="non-finite"):
+                logdet_direct(s, 0.3)
+            with pytest.raises(ValueError, match="non-finite"):
+                logdet_direct(_dense(s), 0.3)
+
+    def test_sample_form_never_builds_the_dense_matrix(self):
+        # the dense 4000 x 4000 H alone is 128 MB
+        spec, width, bandwidth = WINDOWED_STRIPS["cauchy"][:3]
+        sample = _strip_sample(spec, width, bandwidth, 2000, 5)
+        logdet_direct(sample, 0.5)  # the rectangle's assembly plan is cached here
+        tracemalloc.start()
+        try:
+            logdet_direct(sample, 0.5, with_condition=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestTransferRoute:
@@ -348,6 +421,16 @@ class TestSchurRoute:
         direct = logdet_direct(assemble_hamiltonian(samp, Region.rectangle(1, 2, 1, 1)), 0.5)
         assert sld.sign == direct.sign
         assert sld.log_abs == pytest.approx(direct.log_abs, rel=1e-10)
+
+    def test_fallback_past_one_window_matches_dense(self):
+        # V(1, 1) = E makes B_1 singular on a 300 x 2 strip with no vertical bonds
+        sample = _sample(2, 300, seed=12, spec=DisorderSpec.uniform(-1, 1))
+        potentials = sample.potentials.copy()
+        potentials[0, 0] = 0.5
+        samp = DisorderSample(geometry=sample.geometry, u_law="zero", potentials=potentials)
+        sld, fell_back = logdet_via_schur(samp, 0.5, return_info=True)
+        assert fell_back and sld.sign != 0
+        assert sld == logdet_direct(_dense(samp), 0.5)
 
 
 class TestSiteShift:

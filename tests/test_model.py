@@ -11,7 +11,9 @@ from striplyap.model import (
     Region,
     StripGeometry,
     assemble_hamiltonian,
+    assembly_plan,
     boundary,
+    build_hamiltonians,
     s_matrix,
     sample_disorder,
 )
@@ -128,6 +130,17 @@ def test_assembly_exactly_symmetric():
     s = sample_disorder(geo, spec, seed=3)
     h = assemble_hamiltonian(s, Region.rectangle(1, 6, 1, 4)).matrix
     assert np.array_equal(h, h.T)
+
+
+@pytest.mark.parametrize("start, end", [(0, 40), (13, 77), (100, 169), (168, 169)])
+def test_plan_block_is_the_dense_slice(start, end):
+    geo = StripGeometry(4, 3, 50)
+    s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law="random_band"), seed=8)
+    holey = Region.from_sites([(n, w) for n in range(1, 51) for w in range(1, 5) if (n * w) % 9])
+    plan = assembly_plan(holey, geo)
+    h = build_hamiltonians(plan, s.potentials, s.u_law, s.u_band)[0]
+    block = build_hamiltonians(plan.block(start, end), s.potentials, s.u_law, s.u_band)[0]
+    assert len(h) == 169 and np.array_equal(block, h[start:end, start:end])
 
 
 def test_assemble_rejects_out_of_extent():

@@ -112,6 +112,35 @@ def test_gap_bound_random_low_rank(seed):
     assert rep.holds
 
 
+def test_stacks_match_single_matrices():
+    # rank 0, 1, 2 and full-rank differences, and E on the spectrum of H2
+    rng = np.random.default_rng(11)
+    h1 = np.stack([_sym(rng, 7) for _ in range(5)])
+    h2 = h1.copy()
+    h2[1] += np.outer(*(2 * [rng.normal(size=7)]))
+    x = rng.normal(size=(7, 2))
+    h2[2] += x @ x.T
+    h2[3] = _sym(rng, 7)
+    h2[4] += np.outer(*(2 * [rng.normal(size=7)]))
+    energy = rng.uniform(-1, 1, size=5)
+    energy[4] = np.linalg.eigvalsh(h2[4])[2]  # E on the spectrum of H2: a vacuous bound
+    ranks = numerical_rank(h1 - h2)
+    assert ranks.tolist() == [0, 1, 2, 7, 1]
+    assert weyl_check(h1, h2).tolist() == [weyl_check(a, b) for a, b in zip(h1, h2)]
+    assert weyl_check(h1, h2, rank=ranks).tolist() == weyl_check(h1, h2).tolist()
+    reports = logdet_gap_bound(h1, h2, energy, rank=ranks)
+    assert reports[4].vacuous and reports[4].lhs == -math.inf and not any(rep.vacuous for rep in reports[:4])
+    assert reports == [logdet_gap_bound(a, b, e) for a, b, e in zip(h1, h2, energy.tolist())]
+    assert isinstance(numerical_rank(h1[0] - h2[1]), int) and isinstance(weyl_check(h1[0], h2[0]), bool)
+
+
+def test_weyl_rejects_an_understated_rank():
+    # a rank-2 drop moves two eigenvalues past their rank-1 neighbours
+    h1, h2 = np.zeros((4, 4)), np.diag([-5.0, -5.0, 0.0, 0.0])
+    assert weyl_check(h1, h2) and not weyl_check(h1, h2, rank=1)
+    assert weyl_check(h1[None], h2[None], rank=[1]).tolist() == [False]
+
+
 def test_grid_partition_single_cell():
     region = Region.rectangle(2, 4, 1, 3)
     cells = grid_partition(region, 10)
