@@ -18,12 +18,11 @@ Suite ``direct``: `logdet_direct` (with its condition estimate) on the two
 strips of the `routes` workload (Cauchy 2000 x 2 and random band 500 x 4,
 d = 2, both at E = 0.5, seed 1) and on a uniform [-1.5, 1.5] adjacency strip
 1000 x 6 at E = 0, in both input forms: the dense matrix, assembled outside
-the timer, and the disorder sample, as `striplyap dets` calls it.  Each case
-also records the peak of `tracemalloc` over one more call, in MB.  Unit: sites.
+the timer, and the disorder sample, as `striplyap dets` calls it.  Unit: sites.
 
-Each case runs three times in this process with one BLAS thread; the file
-records every run, the median in seconds and in microseconds per unit, and
-the host (nproc, CPU model, numpy and BLAS versions, git revision, with
+Each case runs three times in this process with one BLAS thread, then once
+more under `tracemalloc`; the file records every timed run, the median in
+seconds and in microseconds per unit, the traced peak in MB, and the host (nproc, CPU model, numpy and BLAS versions, git revision, with
 -dirty for uncommitted changes).
 
 Run from the repository root:  python3 scripts/bench.py {cocycle,direct,logdets} [--out PATH]
@@ -106,16 +105,6 @@ DIRECT_STRIPS = [
 ]
 
 
-def peak_mb(run) -> float:
-    """Peak traced allocation of one call, in MB."""
-    tracemalloc.start()
-    try:
-        run()
-        return tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
-
-
 SUITES = {
     "cocycle": lambda: [
         lyapunov_case(2, 50_000),
@@ -162,6 +151,16 @@ def host() -> dict:
     }
 
 
+def peak_mb(run) -> float:
+    """Peak traced allocation of one call, in MB."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("suite", choices=sorted(SUITES))
@@ -177,13 +176,11 @@ def main() -> int:
             seconds.append(time.perf_counter() - t0)
         median = statistics.median(seconds)
         per_unit = 1e6 * median / units
-        result = {"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit}
-        line = f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}"
-        if args.suite == "direct":
-            result["peak_mb"] = peak_mb(run)
-            line += f", peak {result['peak_mb']:.1f} MB"
-        results.append(result)
-        print(line, flush=True)
+        peak = peak_mb(run)
+        results.append(
+            {"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit, "peak_mb": peak}
+        )
+        print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}, peak {peak:.1f} MB", flush=True)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
     out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")
     return 0

@@ -104,12 +104,16 @@ class SignedLogDet:
             return self.sign * math.inf
 
 
+def _signed_logdets(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signs and log|det| of each matrix of an (m, n, n) stack via pivoted LU; sign 0 pairs with -inf."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix has non-finite entries")
+    return np.linalg.slogdet(stack)
+
+
 def signed_logdet(matrix: np.ndarray) -> SignedLogDet:
     """SignedLogDet of an arbitrary square matrix via pivoted LU."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix has non-finite entries")
-    sign, log_abs = np.linalg.slogdet(matrix)
+    (sign,), (log_abs,) = _signed_logdets(np.asarray(matrix, dtype=float)[None])
     if sign == 0.0:
         return SignedLogDet.zero()
     return SignedLogDet(int(sign), float(log_abs))
@@ -119,8 +123,9 @@ def _ldl_signed_logdet(window, n: int, b: int, energy: float) -> tuple[SignedLog
     """Symmetric-indefinite route on H - E: returns (result, min pivot, max pivot).
 
     ``window(start, end)`` returns H[start:end, start:end] of an n-row
-    symmetric matrix H of bandwidth at most b; each window is copied and
-    shifted by E on its diagonal, so H - E is never formed whole.  The pivots
+    symmetric matrix H of bandwidth at most b, as a float array of its own;
+    each window is shifted by E on its diagonal in place, so H - E is never
+    formed whole.  The pivots
     are the magnitudes of the 1x1 and 2x2 block determinants of LAPACK's
     Bunch-Kaufman LDL^t (``dsytrf``); their ratio doubles as a cheap
     condition estimate.  ``dsytrf`` runs on overlapping windows of _WINDOW
@@ -138,7 +143,7 @@ def _ldl_signed_logdet(window, n: int, b: int, energy: float) -> tuple[SignedLog
     while start < n:
         end = n if to_end else min(n, start + _WINDOW)
         size = end - start
-        shifted = np.array(window(start, end), dtype=float)
+        shifted = window(start, end)
         shifted.flat[:: size + 1] -= energy
         if start:
             shifted[:b, :b] = corner
@@ -197,14 +202,17 @@ def _symmetric_bandwidth(h: np.ndarray) -> int | None:
 
 
 def _matrix_source(hamiltonian: HamiltonianMatrix | np.ndarray):
-    """(rows, bandwidth, window source) of a dense matrix, after its input checks."""
-    h = hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else np.asarray(hamiltonian, dtype=float)
+    """(rows, bandwidth, window source) of a dense matrix, after its input checks.
+
+    The source hands out copies, which the factorization may shift in place.
+    """
+    h = np.asarray(hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else hamiltonian, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     b = _symmetric_bandwidth(h) if h.shape[0] == h.shape[1] else None
     if b is None:
         raise ValueError("logdet_direct expects an exactly symmetric matrix")
-    return h.shape[0], b, lambda start, end: h[start:end, start:end]
+    return h.shape[0], b, lambda start, end: h[start:end, start:end].copy()
 
 
 def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
@@ -217,13 +225,15 @@ def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
 def _sample_source(sample: DisorderSample, n_steps: int | None):
     """(rows, bandwidth, window source) of H on the rectangle [1, n] x [1, W].
 
-    Past one window, each window is assembled on its own from the rectangle's
-    cached assembly plan; the horizontal hops set the bandwidth to W.  The
-    finiteness check reads the potentials and band entries that H uses.
+    Each window is assembled on its own from the rectangle's cached assembly
+    plan; from two columns on, the horizontal hops set the bandwidth to W.
+    One column has the bandwidth of its vertical bonds, so it is assembled
+    whole and read off like a matrix.  The finiteness check reads the
+    potentials and band entries that H uses.
     """
     n, w = _rectangle_steps(sample, n_steps), sample.geometry.width
     region = Region.rectangle(1, n, 1, w)
-    if n * w <= _WINDOW or n == 1:
+    if n == 1:
         return _matrix_source(assemble_hamiltonian(sample, region))
     used = [sample.potentials[:n]]
     if sample.u_band is not None:
@@ -249,11 +259,11 @@ def logdet_direct(
     H is a symmetric matrix (plain or a ``HamiltonianMatrix``), or a
     ``DisorderSample`` standing for H on the rectangle [1, n_steps] x [1, W]
     (the whole sampled extent by default), as in ``logdet_via_transfer``.
-    A matrix is checked for finite entries and exact symmetry.  A sample
-    larger than one window is never assembled whole: each window of the
-    band is filled from the sample by the model's assembly code, bit for bit
-    the slice of the dense matrix, so on a strip narrower than _MARGIN
-    memory stays O(_WINDOW^2 + N W).
+    A matrix is checked for finite entries and exact symmetry.  A sample of
+    two or more columns is never assembled whole: each window of the band is
+    filled from the sample by the model's assembly code, bit for bit the
+    slice of the dense matrix, so on a strip narrower than _MARGIN memory
+    stays O(_WINDOW^2 + N W).
 
     With ``with_condition=True`` also returns max|pivot|/min|pivot|, a crude
     estimate of how close E sits to the spectrum.

@@ -6,12 +6,13 @@ is fine at the matrix sizes these verification routines target.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import logdet_direct
+from .determinants import _signed_logdets, logdet_direct
 from .model import (
     ConfigurationError,
     DisorderSample,
@@ -48,29 +49,46 @@ def log_minus(x: float) -> float:
     return max(-math.log(x), 0.0)
 
 
+def _one_or_stack(func):
+    """Let a function of (m, n, n) stacks take single (n, n) matrices too.
+
+    Single matrices go in as stacks of one, and the one result comes back as
+    a plain value: an int, a bool or a report.
+    """
+
+    @functools.wraps(func)
+    def call(*args, **kwargs):
+        if np.ndim(args[0]) != 2:
+            return func(*args, **kwargs)
+        (out,) = func(*(np.asarray(a)[None] if np.ndim(a) == 2 else a for a in args), **kwargs)
+        return out.item() if isinstance(out, np.generic) else out
+
+    return call
+
+
+@_one_or_stack
 def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL):
-    """Numerical rank of a matrix (an int), or of each matrix of a (..., n, n) stack."""
-    matrix = np.asarray(matrix, dtype=float)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    rank = np.count_nonzero(sv > rtol * sv[..., :1], axis=-1)
-    return int(rank) if matrix.ndim == 2 else rank
+    """Numerical rank of each matrix of an (m, n, n) stack, or of one matrix (an int)."""
+    sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
+    return np.count_nonzero(sv > rtol * sv[..., :1], axis=-1)
 
 
+@_one_or_stack
 def weyl_check(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-9, rank: int | np.ndarray | None = None):
     """Both interlacing chains for a rank-r difference of symmetric matrices.
 
     With eigenvalues in increasing order the chains are E1_j <= E2_{j+r} and
     E2_{j-r} <= E1_j; the rank is the numerical rank of the difference unless
-    given.  On (..., n, n) stacks (``rank`` then one per matrix) it returns a
+    given.  On (m, n, n) stacks (``rank`` then one per matrix) it returns a
     boolean array, on two matrices a bool.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
     if h1.shape != h2.shape:
         raise ConfigurationError("matrices must have the same shape")
-    r = np.asarray(numerical_rank(h1 - h2) if rank is None else rank)[..., None]
     e1 = np.linalg.eigvalsh(h1)
     e2 = np.linalg.eigvalsh(h2)
+    r = np.broadcast_to(numerical_rank(h1 - h2) if rank is None else rank, e1.shape[:-1])[..., None]
     n = e1.shape[-1]
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(e1), axis=-1), np.max(np.abs(e2), axis=-1)))
     slack = (tol * scale)[..., None]
@@ -80,8 +98,7 @@ def weyl_check(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-9, rank: int | np
     partner = np.minimum(j + r, n - 1)
     up = outside | (e1 <= np.take_along_axis(e2, partner, axis=-1) + slack)
     down = outside | (e2 <= np.take_along_axis(e1, partner, axis=-1) + slack)
-    holds = np.where(r[..., 0] == 0, np.all(np.abs(e1 - e2) <= slack, axis=-1), np.all(up & down, axis=-1))
-    return bool(holds) if h1.ndim == 2 else holds
+    return np.where(r[..., 0] == 0, np.all(np.abs(e1 - e2) <= slack, axis=-1), np.all(up & down, axis=-1))
 
 
 @dataclass(frozen=True)
@@ -104,6 +121,7 @@ class InterlacingReport:
         return self.vacuous or self.lhs <= self.rhs + 1e-8
 
 
+@_one_or_stack
 def logdet_gap_bound(
     h1: np.ndarray,
     h2: np.ndarray,
@@ -116,19 +134,14 @@ def logdet_gap_bound(
     A singular H2 - E makes the bound vacuous; this is flagged, not raised.
     On (m, n, n) stacks, with ``energy`` and ``rank`` scalars or one per
     matrix, it returns a list of m reports; the factorizations run once on
-    each stack and the scalar terms per matrix, as for a single pair.
+    each stack and the scalar terms per matrix.  A single pair gives a report.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
-    single = h1.ndim == 2
-    h1, h2 = (h.reshape(-1, *h.shape[-2:]) for h in (h1, h2))
     m, n = h1.shape[:2]
     e = np.broadcast_to(np.asarray(energy, dtype=float), (m,))
     ranks = np.broadcast_to(numerical_rank(h1 - h2) if rank is None else np.asarray(rank, dtype=int), (m,))
-    shifted = [h - e[:, None, None] * np.eye(n) for h in (h1, h2)]
-    if not all(np.all(np.isfinite(s)) for s in shifted):
-        raise ValueError("matrix has non-finite entries")
-    (_, log1), (sign2, log2) = (np.linalg.slogdet(s) for s in shifted)
+    (_, log1), (sign2, log2) = (_signed_logdets(h - e[:, None, None] * np.eye(n)) for h in (h1, h2))
     dists = np.min(np.abs(np.linalg.eigvalsh(h2) - e[:, None]), axis=1)
     norms = np.linalg.norm(h1, 2, axis=(1, 2))
     reports = []
@@ -140,7 +153,7 @@ def logdet_gap_bound(
         lhs = l1 - l2 if not vacuous else -math.inf
         rhs = 4.0 * r * max(norm_term, dist_term)
         reports.append(InterlacingReport(lhs, rhs, rank=r, norm_term=norm_term, dist_term=dist_term, vacuous=vacuous))
-    return reports[0] if single else reports
+    return reports
 
 
 def grid_partition(region: Region, cell: int) -> list[Region]:

@@ -305,7 +305,7 @@ class TestWindowedDirect:
         for h, energy in cases:
             got, cond = logdet_direct(h, energy, with_condition=True)
             assert (got.sign, got.log_abs, cond) == _dense_ldl(h, energy)
-        # the sample form up to one window: one call on the assembled rectangle
+        # the sample form up to one window, one column included: the one call of the dense rectangle
         sample = sample_disorder(StripGeometry(4, 2, 64), DisorderSpec.uniform(-1.5, 1.5, u_law="random_band"), seed=4)
         for n_steps in (64, 33, 1):
             got, cond = logdet_direct(sample, 0.25, with_condition=True, n_steps=n_steps)
