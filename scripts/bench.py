@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stabilized transfer products, the log-determinant sampler or route (a).
+"""Time the stabilized transfer products, the log-determinant sampler, route (a) or dense assembly.
 
 Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
@@ -20,12 +20,21 @@ d = 2, both at E = 0.5, seed 1) and on a uniform [-1.5, 1.5] adjacency strip
 1000 x 6 at E = 0, in both input forms: the dense matrix, assembled outside
 the timer, and the disorder sample, as `striplyap dets` calls it.  Unit: sites.
 
+Suite ``assemble``: `build_hamiltonians`, the dense stack of H_region - E
+that every non-Schur sampler factors, on one draw chunk of the uniform
+[-1.5, 1.5] adjacency law at E = 0: the 4 x 2 rectangle of the `tails-small`
+cartan run (4096 samples), a 40 x 2 rectangle (1310 samples, the chunk of an
+80-site region) and a 16 x 2 rectangle minus the site (8, 1) (4096 samples);
+plus `logdet_direct` on the Cauchy 2000 x 2 `routes` strip given as the
+sample, whose windows are assembled one at a time.  Unit: samples (the
+route-(a) case counts its one sample).
+
 Each case runs three times in this process with one BLAS thread, then once
 more under `tracemalloc`; the file records every timed run, the median in
 seconds and in microseconds per unit, the traced peak in MB, and the host (nproc, CPU model, numpy and BLAS versions, git revision, with
 -dirty for uncommitted changes).
 
-Run from the repository root:  python3 scripts/bench.py {cocycle,direct,logdets} [--out PATH]
+Run from the repository root:  python3 scripts/bench.py {assemble,cocycle,direct,logdets} [--out PATH]
 The default output is BENCH_<suite>.json in the repository root.
 """
 
@@ -51,7 +60,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from striplyap.determinants import logdet_direct, logdet_via_transfer
-from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, sample_disorder
+from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder
 from striplyap.sampling import sample_logdets
 from striplyap.transfer import lyapunov_spectrum
 
@@ -98,6 +107,20 @@ def direct_case(name, spec, width, bandwidth, columns, energy, form):
     return f"logdet_direct {form} {name} {columns}x{width} E={energy}", columns * width, run
 
 
+def assemble_case(name, region, columns, n_samples):
+    pot, u_band = draw_chunk(UNIFORM, StripGeometry(2, 1, columns), 0, n_samples, seed=32)
+
+    def run():
+        build_hamiltonians(region, pot, UNIFORM.u_law, u_band, 0.0)
+
+    return f"build_hamiltonians {name} n={n_samples}", n_samples, run
+
+
+def route_a_case():
+    name, _, run = direct_case("cauchy", CAUCHY, 2, 1, 2000, 0.5, "sample")
+    return name, 1, run
+
+
 DIRECT_STRIPS = [
     ("cauchy", CAUCHY, 2, 1, 2000, 0.5),
     ("random_band d=2", BAND, 4, 2, 500, 0.5),
@@ -106,6 +129,12 @@ DIRECT_STRIPS = [
 
 
 SUITES = {
+    "assemble": lambda: [
+        assemble_case("4x2", Region.rectangle(1, 4, 1, 2), 4, 4096),
+        assemble_case("40x2", Region.rectangle(1, 40, 1, 2), 40, 1310),
+        assemble_case("16x2 minus (8, 1)", Region.rectangle(1, 16, 1, 2).without_site((8, 1)), 16, 4096),
+        route_a_case(),
+    ],
     "cocycle": lambda: [
         lyapunov_case(2, 50_000),
         lyapunov_case(4, 50_000),
@@ -166,7 +195,7 @@ def main() -> int:
     parser.add_argument("suite", choices=sorted(SUITES))
     parser.add_argument("--out", help="output path (default BENCH_<suite>.json in the repository root)")
     args = parser.parse_args()
-    unit = {"cocycle": "steps", "direct": "sites", "logdets": "samples"}[args.suite]
+    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples"}[args.suite]
     results = []
     for name, units, run in SUITES[args.suite]():
         seconds = []

@@ -8,11 +8,11 @@ so that its cost grows linearly in N W on a strip instead of as (N W)^3,
 (b) the stabilized transfer product and (c) the Schur sweep over column
 blocks.  Route (a) reads H through a window source, (start, end) ->
 H[start:end, start:end]: slices of a dense matrix, or, given the disorder
-sample, windows assembled one at a time from the rectangle's assembly plan,
-so that a strip's dense matrix is never built.  Route (c) is written once,
-for a stack of samples: ``logdet_via_schur`` is its one-sample call, and
-``sampling.sample_logdets`` runs it on every rectangle of a Monte Carlo
-ensemble.  At W = 2 the sweep inverts its 2 x 2 blocks in closed form,
+sample, windows stacked one at a time from the column blocks of the columns
+they cover, so that a strip's dense matrix is never built.  Route (c) is
+written once, for a stack of samples: ``logdet_via_schur`` is its one-sample
+call, and ``sampling.sample_logdets`` runs it on every rectangle of a Monte
+Carlo ensemble.  At W = 2 the sweep inverts its 2 x 2 blocks in closed form,
 elementwise over the samples; every other width calls LAPACK on the stack
 once per column.
 """
@@ -31,11 +31,11 @@ from .model import (
     DisorderSample,
     HamiltonianMatrix,
     Region,
+    _column_blocks,
+    _stack_columns,
     assemble_hamiltonian,
-    assembly_plan,
-    build_hamiltonians,
 )
-from .transfer import _column_blocks, accumulate
+from .transfer import NumericError, accumulate
 
 __all__ = [
     "SignedLogDet",
@@ -225,25 +225,23 @@ def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
 def _sample_source(sample: DisorderSample, n_steps: int | None):
     """(rows, bandwidth, window source) of H on the rectangle [1, n] x [1, W].
 
-    Each window is assembled on its own from the rectangle's cached assembly
-    plan; from two columns on, the horizontal hops set the bandwidth to W.
-    One column has the bandwidth of its vertical bonds, so it is assembled
-    whole and read off like a matrix.  The finiteness check reads the
-    potentials and band entries that H uses.
+    The column blocks S_k of the n columns are built once, O(n W^2), and
+    checked finite.  Each window [start, end) is stacked from the blocks of
+    the columns it covers and cut to its rows; from two columns on, the
+    horizontal hops set the bandwidth to W.  One column has the bandwidth of
+    its couplings, so its one block is read off like a matrix.
     """
     n, w = _rectangle_steps(sample, n_steps), sample.geometry.width
-    region = Region.rectangle(1, n, 1, w)
+    blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.0, (0, n))
     if n == 1:
-        return _matrix_source(assemble_hamiltonian(sample, region))
-    used = [sample.potentials[:n]]
-    if sample.u_band is not None:
-        used += [sample.u_band[:n, o, : w - o] for o in range(sample.u_band.shape[1])]
-    if not all(np.all(np.isfinite(a)) for a in used):
+        return _matrix_source(blocks[0])
+    if not np.all(np.isfinite(blocks)):
         raise ValueError("Hamiltonian has non-finite entries")
-    plan = assembly_plan(region, sample.geometry)
 
     def window(start, end):
-        return build_hamiltonians(plan.block(start, end), sample.potentials, sample.u_law, sample.u_band)[0]
+        first = start // w
+        rows = slice(start - first * w, end - first * w)
+        return _stack_columns(blocks[first : -(-end // w)])[rows, rows]
 
     return n * w, w, window
 
@@ -261,9 +259,9 @@ def logdet_direct(
     (the whole sampled extent by default), as in ``logdet_via_transfer``.
     A matrix is checked for finite entries and exact symmetry.  A sample of
     two or more columns is never assembled whole: each window of the band is
-    filled from the sample by the model's assembly code, bit for bit the
-    slice of the dense matrix, so on a strip narrower than _MARGIN memory
-    stays O(_WINDOW^2 + N W).
+    stacked from the column blocks it covers, the blocks the dense matrix is
+    stacked from, so it is bit for bit the slice of the dense matrix, and on
+    a strip narrower than _MARGIN memory stays O(_WINDOW^2 + N W^2).
 
     With ``with_condition=True`` also returns max|pivot|/min|pivot|, a crude
     estimate of how close E sits to the spectrum.
@@ -378,6 +376,8 @@ def _schur_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sample comes back as sign 0 and log|det| nan, for the caller to
     recompute.  No sample's arithmetic depends on the rest of the stack.
     """
+    if not np.all(np.isfinite(blocks)):
+        raise NumericError("non-finite transfer matrix entries")
     sign, log_abs, bad = (_closed_form_sweep if blocks.shape[-1] == 2 else _lapack_sweep)(blocks)
     sign[bad] = 0.0
     log_abs[bad] = np.nan
@@ -411,20 +411,6 @@ def logdet_via_schur(
     return result
 
 
-def _gamma_row(sample: DisorderSample, region_sites, k: tuple[int, int]) -> np.ndarray:
-    """Coupling row of site k against the listed sites (same sample)."""
-    n0, w0 = k
-    u = sample.u_matrix(n0)
-    d = sample.geometry.bandwidth
-    row = np.zeros(len(region_sites))
-    for j, (n, w) in enumerate(region_sites):
-        if w == w0 and abs(n - n0) == 1:
-            row[j] = -1.0
-        elif n == n0 and 0 < abs(w - w0) <= d:
-            row[j] = -u[w0 - 1, w - 1]
-    return row
-
-
 def site_shift(
     sample: DisorderSample,
     region: Region,
@@ -442,12 +428,13 @@ def site_shift(
     u_kk = float(sample.u_matrix(k[0])[k[1] - 1, k[1] - 1])
     if region.size == 1:
         return u_kk + energy
-    rest = region.without_site(k)
-    h = assemble_hamiltonian(sample, rest)
-    shifted = h.matrix - energy * np.eye(rest.size)
+    h = assemble_hamiltonian(sample, region)
+    i = h.index(k)
+    rest = np.arange(region.size) != i
+    shifted = h.matrix[np.ix_(rest, rest)] - energy * np.eye(region.size - 1)
     cond = float(np.linalg.cond(shifted))
     if not np.isfinite(cond) or cond > 1e14:
         raise NearSingularError("punctured Hamiltonian nearly singular at this energy", cond)
-    gamma = _gamma_row(sample, h.sites, k)
+    gamma = h.matrix[i, rest]
     x = np.linalg.solve(shifted, gamma)
     return u_kk + energy + float(gamma @ x)

@@ -4,13 +4,19 @@ Sites live on [1, N] x [1, W] (column index first, 1-based).  The operator
 couples horizontal neighbours with -1 and sites inside the same column with
 the entries of a symmetric band matrix U_n of half-width d, so the column
 blocks are S_n = diag(V_n) - U_n.
+
+Every matrix entry comes from one builder, the column blocks S_k - E of
+``_column_blocks``, with U_k from ``_couplings``.  The dense H_region - E
+stacks the blocks of the region's bounding box block-tridiagonally, -I
+between neighbouring columns, and keeps the principal submatrix on the
+region's sites, which is its Dirichlet restriction.  The transfer sweep, the
+Schur route and the windows of the direct route read the same blocks.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -126,8 +132,7 @@ class Region:
         return len(self.sites)
 
     def bounds(self) -> tuple[int, int, int, int]:
-        ns = [s[0] for s in self.sites]
-        ws = [s[1] for s in self.sites]
+        ns, ws = zip(*self.sites)
         return min(ns), max(ns), min(ws), max(ws)
 
     def __contains__(self, site: tuple[int, int]) -> bool:
@@ -311,18 +316,7 @@ class DisorderSample:
         """The symmetric W x W coupling matrix U_n."""
         if not 1 <= n <= self.potentials.shape[0]:
             raise ConfigurationError(f"column {n} outside sampled extent")
-        w = self.geometry.width
-        u = np.zeros((w, w))
-        if self.u_law == "adjacency":
-            idx = np.arange(w - 1)
-            u[idx, idx + 1] = 1.0
-            u[idx + 1, idx] = 1.0
-        elif self.u_law == "random_band":
-            for o in range(self.u_band.shape[1]):
-                x = np.arange(w - o)
-                u[x, x + o] = self.u_band[n - 1, o, : w - o]
-                u[x + o, x] = self.u_band[n - 1, o, : w - o]
-        return u
+        return _couplings((), self.u_law, self.u_band, (n - 1, n), (0, self.geometry.width))[0]
 
 
 def sample_disorder(
@@ -339,7 +333,7 @@ def s_matrix(sample: DisorderSample, n: int) -> np.ndarray:
     """Column block S_n = diag(V_n) - U_n."""
     if not 1 <= n <= sample.potentials.shape[0]:
         raise ConfigurationError(f"column {n} outside sampled extent")
-    return np.diag(sample.potentials[n - 1]) - sample.u_matrix(n)
+    return _column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.0, (n - 1, n))[0]
 
 
 def _bonded(a: tuple[int, int], b: tuple[int, int], bandwidth: int) -> bool:
@@ -384,127 +378,119 @@ class HamiltonianMatrix:
         return self.sites.index(site)
 
 
-@dataclass(frozen=True)
-class AssemblyPlan:
-    sites: tuple[tuple[int, int], ...]
-    diag_n: np.ndarray
-    diag_w: np.ndarray
-    hor_i: np.ndarray
-    hor_j: np.ndarray
-    ver_i: np.ndarray
-    ver_j: np.ndarray
-    ver_n: np.ndarray
-    ver_x: np.ndarray
-    ver_off: np.ndarray
-
-    def block(self, start: int, end: int) -> "AssemblyPlan":
-        """Plan of the diagonal block H[start:end, start:end] of this plan's matrix.
-
-        It keeps the entries whose row and column both fall in [start, end).
-        Bonds run from a site to a later one and are listed by ascending first
-        site, so each list is cut by two binary searches and one mask.
-        """
-        hor = slice(*np.searchsorted(self.hor_i, (start, end)))
-        ver = slice(*np.searchsorted(self.ver_i, (start, end)))
-        keep_hor = self.hor_j[hor] < end
-        keep_ver = self.ver_j[ver] < end
-        return AssemblyPlan(
-            sites=self.sites[start:end],
-            diag_n=self.diag_n[start:end],
-            diag_w=self.diag_w[start:end],
-            hor_i=self.hor_i[hor][keep_hor] - start,
-            hor_j=self.hor_j[hor][keep_hor] - start,
-            ver_i=self.ver_i[ver][keep_ver] - start,
-            ver_j=self.ver_j[ver][keep_ver] - start,
-            ver_n=self.ver_n[ver][keep_ver],
-            ver_x=self.ver_x[ver][keep_ver],
-            ver_off=self.ver_off[ver][keep_ver],
-        )
+_BOX_DOUBLES = 1 << 16  # bounding-box doubles per slice when a region fills part of its box
 
 
-@lru_cache(maxsize=256)
-def assembly_plan(region: Region, geometry: StripGeometry) -> AssemblyPlan:
-    """Index arrays for vectorized Hamiltonian assembly over a region."""
-    for site in region.sites:
-        if not geometry.contains(site):
-            raise ConfigurationError(f"site {site} outside geometry")
-    sites = region.sites
-    index = {s: i for i, s in enumerate(sites)}
-    hor, ver = [], []
-    for (n, w), i in index.items():
-        j = index.get((n + 1, w))
-        if j is not None:
-            hor.append((i, j))
-        for o in range(1, geometry.bandwidth + 1):
-            j = index.get((n, w + o))
-            if j is not None:
-                ver.append((i, j, n, w, o))
-    hor_arr = np.array(hor, dtype=np.intp).reshape(-1, 2)
-    ver_arr = np.array(ver, dtype=np.intp).reshape(-1, 5)
-    return AssemblyPlan(
-        sites=sites,
-        diag_n=np.array([s[0] - 1 for s in sites], dtype=np.intp),
-        diag_w=np.array([s[1] - 1 for s in sites], dtype=np.intp),
-        hor_i=hor_arr[:, 0],
-        hor_j=hor_arr[:, 1],
-        ver_i=ver_arr[:, 0],
-        ver_j=ver_arr[:, 1],
-        ver_n=ver_arr[:, 2] - 1,
-        ver_x=ver_arr[:, 3] - 1,
-        ver_off=ver_arr[:, 4],
-    )
+def _diagonal(a: np.ndarray, offset: int = 0) -> np.ndarray:
+    """Writable view of diagonal ``offset`` (below the main one if negative) of a C-contiguous square stack."""
+    n = a.shape[-1]
+    flat = a.reshape(a.shape[:-2] + (n * n,))
+    return flat[..., offset : (n - offset) * n : n + 1] if offset >= 0 else flat[..., -offset * n :: n + 1]
 
 
-def _vertical_values(plan: AssemblyPlan, u_law: str, u_band: np.ndarray | None) -> np.ndarray | None:
-    """Coupling values -U_n(x, x+o) for every vertical bond, batched over samples."""
-    if len(plan.ver_i) == 0:
-        return None
-    if u_law == "zero":
-        return None
-    if u_law == "adjacency":
-        return np.where(plan.ver_off == 1, -1.0, 0.0)[None, :]
-    return -u_band[:, plan.ver_n, plan.ver_off, plan.ver_x]
+def _couplings(lead: tuple, u_law: str, u_band: np.ndarray | None, cols: tuple[int, int], rows: tuple[int, int]) -> np.ndarray:
+    """U_k on columns cols[0]+1 .. cols[1], cut to rows rows[0]+1 .. rows[1]: a (*lead, n, w, w) stack.
 
-
-def _diag_u_values(plan: AssemblyPlan, u_law: str, u_band: np.ndarray | None):
+    The one reader of the band layout: ``u_band`` is (*lead, N, d+1, W) with
+    U_k(x, x+o) at ``u_band[..., k-1, o, x-1]``.  The adjacency law couples
+    neighbours inside a column by 1, the zero law not at all.
+    """
+    (c0, c1), (r0, r1) = cols, rows
+    w = r1 - r0
+    u = np.zeros(lead + (c1 - c0, w, w))
     if u_law == "random_band":
-        return u_band[:, plan.diag_n, 0, plan.diag_w]
-    return 0.0
+        band = u_band[..., c0:c1, :, r0:r1]
+        for o in range(min(band.shape[-2], w)):
+            _diagonal(u, o)[...] = band[..., o, : w - o]
+            _diagonal(u, -o)[...] = band[..., o, : w - o]
+    elif u_law == "adjacency":
+        _diagonal(u, 1)[...] = 1.0
+        _diagonal(u, -1)[...] = 1.0
+    return u
 
 
-def build_hamiltonians(
-    plan: AssemblyPlan,
+def _column_blocks(
     potentials: np.ndarray,
     u_law: str,
     u_band: np.ndarray | None,
+    energy: float,
+    cols: tuple[int, int],
+    rows: tuple[int, int] | None = None,
 ) -> np.ndarray:
-    """Assemble a stack of Hamiltonians (m, s, s) from batched disorder arrays."""
+    """S_k - E = diag(V_k) - U_k - E on columns cols[0]+1 .. cols[1] and rows rows[0]+1 .. rows[1].
+
+    ``potentials`` is (..., N, W) and ``u_band`` (..., N, d+1, W), as drawn;
+    the result is an (..., n, w, w) stack with the same leading axes.  Rows
+    default to the full width.  The entries are not checked: each caller
+    applies its own finiteness test.
+    """
+    r0, r1 = (0, potentials.shape[-1]) if rows is None else rows
+    if cols[1] > potentials.shape[-2] or r1 > potentials.shape[-1]:
+        raise ConfigurationError("sites outside the sampled extent")
+    s = _couplings(potentials.shape[:-2], u_law, u_band, cols, (r0, r1))
+    np.subtract(0.0, s, out=s)
+    diag = potentials[..., cols[0] : cols[1], r0:r1] + _diagonal(s)
+    diag -= energy
+    _diagonal(s)[...] = diag
+    return s
+
+
+def _stack_columns(blocks: np.ndarray) -> np.ndarray:
+    """Block tridiagonal H - E of consecutive columns: the blocks S_k - E on the diagonal, -I beside them."""
+    *lead, n, w, _ = blocks.shape
+    h = np.zeros((*lead, n * w, n * w))
+    np.einsum("...kikj->...kij", h.reshape(*lead, n, w, n, w))[...] = blocks
+    _diagonal(h, w)[...] = -1.0
+    _diagonal(h, -w)[...] = -1.0
+    return h
+
+
+def build_hamiltonians(
+    region: Region,
+    potentials: np.ndarray,
+    u_law: str,
+    u_band: np.ndarray | None,
+    energy: float,
+) -> np.ndarray:
+    """Stack (m, s, s) of H_region - E from batched draws, (m, N, W) potentials or one (N, W).
+
+    H is stacked from the column blocks of the region's bounding box.  Any
+    other region takes the principal submatrix on its sites, which is the
+    Dirichlet restriction.  It is cut from the boxes a slice of samples at a
+    time: a slice's boxes hold no more doubles than the output, nor than
+    _BOX_DOUBLES, so they stay in cache, and at least one sample.
+    """
     if potentials.ndim == 2:
         potentials = potentials[None]
-        if u_band is not None:
-            u_band = u_band[None]
-    m, s = potentials.shape[0], len(plan.sites)
-    h = np.zeros((m, s, s))
-    diag_idx = np.arange(s)
-    h[:, diag_idx, diag_idx] = potentials[:, plan.diag_n, plan.diag_w] - _diag_u_values(plan, u_law, u_band)
-    if len(plan.hor_i):
-        h[:, plan.hor_i, plan.hor_j] = -1.0
-        h[:, plan.hor_j, plan.hor_i] = -1.0
-    vv = _vertical_values(plan, u_law, u_band)
-    if vv is not None:
-        h[:, plan.ver_i, plan.ver_j] = vv
-        h[:, plan.ver_j, plan.ver_i] = vv
+        u_band = None if u_band is None else u_band[None]
+    n0, n1, w0, w1 = region.bounds()
+
+    def box(sel: slice) -> np.ndarray:
+        u = None if u_band is None else u_band[sel]
+        return _stack_columns(_column_blocks(potentials[sel], u_law, u, energy, (n0 - 1, n1), (w0 - 1, w1)))
+
+    if region.is_rectangle:
+        return box(slice(None))
+    height = w1 - w0 + 1
+    idx = np.array([(n - n0) * height + w - w0 for n, w in region.sites])
+    m, s, size = len(potentials), region.size, (n1 - n0 + 1) * height
+    entries = (idx[:, None] * size + idx).ravel()  # flat positions of H_region in the box
+    step = max(1, min(m * s * s, _BOX_DOUBLES) // (size * size))
+    h = np.empty((m, s, s))
+    for lo in range(0, m, step):
+        out = h[lo : lo + step].reshape(-1, s * s)
+        # the positions are in range; mode "raise" would buffer the output
+        np.take(box(slice(lo, lo + step)).reshape(len(out), -1), entries, axis=1, out=out, mode="clip")
     return h
 
 
 def assemble_hamiltonian(sample: DisorderSample, region: Region) -> HamiltonianMatrix:
     """Dirichlet restriction H_region for a single disorder sample."""
-    n_max = max(s[0] for s in region.sites)
-    if n_max > sample.potentials.shape[0]:
-        raise ConfigurationError("region exceeds the sampled extent")
-    plan = assembly_plan(region, sample.geometry)
-    h = build_hamiltonians(plan, sample.potentials, sample.u_law, sample.u_band)[0]
-    return HamiltonianMatrix(matrix=h, sites=plan.sites)
+    _, n1, _, w1 = region.bounds()
+    if n1 > sample.geometry.columns or w1 > sample.geometry.width:
+        raise ConfigurationError("region outside the geometry")
+    h = build_hamiltonians(region, sample.potentials, sample.u_law, sample.u_band, 0.0)[0]
+    return HamiltonianMatrix(matrix=h, sites=region.sites)
 
 
 def draw_chunk(

@@ -8,7 +8,10 @@ for any worker count.  Rectangles in ``sample_logdets`` go through the
 batched Schur sweep (route c) on column blocks cut straight from the draws,
 in batches of up to DEFAULT_CHUNK samples; at W = 2 that sweep is elementwise
 numpy over the batch, so a second worker speeds it up.  Every other kernel
-factors the dense stack of H_region, one chunk per batch.
+factors the dense stack of H_region - E that ``model.build_hamiltonians``
+stacks from the same column blocks, one chunk per batch;
+``sample_site_shifts`` reads the coupling row of the peeled site off its row
+of that stack.
 """
 
 from __future__ import annotations
@@ -24,12 +27,13 @@ from .model import (
     DisorderSpec,
     Region,
     StripGeometry,
-    assembly_plan,
+    _column_blocks,
+    _couplings,
+    _stack_columns,
     build_hamiltonians,
     draw_chunk,
     split_stream,
 )
-from .transfer import _column_blocks
 
 __all__ = [
     "sample_logdets",
@@ -48,10 +52,10 @@ def _effective_chunk(matrix_dim: int) -> int:
     return max(16, min(DEFAULT_CHUNK, _CHUNK_BUDGET // max(matrix_dim * matrix_dim, 1)))
 
 
-def _map_draws(batch, spec, geometry, region, n_samples: int, seed: int, workers: int, sample_doubles: int) -> list[np.ndarray]:
+def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, workers: int, sample_doubles: int) -> list[np.ndarray]:
     """Run ``batch(pot, u_band)`` over the ensemble batch by batch and join its results.
 
-    The draws are cut into chunks of ``_effective_chunk(|region|)`` samples.  A
+    The draws are cut into chunks of ``_effective_chunk(sites)`` samples.  A
     batch is a run of consecutive whole chunks of at most DEFAULT_CHUNK samples
     whose working set, at ``sample_doubles`` per sample, fits in _CHUNK_BUDGET
     doubles, and always at least one chunk.  ``batch`` returns a tuple of
@@ -59,7 +63,7 @@ def _map_draws(batch, spec, geometry, region, n_samples: int, seed: int, workers
     """
     if n_samples < 1:
         raise ConfigurationError("need at least one sample")
-    chunk = _effective_chunk(region.size)
+    chunk = _effective_chunk(sites)
     n_chunks = -(-n_samples // chunk)
     per_batch = max(1, min(DEFAULT_CHUNK, _CHUNK_BUDGET // sample_doubles) // chunk)
 
@@ -81,20 +85,11 @@ def _map_draws(batch, spec, geometry, region, n_samples: int, seed: int, workers
     return [np.concatenate(parts) for parts in zip(*results)]
 
 
-def _stack(spec, plan, pot: np.ndarray, u_band, shift: float) -> np.ndarray:
-    """Dense stack of H_region - shift for a batch of draws."""
-    h = build_hamiltonians(plan, pot, spec.u_law, u_band)
-    diag = np.arange(len(plan.sites))
-    h[:, diag, diag] -= shift
-    return h
-
-
 def _map_chunks(batch, spec, geometry, region, shift: float, n_samples: int, seed: int, workers: int) -> list[np.ndarray]:
-    """Run ``batch(h, u_band)`` on the dense stack of H_region - shift, one chunk at a time."""
-    plan = assembly_plan(region, geometry)
+    """Run ``batch(h)`` on the dense stack h of H_region - shift, one chunk at a time."""
     return _map_draws(
-        lambda pot, u_band: batch(_stack(spec, plan, pot, u_band, shift), u_band),
-        spec, geometry, region, n_samples, seed, workers, region.size**2,
+        lambda pot, u_band: batch(build_hamiltonians(region, pot, spec.u_law, u_band, shift)),
+        spec, geometry, region.size, n_samples, seed, workers, region.size**2,
     )
 
 
@@ -124,15 +119,15 @@ def sample_logdets(
     """log|det(H_region - E)| over independent realizations.
 
     A rectangle goes through the batched Schur sweep; a sample the sweep marks
-    bad, and every sample of any other region, is factored densely by slogdet.
-    Either way a sample is the same realization, so the kernel moves a value
-    only by roundoff.  Exactly singular samples are returned as -inf; the count
-    is reported so callers can exclude them explicitly.
+    bad is factored densely by slogdet, on H - E stacked from the same column
+    blocks, and so is every sample of any other region.  Either way a sample
+    is the same realization, so the kernel moves a value only by roundoff.
+    Exactly singular samples are returned as -inf; the count is reported so
+    callers can exclude them explicitly.
     """
-    plan = assembly_plan(region, geometry)
 
-    def dense(pot, u_band):
-        sign, log_abs = np.linalg.slogdet(_stack(spec, plan, pot, u_band, energy))
+    def dense(h):
+        sign, log_abs = np.linalg.slogdet(h)
         return np.where(sign == 0.0, -np.inf, log_abs)
 
     if region.is_rectangle:
@@ -145,17 +140,17 @@ def sample_logdets(
             idx = np.flatnonzero(bad)
             for lo in range(0, len(idx), chunk):  # dense stacks keep to the chunk's memory budget
                 sel = idx[lo : lo + chunk]
-                log_abs[sel] = dense(pot[sel], None if u_band is None else u_band[sel])
+                log_abs[sel] = dense(_stack_columns(blocks[sel]))
             return (log_abs,)
 
         doubles = (n1 - n0 + 1) * (w1 - w0 + 1) ** 2
     else:
 
         def batch(pot, u_band):
-            return (dense(pot, u_band),)
+            return (dense(build_hamiltonians(region, pot, spec.u_law, u_band, energy)),)
 
         doubles = region.size**2
-    out = _map_draws(batch, spec, geometry, region, n_samples, seed, workers, doubles)[0]
+    out = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, doubles)[0]
     return out, int(np.sum(np.isneginf(out)))
 
 
@@ -174,7 +169,7 @@ def sample_spectral(
     pointwise relations between them exact.
     """
 
-    def batch(h, u_band):
+    def batch(h):
         eigs = np.linalg.eigvalsh(h)
         gaps = np.abs(eigs - energy)
         with np.errstate(divide="ignore"):
@@ -203,36 +198,17 @@ def sample_site_shifts(
     if k not in region:
         raise ConfigurationError(f"site {k} not in region")
     n0, w0 = k
-    random_band = spec.u_law == "random_band"
-    if region.size == 1:
-        if not random_band:
-            return np.full(n_samples, energy), 0
+    i = region.sites.index(k)
+    rest = np.flatnonzero(np.arange(region.size) != i)
 
-        # diagonal coupling still fluctuates for the random band law
-        def batch(h, u_band):
-            return (energy + u_band[:, n0 - 1, 0, w0 - 1],)
+    def batch(pot, u_band):
+        h = build_hamiltonians(region, pot, spec.u_law, u_band, energy)
+        u_kk = _couplings(pot.shape[:1], spec.u_law, u_band, (n0 - 1, n0), (w0 - 1, w0))[:, 0, 0, 0]
+        g = h[:, i, rest]
+        return (u_kk + energy + np.sum(g * _solve(h[:, rest[:, None], rest], g), axis=1),)
 
-        return _map_chunks(batch, spec, geometry, region, energy, n_samples, seed, workers)[0], 0
-    rest = region.without_site(k)
-    sites = rest.sites
-    d = geometry.bandwidth
-    hor_pos = [j for j, (n, w) in enumerate(sites) if w == w0 and abs(n - n0) == 1]
-    ver_pos = [(j, abs(w - w0), min(w, w0)) for j, (n, w) in enumerate(sites) if n == n0 and 0 < abs(w - w0) <= d]
-
-    def batch(h, u_band):
-        m = len(h)
-        g = np.zeros((m, len(sites)))
-        if hor_pos:
-            g[:, hor_pos] = -1.0
-        for j, off, wlo in ver_pos:
-            if spec.u_law == "adjacency":
-                g[:, j] = -1.0 if off == 1 else 0.0
-            elif random_band:
-                g[:, j] = -u_band[:, n0 - 1, off, wlo - 1]
-        u_kk = u_band[:, n0 - 1, 0, w0 - 1] if random_band else np.zeros(m)
-        return (u_kk + energy + np.sum(g * _solve(h, g), axis=1),)
-
-    out = _map_chunks(batch, spec, geometry, rest, energy, n_samples, seed, workers)[0]
+    # the chunk length fixes the draws, and stays keyed to the punctured region
+    out = _map_draws(batch, spec, geometry, region.size - 1, n_samples, seed, workers, region.size**2)[0]
     return out, int(np.sum(~np.isfinite(out)))
 
 
@@ -251,7 +227,7 @@ def sample_resolvent_entries(
     sites = list(region.sites)
     ia, ib = sites.index(site_a), sites.index(site_b)
 
-    def batch(h, u_band):
+    def batch(h):
         rhs = np.zeros((len(h), len(sites)))
         rhs[:, ib] = 1.0
         return (_solve(h, rhs)[:, ia],)

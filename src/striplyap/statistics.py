@@ -280,13 +280,7 @@ def ldt_experiment(
 
 
 @dataclass(frozen=True)
-class NegTailRow:
-    k: float
-    threshold: float
-    count: int
-    fraction: float
-    sigma: float
-    bound: float
+class NegTailRow(TailRow):
     naive_threshold: float
     naive_count: int
 

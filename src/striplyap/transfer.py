@@ -3,7 +3,9 @@
 The N-step product of one-step blocks [[S_k - E, -I], [I, 0]] is carried as
 an orthogonal frame Q and accumulated log radii r, the log diagonal of the
 triangular factor: P = Q R with log diag R = r.  Both stay finite for very
-long products, so growth rates and determinant minors never overflow.
+long products, so growth rates and determinant minors never overflow.  The
+blocks S_k - E come from the model's column-block builder, as every entry of
+H does.
 Every product runs through one QR sweep, which fixes the column signs of Q
 once, at the end: negating a column of B Q leaves the next Householder Q
 unchanged and only negates the matching pivot of R, so the per-QR signs
@@ -31,7 +33,8 @@ from typing import Sequence
 import numpy as np
 
 from .model import (
-    _DOMAIN_BOOT, ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, s_matrix, sample_disorder, split_stream
+    _DOMAIN_BOOT, ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, _column_blocks, s_matrix, sample_disorder,
+    split_stream,
 )
 
 __all__ = [
@@ -89,45 +92,6 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q * signs, r * signs[:, None]
 
 
-def _column_blocks(
-    potentials: np.ndarray,
-    u_law: str,
-    u_band: np.ndarray | None,
-    energy: float,
-    cols: tuple[int, int],
-    rows: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """S_k - E on columns cols[0]+1 .. cols[1] and rows rows[0]+1 .. rows[1], checked finite.
-
-    ``potentials`` is (..., N, W) and ``u_band`` (..., N, d+1, W), laid out as
-    drawn; the result is an (..., n, w, w) stack with the same leading axes.
-    Rows default to the full width.  Same arithmetic as s_matrix(sample, k) - E I
-    cut to the rows: (diag(V_k) - U_k) - E, so the adjacency law gives the
-    adjacency block of the slice width.
-    """
-    c0, c1 = cols
-    r0, r1 = (0, potentials.shape[-1]) if rows is None else rows
-    w = r1 - r0
-    diag = np.arange(w)
-    blocks = np.zeros(potentials.shape[:-2] + (c1 - c0, w, w))
-    blocks[..., diag, diag] = potentials[..., c0:c1, r0:r1]
-    if u_law == "random_band":
-        band = u_band[..., c0:c1, :, r0:r1]
-        for o in range(min(band.shape[-2], w)):
-            x = np.arange(w - o)
-            blocks[..., x, x + o] -= band[..., o, : w - o]
-            if o:
-                blocks[..., x + o, x] -= band[..., o, : w - o]
-    elif u_law == "adjacency":
-        x = np.arange(w - 1)
-        blocks[..., x, x + 1] = -1.0
-        blocks[..., x + 1, x] = -1.0
-    blocks[..., diag, diag] -= energy
-    if not np.all(np.isfinite(blocks)):
-        raise NumericError("non-finite transfer matrix entries")
-    return blocks
-
-
 def _qr_step(m: np.ndarray, q: np.ndarray, radii: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Reorthonormalize ``m @ q``: add log|pivots| to ``radii``, multiply ``signs`` by theirs."""
     q, r = np.linalg.qr(m @ q)
@@ -169,10 +133,11 @@ def _sweep(
     record(0, radii)
     for w0 in range(0, n_steps, _WINDOW_STEPS):
         n = min(_WINDOW_STEPS, n_steps - w0)
+        blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, energy, (start + w0, start + w0 + n))
+        if not np.all(np.isfinite(blocks)):
+            raise NumericError("non-finite transfer matrix entries")
         mats = np.zeros((n, 2 * w, 2 * w))
-        mats[:, :w, :w] = _column_blocks(
-            sample.potentials, sample.u_law, sample.u_band, energy, (start + w0, start + w0 + n)
-        )
+        mats[:, :w, :w] = blocks
         mats[:, :w, w:] = -np.eye(w)
         mats[:, w:, :w] = np.eye(w)
         n_full = n - n % _BLOCK_STEPS

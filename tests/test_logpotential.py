@@ -17,7 +17,8 @@ from striplyap.logpotential import (
     split_measure,
     variance_growth_experiment,
 )
-from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, draw_chunk
+from striplyap.determinants import site_shift
+from striplyap.model import ConfigurationError, DisorderSample, DisorderSpec, Region, StripGeometry, draw_chunk
 from striplyap.sampling import sample_logdets, sample_resolvent_entries, sample_site_shifts
 from striplyap.statistics import linear_fit
 
@@ -126,13 +127,13 @@ def test_site_shift_samples_two_site_formula():
     assert np.all((mu.atoms >= lo - 1e-12) & (mu.atoms <= hi + 1e-12))
 
 
-@pytest.mark.parametrize(
-    "spec, geo, k",
-    [
-        (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), StripGeometry(2, 1, 20), (9, 2)),
-        (DisorderSpec.cauchy(1.0, u_law="random_band", coupling=0.8), StripGeometry(4, 2, 10), (5, 2)),
-    ],
-)
+PEEL_CASES = [
+    (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), StripGeometry(2, 1, 20), (9, 2)),
+    (DisorderSpec.cauchy(1.0, u_law="random_band", coupling=0.8), StripGeometry(4, 2, 10), (5, 2)),
+]
+
+
+@pytest.mark.parametrize("spec, geo, k", PEEL_CASES)
 def test_site_shift_peel_across_kernels(spec, geo, k):
     # det(H - E) = (V_k - xi) det(H without k - E) pointwise, so the kernels
     # must see the same realization for every (seed, sample index); at <= 40
@@ -146,6 +147,19 @@ def test_site_shift_peel_across_kernels(spec, geo, k):
     assert n_failed == 0
     gap = np.abs(full - rest - np.log(np.abs(pot[:, k[0] - 1, k[1] - 1] - xi)))
     assert np.max(gap) < 1e-9
+
+
+@pytest.mark.parametrize("spec, geo, k", PEEL_CASES)
+def test_sample_site_shifts_match_site_shift(spec, geo, k):
+    # the batched kernel and the one-sample call on the same draws
+    n, seed, energy = 64, 17, 0.3
+    region = Region.rectangle(1, geo.columns, 1, geo.width)
+    xi, n_failed = sample_site_shifts(spec, geo, region, k, energy, n, seed)
+    pot, u_band = draw_chunk(spec, geo, 0, n, seed)
+    assert n_failed == 0
+    for i in range(n):
+        sample = DisorderSample(geo, spec.u_law, pot[i], None if u_band is None else u_band[i])
+        assert xi[i] == pytest.approx(site_shift(sample, region, k, energy), rel=1e-12)
 
 
 def test_site_shift_tail_decay():

@@ -11,9 +11,7 @@ from striplyap.model import (
     Region,
     StripGeometry,
     assemble_hamiltonian,
-    assembly_plan,
     boundary,
-    build_hamiltonians,
     s_matrix,
     sample_disorder,
 )
@@ -133,14 +131,57 @@ def test_assembly_exactly_symmetric():
 
 
 @pytest.mark.parametrize("start, end", [(0, 40), (13, 77), (100, 169), (168, 169)])
-def test_plan_block_is_the_dense_slice(start, end):
+def test_sample_window_is_the_dense_slice(start, end):
+    # route (a) assembles each window from the column blocks it covers; (13, 77) starts mid-column
+    from striplyap.determinants import _sample_source
+
     geo = StripGeometry(4, 3, 50)
     s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law="random_band"), seed=8)
+    h = assemble_hamiltonian(s, Region.rectangle(1, 50, 1, 4)).matrix
+    rows, bandwidth, window = _sample_source(s, None)
+    assert (rows, bandwidth) == (200, 4) and np.array_equal(window(start, end), h[start:end, start:end])
+
+
+def test_holey_region_is_the_principal_submatrix():
+    geo = StripGeometry(4, 3, 50)
+    s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law="random_band"), seed=8)
+    rectangle = Region.rectangle(1, 50, 1, 4)
     holey = Region.from_sites([(n, w) for n in range(1, 51) for w in range(1, 5) if (n * w) % 9])
-    plan = assembly_plan(holey, geo)
-    h = build_hamiltonians(plan, s.potentials, s.u_law, s.u_band)[0]
-    block = build_hamiltonians(plan.block(start, end), s.potentials, s.u_law, s.u_band)[0]
-    assert len(h) == 169 and np.array_equal(block, h[start:end, start:end])
+    keep = [i for i, site in enumerate(rectangle.sites) if site in set(holey.sites)]
+    h = assemble_hamiltonian(s, rectangle).matrix
+    assert holey.size == 169 and np.array_equal(assemble_hamiltonian(s, holey).matrix, h[np.ix_(keep, keep)])
+
+
+def _entrywise_hamiltonian(sample, region):
+    """H_region from the raw draws and the bond rule, one entry at a time."""
+    d, band = sample.geometry.bandwidth, sample.u_band
+    h = np.zeros((region.size, region.size))
+    for i, (n, w) in enumerate(region.sites):
+        for j, (n2, w2) in enumerate(region.sites):
+            if (n, w) == (n2, w2):
+                h[i, j] = sample.potentials[n - 1, w - 1] - (band[n - 1, 0, w - 1] if band is not None else 0.0)
+            elif w == w2 and abs(n - n2) == 1:
+                h[i, j] = -1.0
+            elif n == n2 and 0 < abs(w - w2) <= d:
+                if sample.u_law == "adjacency":
+                    h[i, j] = -1.0 if abs(w - w2) == 1 else 0.0
+                elif sample.u_law == "random_band":
+                    h[i, j] = -band[n - 1, abs(w - w2), min(w, w2) - 1]
+    return h
+
+
+@pytest.mark.parametrize("u_law", ["zero", "adjacency", "random_band"])
+@pytest.mark.parametrize("bandwidth", [1, 2, 3])
+def test_assembly_matches_the_entrywise_oracle(u_law, bandwidth):
+    geo = StripGeometry(4, bandwidth, 7)
+    s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law=u_law, coupling=0.6), seed=10 + bandwidth)
+    regions = [
+        Region.rectangle(2, 6, 2, 4),
+        Region.rectangle(1, 7, 1, 4).without_site((4, 2)),
+        Region.from_sites([(n, w) for n in range(1, 8) for w in range(1, 5) if (n * w) % 5]),
+    ]
+    for region in regions:
+        assert np.array_equal(assemble_hamiltonian(s, region).matrix, _entrywise_hamiltonian(s, region))
 
 
 def test_assemble_rejects_out_of_extent():

@@ -1,11 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import striplyap.sampling as sampling
 from striplyap.determinants import _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
-from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, draw_chunk, sample_disorder
-from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets
-from striplyap.transfer import _column_blocks
+from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, assemble_hamiltonian, draw_chunk, sample_disorder
+from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets, sample_spectral
 
 UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
@@ -17,7 +18,7 @@ LAWS = (UNIFORM, DisorderSpec.uniform(-1.5, 1.5), BAND)
 def _dense_logdets(spec, geometry, region, energy, n, seed):
     """Dense slogdet of H_region - E on the same draws as sample_logdets."""
 
-    def batch(h, u_band):
+    def batch(h):
         sign, log_abs = np.linalg.slogdet(h)
         return (np.where(sign == 0.0, -np.inf, log_abs),)
 
@@ -160,14 +161,39 @@ def test_dense_recompute_keeps_to_the_chunk_budget(monkeypatch):
     region = Region.rectangle(1, 33, 1, 2)
     chunk = _effective_chunk(region.size)
     sizes = []
-    build = sampling.build_hamiltonians
+    stack = sampling._stack_columns
 
-    def recording(plan, pot, u_law, u_band):
-        sizes.append(len(pot))
-        return build(plan, pot, u_law, u_band)
+    def recording(blocks):
+        sizes.append(len(blocks))
+        return stack(blocks)
 
-    monkeypatch.setattr(sampling, "build_hamiltonians", recording)
+    monkeypatch.setattr(sampling, "_stack_columns", recording)
     got, n_singular = sample_logdets(DisorderSpec.point(0.0), geo, region, 0.0, 3000, seed=3)
     assert 2 * chunk <= DEFAULT_CHUNK and chunk < 3000
     assert sizes and max(sizes) <= chunk and sum(sizes) == 3000
     assert np.all(np.isneginf(got)) and n_singular == 3000
+
+
+@pytest.mark.parametrize("region", [Region.rectangle(1, 5, 1, 2), Region.rectangle(1, 4, 2, 3), Region.from_sites([(1, 1), (5, 2)])])
+def test_samplers_reject_sites_outside_the_geometry(region):
+    geo = StripGeometry(2, 1, 4)
+    with pytest.raises(ConfigurationError):
+        sample_logdets(UNIFORM, geo, region, 0.0, 8, seed=1)
+    with pytest.raises(ConfigurationError):
+        sample_spectral(UNIFORM, geo, region, 0.0, 8, seed=1)
+
+
+def test_sparse_region_assembles_in_small_slices():
+    # two sites 299 columns apart: the bounding box of one sample is 300 x 300,
+    # 46 MB over 64 samples if the boxes were built all at once
+    geo = StripGeometry(2, 1, 300)
+    region = Region.from_sites([(1, 1), (300, 1)])
+    tracemalloc.start()
+    try:
+        got = sample_spectral(UNIFORM, geo, region, 0.0, 64, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    pot, _ = draw_chunk(UNIFORM, geo, 0, 64, 3)  # no bond joins the two sites: H = diag(V_1, V_300)
+    assert np.allclose(got["log_abs"], np.log(np.abs(pot[:, 0, 0])) + np.log(np.abs(pot[:, 299, 0])), rtol=1e-12, atol=0)
