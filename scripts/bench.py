@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stabilized transfer products, the log-determinant sampler, route (a) or dense assembly.
+"""Time the stabilized transfer products, the log-determinant sampler, route (a), dense assembly or the verify suites.
 
 Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
@@ -29,12 +29,19 @@ plus `logdet_direct` on the Cauchy 2000 x 2 `routes` strip given as the
 sample, whose windows are assembled one at a time.  Unit: samples (the
 route-(a) case counts its one sample).
 
+Suite ``verify``: the three suites of `striplyap verify all --trials 50`
+at seed 1, with the trial budgets `verify_all` gives them (`verify_wedge`
+25, `verify_interlacing` 1000 and `verify_determinants` 50 trials), plus
+`frame_det_gap` on the first 100 strips of criterion 02 (W = 1 + t mod 3,
+2-16 columns, uniform [-2, 2] and Cauchy adjacency laws in turn), drawn
+outside the timer.  Unit: trials (one strip per `frame_det_gap` trial).
+
 Each case runs three times in this process with one BLAS thread, then once
 more under `tracemalloc`; the file records every timed run, the median in
 seconds and in microseconds per unit, the traced peak in MB, and the host (nproc, CPU model, numpy and BLAS versions, git revision, with
 -dirty for uncommitted changes).
 
-Run from the repository root:  python3 scripts/bench.py {assemble,cocycle,direct,logdets} [--out PATH]
+Run from the repository root:  python3 scripts/bench.py {assemble,cocycle,direct,logdets,verify} [--out PATH]
 The default output is BENCH_<suite>.json in the repository root.
 """
 
@@ -60,9 +67,11 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from striplyap.determinants import logdet_direct, logdet_via_transfer
-from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder
+from striplyap.exterior import frame_det_gap
+from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder, split_stream
 from striplyap.sampling import sample_logdets
 from striplyap.transfer import lyapunov_spectrum
+from striplyap.verify import verify_determinants, verify_interlacing, verify_wedge
 
 REPEATS = 3
 UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
@@ -121,6 +130,29 @@ def route_a_case():
     return name, 1, run
 
 
+def verify_case(suite, trials):
+    def run():
+        suite(seed=1, trials=trials)
+
+    return f"{suite.__name__} seed=1 trials={trials}", trials, run
+
+
+def frame_gap_case(n_strips):
+    # criterion 02's strips: its stream, widths, column counts, energies, laws and seeds
+    rng = split_stream(102, 0)
+    laws = (DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency"), CAUCHY)
+    strips = []
+    for t in range(n_strips):
+        width, columns, energy = 1 + t % 3, int(rng.integers(2, 17)), float(rng.uniform(-1.5, 1.5))
+        strips.append((sample_disorder(StripGeometry(width, 1, columns), laws[t % 2], seed=2000 + t), energy, columns))
+
+    def run():
+        for sample, energy, columns in strips:
+            frame_det_gap(sample, energy, columns)
+
+    return f"frame_det_gap criterion-02 strips n={n_strips}", n_strips, run
+
+
 DIRECT_STRIPS = [
     ("cauchy", CAUCHY, 2, 1, 2000, 0.5),
     ("random_band d=2", BAND, 4, 2, 500, 0.5),
@@ -151,6 +183,12 @@ SUITES = {
         logdets_case("cauchy", CAUCHY, 32, 0.5, 16_384),
         logdets_case("resonant", RESONANT, 17, 0.0, 16_384),
         logdets_case("random_band d=2", BAND, 32, 0.3, 16_384, width=4, bandwidth=2),
+    ],
+    "verify": lambda: [
+        verify_case(verify_wedge, 25),
+        verify_case(verify_interlacing, 1000),
+        verify_case(verify_determinants, 50),
+        frame_gap_case(100),
     ],
 }
 
@@ -195,7 +233,7 @@ def main() -> int:
     parser.add_argument("suite", choices=sorted(SUITES))
     parser.add_argument("--out", help="output path (default BENCH_<suite>.json in the repository root)")
     args = parser.parse_args()
-    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples"}[args.suite]
+    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples", "verify": "trials"}[args.suite]
     results = []
     for name, units, run in SUITES[args.suite]():
         seconds = []

@@ -13,7 +13,6 @@ from .model import (
     ConfigurationError,
     DisorderSample,
     DisorderSpec,
-    HamiltonianMatrix,
     Region,
     StripGeometry,
     assemble_hamiltonian,
@@ -37,7 +36,6 @@ __all__ = [
     "ConfigurationError",
     "DisorderSample",
     "DisorderSpec",
-    "HamiltonianMatrix",
     "Region",
     "StripGeometry",
     "assemble_hamiltonian",

@@ -26,15 +26,7 @@ from functools import reduce
 import numpy as np
 from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
-from .model import (
-    ConfigurationError,
-    DisorderSample,
-    HamiltonianMatrix,
-    Region,
-    _column_blocks,
-    _stack_columns,
-    assemble_hamiltonian,
-)
+from .model import ConfigurationError, DisorderSample, Region, _column_blocks, _stack_columns, assemble_hamiltonian
 from .transfer import NumericError, accumulate
 
 __all__ = [
@@ -201,12 +193,12 @@ def _symmetric_bandwidth(h: np.ndarray) -> int | None:
     return max(1, b)
 
 
-def _matrix_source(hamiltonian: HamiltonianMatrix | np.ndarray):
+def _matrix_source(hamiltonian: np.ndarray):
     """(rows, bandwidth, window source) of a dense matrix, after its input checks.
 
     The source hands out copies, which the factorization may shift in place.
     """
-    h = np.asarray(hamiltonian.matrix if isinstance(hamiltonian, HamiltonianMatrix) else hamiltonian, dtype=float)
+    h = np.asarray(hamiltonian, dtype=float)
     if not np.all(np.isfinite(h)):
         raise ValueError("Hamiltonian has non-finite entries")
     b = _symmetric_bandwidth(h) if h.shape[0] == h.shape[1] else None
@@ -247,16 +239,16 @@ def _sample_source(sample: DisorderSample, n_steps: int | None):
 
 
 def logdet_direct(
-    hamiltonian: HamiltonianMatrix | np.ndarray | DisorderSample,
+    hamiltonian: np.ndarray | DisorderSample,
     energy: float,
     with_condition: bool = False,
     n_steps: int | None = None,
 ):
     """SignedLogDet of H - E through a symmetric-indefinite factorization.
 
-    H is a symmetric matrix (plain or a ``HamiltonianMatrix``), or a
-    ``DisorderSample`` standing for H on the rectangle [1, n_steps] x [1, W]
-    (the whole sampled extent by default), as in ``logdet_via_transfer``.
+    H is a symmetric matrix, or a ``DisorderSample`` standing for H on the
+    rectangle [1, n_steps] x [1, W] (the whole sampled extent by default),
+    as in ``logdet_via_transfer``.
     A matrix is checked for finite entries and exact symmetry.  A sample of
     two or more columns is never assembled whole: each window of the band is
     stacked from the column blocks it covers, the blocks the dense matrix is
@@ -429,12 +421,12 @@ def site_shift(
     if region.size == 1:
         return u_kk + energy
     h = assemble_hamiltonian(sample, region)
-    i = h.index(k)
+    i = region.sites.index(k)
     rest = np.arange(region.size) != i
-    shifted = h.matrix[np.ix_(rest, rest)] - energy * np.eye(region.size - 1)
+    shifted = h[np.ix_(rest, rest)] - energy * np.eye(region.size - 1)
     cond = float(np.linalg.cond(shifted))
     if not np.isfinite(cond) or cond > 1e14:
         raise NearSingularError("punctured Hamiltonian nearly singular at this energy", cond)
-    gamma = h.matrix[i, rest]
+    gamma = h[i, rest]
     x = np.linalg.solve(shifted, gamma)
     return u_kk + energy + float(gamma @ x)

@@ -8,6 +8,10 @@ C(2W, W)-square matrix of minors of T has condition number (s_1 ... s_W)^2
 in the singular values of T, which no column rescaling removes, while
 Lambda^W T = Lambda^W Q . Lambda^W R with Lambda^W Q orthogonal and
 Lambda^W R triangular in lexicographic order.
+
+Frames are plain 2W x W arrays whose columns span a decomposable wedge
+vector, and a boundary-modified operator H_N(u, v) is the plain H_N array of
+the strip with its two corner blocks changed.
 """
 
 from __future__ import annotations
@@ -18,20 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .determinants import SignedLogDet, logdet_direct, signed_logdet
-from .model import ConfigurationError, DisorderSample, Region, assemble_hamiltonian
+from .determinants import SignedLogDet, _rectangle_steps, logdet_direct, signed_logdet
+from .model import ConfigurationError, DisorderSample, _column_blocks, _stack_columns
 from .transfer import CocycleAccumulator, accumulate, shadow_product
 
 __all__ = [
     "WedgeIndex",
-    "WedgeFrame",
     "wedge_indices",
     "canonical_frame",
     "expand_standard",
     "wedge_inner",
     "wedge_coordinates",
     "minor",
-    "BoundaryOperator",
     "boundary_operator",
     "boundary_logdet",
     "boundary_identity_check",
@@ -70,28 +72,6 @@ def wedge_indices(width: int) -> list[WedgeIndex]:
     return [WedgeIndex(c, width) for c in itertools.combinations(range(1, 2 * width + 1), width)]
 
 
-@dataclass(frozen=True)
-class WedgeFrame:
-    """Decomposable wedge vector stored as a 2W x W column matrix."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def width(self) -> int:
-        return self.matrix.shape[1]
-
-    @property
-    def top(self) -> np.ndarray:
-        return self.matrix[: self.width]
-
-    @property
-    def bottom(self) -> np.ndarray:
-        return self.matrix[self.width :]
-
-
 def _pairing(alpha: WedgeIndex) -> dict[int, int]:
     """Order-preserving bijection from [1, W] minus alpha onto alpha above W."""
     w = alpha.width
@@ -100,11 +80,12 @@ def _pairing(alpha: WedgeIndex) -> dict[int, int]:
     return dict(zip(lower_missing, upper_present))
 
 
-def canonical_frame(alpha: WedgeIndex) -> WedgeFrame:
-    """Basis frame with identity top block and a contraction as bottom block.
+def canonical_frame(alpha: WedgeIndex) -> np.ndarray:
+    """Basis frame, a read-only 2W x W array: identity top block, a contraction as bottom block.
 
     Column i is e_i when i is in alpha, and e_i + e_{phi(i)} otherwise, with
-    phi the order-preserving pairing into the upper half of alpha.
+    phi the order-preserving pairing into the upper half of alpha.  A frame
+    stands for the decomposable wedge vector of its columns.
     """
     w = alpha.width
     phi = _pairing(alpha)
@@ -113,7 +94,8 @@ def canonical_frame(alpha: WedgeIndex) -> WedgeFrame:
         m[i - 1, i - 1] = 1.0
         if i not in alpha.elements:
             m[phi[i] - 1, i - 1] = 1.0
-    return WedgeFrame(matrix=m)
+    m.setflags(write=False)
+    return m
 
 
 def _sort_parity(seq) -> int:
@@ -154,14 +136,12 @@ def expand_standard(alpha: WedgeIndex) -> dict[WedgeIndex, int]:
 
 def wedge_inner(u, v) -> float:
     """Inner product of decomposable wedge vectors, det([u]^t [v])."""
-    mu = u.matrix if isinstance(u, WedgeFrame) else np.asarray(u, dtype=float)
-    mv = v.matrix if isinstance(v, WedgeFrame) else np.asarray(v, dtype=float)
-    return float(np.linalg.det(mu.T @ mv))
+    return float(np.linalg.det(np.asarray(u, dtype=float).T @ np.asarray(v, dtype=float)))
 
 
 def wedge_coordinates(frame, width: int) -> np.ndarray:
     """Coordinates of a decomposable vector in the standard wedge basis."""
-    m = frame.matrix if isinstance(frame, WedgeFrame) else np.asarray(frame, dtype=float)
+    m = np.asarray(frame, dtype=float)
     return np.array([np.linalg.det(m[idx.zero_based(), :]) for idx in wedge_indices(width)])
 
 
@@ -178,62 +158,50 @@ def minor(beta: WedgeIndex, alpha: WedgeIndex, transfer) -> SignedLogDet:
     return signed_logdet(t[np.ix_(beta.zero_based(), alpha.zero_based())])
 
 
-@dataclass(frozen=True)
-class BoundaryOperator:
-    """H_N with the first and last column blocks modified by frame data."""
-
-    matrix: np.ndarray
-    is_symmetric: bool
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
+def _strip_hamiltonian(sample: DisorderSample, n_steps: int) -> np.ndarray:
+    """H_N on [1, n_steps] x [1, W], stacked from its column blocks."""
+    n = _rectangle_steps(sample, n_steps)
+    return _stack_columns(_column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.0, (0, n)))
 
 
-def boundary_operator(
-    sample: DisorderSample,
-    u: WedgeFrame,
-    v: WedgeFrame,
-    n_steps: int,
-) -> BoundaryOperator:
-    """Operator whose spectrum encodes the boundary conditions carried by (u, v).
+def _add_corners(h: np.ndarray, u: np.ndarray, v: np.ndarray, w: int) -> np.ndarray:
+    """Turn H_N into H_N(u, v) in place, as ``boundary_operator`` describes, and return it."""
+    h[:w, :w] -= u[w:] @ np.linalg.inv(u[:w])
+    h[-w:, -w:] += (v[w:] @ np.linalg.inv(v[:w])).T
+    return h
+
+
+def boundary_operator(sample: DisorderSample, u, v, n_steps: int) -> np.ndarray:
+    """Operator whose spectrum encodes the boundary conditions carried by frames (u, v).
 
     The first diagonal block becomes S_1 - B_u A_u^{-1} and the last becomes
-    S_N + (B_v A_v^{-1})^t; everything else matches the Dirichlet restriction.
+    S_N + (B_v A_v^{-1})^t, with A the top and B the bottom W x W block of a
+    2W x W frame; everything else matches the Dirichlet restriction to
+    [1, n_steps] x [1, W].  The result is a read-only array.
     """
+    h = _strip_hamiltonian(sample, n_steps)
     w = sample.geometry.width
-    if n_steps < 1 or n_steps > sample.potentials.shape[0]:
-        raise ConfigurationError("n_steps outside the sampled extent")
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
     for name, frame in (("u", u), ("v", v)):
-        if abs(np.linalg.det(frame.top)) < 1e-12:
+        if abs(np.linalg.det(frame[:w])) < 1e-12:
             raise ConfigurationError(f"top block of frame {name} is singular")
-    region = Region.rectangle(1, n_steps, 1, w)
-    h = assemble_hamiltonian(sample, region).matrix.copy()
-    corr_u = u.bottom @ np.linalg.inv(u.top)
-    corr_v = v.bottom @ np.linalg.inv(v.top)
-    h[:w, :w] -= corr_u
-    h[-w:, -w:] += corr_v.T
-    sym = bool(np.allclose(h, h.T, rtol=0.0, atol=1e-12))
-    return BoundaryOperator(matrix=h, is_symmetric=sym)
+    _add_corners(h, u, v, w)
+    h.setflags(write=False)
+    return h
 
 
-def boundary_logdet(
-    sample: DisorderSample,
-    u: WedgeFrame,
-    v: WedgeFrame,
-    n_steps: int,
-    energy: float,
-) -> SignedLogDet:
+def boundary_logdet(sample: DisorderSample, u, v, n_steps: int, energy: float) -> SignedLogDet:
     """SignedLogDet of the boundary-modified operator at energy E."""
-    op = boundary_operator(sample, u, v, n_steps)
-    return signed_logdet(op.matrix - energy * np.eye(op.matrix.shape[0]))
+    h = boundary_operator(sample, u, v, n_steps)
+    return signed_logdet(h - energy * np.eye(len(h)))
 
 
 def boundary_identity_check(
     sample: DisorderSample,
     energy: float,
     n_steps: int,
-    u: WedgeFrame,
-    v: WedgeFrame,
+    u,
+    v,
 ) -> tuple[SignedLogDet, SignedLogDet]:
     """Both sides of det(A_u A_v) det(H_N(u,v) - E) = det([v]^t T_N [u]).
 
@@ -241,9 +209,11 @@ def boundary_identity_check(
     applied to [u], then contracts with [v]; the left side goes through the
     boundary-modified operator.  The two sides must agree.
     """
-    lhs = signed_logdet(u.top) * signed_logdet(v.top) * boundary_logdet(sample, u, v, n_steps, energy)
-    sh = shadow_product(sample, energy, n_steps, u.matrix)
-    rhs = signed_logdet(v.matrix.T @ sh.frame) * SignedLogDet(1, float(np.sum(sh.log_radii)))
+    w = sample.geometry.width
+    u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+    lhs = signed_logdet(u[:w]) * signed_logdet(v[:w]) * boundary_logdet(sample, u, v, n_steps, energy)
+    sh = shadow_product(sample, energy, n_steps, u)
+    rhs = signed_logdet(v.T @ sh.frame) * SignedLogDet(1, float(np.sum(sh.log_radii)))
     return lhs, rhs
 
 
@@ -272,18 +242,20 @@ def frame_det_gap(sample: DisorderSample, energy: float, n_steps: int) -> float:
     """Max over canonical frame pairs of log|det(u,v)-modified| - log|Dirichlet|.
 
     Enumerates all pairs of canonical frames (identity top blocks), so it is
-    restricted to small widths.
+    restricted to small widths.  H_N is stacked once; each pair changes the
+    two corner blocks of a copy.
     """
     w = sample.geometry.width
     if w > 4:
         raise ConfigurationError("frame pair enumeration restricted to width <= 4")
-    region = Region.rectangle(1, n_steps, 1, w)
-    base = logdet_direct(assemble_hamiltonian(sample, region), energy)
+    h = _strip_hamiltonian(sample, n_steps)
+    base = logdet_direct(h, energy)
+    shift = energy * np.eye(len(h))
     frames = [canonical_frame(a) for a in wedge_indices(w)]
     gap = -math.inf
     for fu in frames:
         for fv in frames:
-            val = boundary_logdet(sample, fu, fv, n_steps, energy)
+            val = signed_logdet(_add_corners(h.copy(), fu, fv, w) - shift)
             if val.sign == 0:
                 continue
             gap = max(gap, val.log_abs - base.log_abs)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -27,7 +28,6 @@ __all__ = [
     "Region",
     "DisorderSpec",
     "DisorderSample",
-    "HamiltonianMatrix",
     "split_stream",
     "sample_disorder",
     "s_matrix",
@@ -89,20 +89,11 @@ class StripGeometry:
         return 1 <= n <= self.columns and 1 <= w <= self.width
 
 
-def _detect_rectangle(sites: tuple[tuple[int, int], ...]) -> bool:
-    ns = sorted({s[0] for s in sites})
-    ws = sorted({s[1] for s in sites})
-    if ns != list(range(ns[0], ns[-1] + 1)) or ws != list(range(ws[0], ws[-1] + 1)):
-        return False
-    return len(sites) == len(ns) * len(ws)
-
-
 @dataclass(frozen=True)
 class Region:
-    """A finite set of strip sites, with a fast path for full rectangles."""
+    """A finite set of strip sites, sorted, with a fast path for full rectangles."""
 
     sites: tuple[tuple[int, int], ...]
-    is_rectangle: bool
 
     def __post_init__(self):
         if not self.sites:
@@ -112,20 +103,22 @@ class Region:
         for n, w in self.sites:
             if n < 1 or w < 1:
                 raise ConfigurationError(f"site {(n, w)} outside the lattice")
-        if self.is_rectangle != _detect_rectangle(self.sites):
-            raise ConfigurationError("rectangle flag inconsistent with the site set")
 
     @classmethod
     def rectangle(cls, n0: int, n1: int, w0: int, w1: int) -> "Region":
         if n1 < n0 or w1 < w0:
             raise ConfigurationError("empty rectangle")
-        sites = tuple((n, w) for n in range(n0, n1 + 1) for w in range(w0, w1 + 1))
-        return cls(sites=tuple(sorted(sites)), is_rectangle=True)
+        return cls(sites=tuple((n, w) for n in range(n0, n1 + 1) for w in range(w0, w1 + 1)))
 
     @classmethod
     def from_sites(cls, sites: Iterable[tuple[int, int]]) -> "Region":
-        ordered = tuple(sorted({(int(n), int(w)) for n, w in sites}))
-        return cls(sites=ordered, is_rectangle=_detect_rectangle(ordered) if ordered else False)
+        return cls(sites=tuple(sorted({(int(n), int(w)) for n, w in sites})))
+
+    @cached_property
+    def is_rectangle(self) -> bool:
+        """Whether the sites fill their bounding box."""
+        n0, n1, w0, w1 = self.bounds()
+        return self.size == (n1 - n0 + 1) * (w1 - w0 + 1)
 
     @property
     def size(self) -> int:
@@ -360,24 +353,6 @@ def boundary(region: Region, subregion: Region, geometry: StripGeometry) -> froz
     return frozenset(out)
 
 
-@dataclass(frozen=True)
-class HamiltonianMatrix:
-    """Dense symmetric restriction of the operator to a region (Dirichlet)."""
-
-    matrix: np.ndarray
-    sites: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        self.matrix.setflags(write=False)
-
-    @property
-    def size(self) -> int:
-        return len(self.sites)
-
-    def index(self, site: tuple[int, int]) -> int:
-        return self.sites.index(site)
-
-
 _BOX_DOUBLES = 1 << 16  # bounding-box doubles per slice when a region fills part of its box
 
 
@@ -484,13 +459,18 @@ def build_hamiltonians(
     return h
 
 
-def assemble_hamiltonian(sample: DisorderSample, region: Region) -> HamiltonianMatrix:
-    """Dirichlet restriction H_region for a single disorder sample."""
+def assemble_hamiltonian(sample: DisorderSample, region: Region) -> np.ndarray:
+    """Dirichlet restriction H_region of a single disorder sample, read-only, rows in ``region.sites`` order.
+
+    The H of a subregion is the principal submatrix of this one on its sites,
+    so callers cut sub-regions from one H instead of assembling them again.
+    """
     _, n1, _, w1 = region.bounds()
     if n1 > sample.geometry.columns or w1 > sample.geometry.width:
         raise ConfigurationError("region outside the geometry")
     h = build_hamiltonians(region, sample.potentials, sample.u_law, sample.u_band, 0.0)[0]
-    return HamiltonianMatrix(matrix=h, sites=region.sites)
+    h.setflags(write=False)
+    return h
 
 
 def draw_chunk(

@@ -184,15 +184,20 @@ def partition_boundary(
     return frozenset(out)
 
 
-def _check_partition(region: Region, partition: list[Region]) -> None:
-    seen: set = set()
-    for part in partition:
-        overlap = seen & set(part.sites)
+def _cell_labels(region: Region, partition: list[Region]) -> np.ndarray:
+    """Index of the cell holding each site of the region, in ``region.sites`` order.
+
+    Raises unless the cells partition the region: no overlaps, full cover.
+    """
+    cell_of: dict = {}
+    for c, part in enumerate(partition):
+        overlap = cell_of.keys() & set(part.sites)
         if overlap:
             raise ConfigurationError(f"partition overlaps at {sorted(overlap)[:3]}")
-        seen |= set(part.sites)
-    if seen != set(region.sites):
+        cell_of.update(dict.fromkeys(part.sites, c))
+    if cell_of.keys() != set(region.sites):
         raise ConfigurationError("partition does not cover the region")
+    return np.array([cell_of[s] for s in region.sites])
 
 
 def partition_defect(
@@ -205,17 +210,17 @@ def partition_defect(
 
     defect = |log|det(H - E)| - sum of the per-cell values|; the bound is
     4 |union of cell boundaries| max(log+(|E| + ||H||), log-(dist to the joint
-    spectrum of the region and all cells)).
+    spectrum of the region and all cells)).  H is assembled once; each cell's
+    operator is its principal submatrix on the cell's sites, the Dirichlet
+    restriction.
     """
-    _check_partition(region, partition)
+    labels = _cell_labels(region, partition)
     h = assemble_hamiltonian(sample, region)
+    cells = [h[np.ix_(labels == c, labels == c)] for c in range(len(partition))]
     full = logdet_direct(h, energy)
-    parts = [logdet_direct(assemble_hamiltonian(sample, part), energy) for part in partition]
-    defect = abs(full.log_abs - sum(p.log_abs for p in parts))
+    defect = abs(full.log_abs - sum(logdet_direct(hc, energy).log_abs for hc in cells))
     bnd_sites = partition_boundary(region, partition, sample.geometry)
-    spectra = [np.linalg.eigvalsh(h.matrix)]
-    spectra += [np.linalg.eigvalsh(assemble_hamiltonian(sample, part).matrix) for part in partition]
-    dist = float(min(np.min(np.abs(s - energy)) for s in spectra))
-    norm_term = log_plus(abs(energy) + float(np.linalg.norm(h.matrix, 2)))
+    dist = float(min(np.min(np.abs(np.linalg.eigvalsh(m) - energy)) for m in [h, *cells]))
+    norm_term = log_plus(abs(energy) + float(np.linalg.norm(h, 2)))
     bound = 4.0 * len(bnd_sites) * max(norm_term, log_minus(dist))
     return float(defect), float(bound)

@@ -224,11 +224,13 @@ def sample_resolvent_entries(
     workers: int = 1,
 ) -> np.ndarray:
     """Samples of the resolvent entry (H_region - E)^-1(a, b) over the ensemble."""
-    sites = list(region.sites)
-    ia, ib = sites.index(site_a), sites.index(site_b)
+    for site in (site_a, site_b):
+        if site not in region:
+            raise ConfigurationError(f"site {site} not in region")
+    ia, ib = region.sites.index(site_a), region.sites.index(site_b)
 
     def batch(h):
-        rhs = np.zeros((len(h), len(sites)))
+        rhs = np.zeros((len(h), region.size))
         rhs[:, ib] = 1.0
         return (_solve(h, rhs)[:, ia],)
 

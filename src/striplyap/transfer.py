@@ -62,13 +62,16 @@ class NumericError(ArithmeticError):
 
 
 def one_step(s_block: np.ndarray, energy: float) -> np.ndarray:
-    """One-step transfer matrix [[S - E, -I], [I, 0]], unit determinant."""
+    """One-step transfer matrices [[S - E, -I], [I, 0]], unit determinant.
+
+    ``s_block`` is one W x W block S or a (..., W, W) stack of them.
+    """
     s_block = np.asarray(s_block, dtype=float)
-    w = s_block.shape[0]
-    t = np.zeros((2 * w, 2 * w))
-    t[:w, :w] = s_block - energy * np.eye(w)
-    t[:w, w:] = -np.eye(w)
-    t[w:, :w] = np.eye(w)
+    w = s_block.shape[-1]
+    t = np.zeros(s_block.shape[:-2] + (2 * w, 2 * w))
+    t[..., :w, :w] = s_block - energy * np.eye(w)
+    t[..., :w, w:] = -np.eye(w)
+    t[..., w:, :w] = np.eye(w)
     return t
 
 
@@ -118,7 +121,6 @@ def _sweep(
     Returns the sign-fixed frame, ``log_radii`` plus the accumulated log
     pivots, and the radii after each of the distinct step counts in ``edges``.
     """
-    w = sample.geometry.width
     q = frame
     radii = np.array(log_radii, dtype=float)
     signs = np.ones(frame.shape[1])
@@ -136,10 +138,7 @@ def _sweep(
         blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, energy, (start + w0, start + w0 + n))
         if not np.all(np.isfinite(blocks)):
             raise NumericError("non-finite transfer matrix entries")
-        mats = np.zeros((n, 2 * w, 2 * w))
-        mats[:, :w, :w] = blocks
-        mats[:, :w, w:] = -np.eye(w)
-        mats[:, w:, :w] = np.eye(w)
+        mats = one_step(blocks, 0.0)  # the blocks are S_k - E already
         n_full = n - n % _BLOCK_STEPS
         prods, span = mats[:n_full], 1
         while span < _BLOCK_STEPS:

@@ -121,8 +121,8 @@ def test_criterion_04_canonical_frame_structure():
         idxs = wedge_indices(width)
         for alpha in idxs:
             frame = canonical_frame(alpha)
-            assert np.array_equal(frame.top, np.eye(width))
-            assert np.linalg.norm(frame.bottom, 2) <= 1.0
+            assert np.array_equal(frame[:width], np.eye(width))
+            assert np.linalg.norm(frame[width:], 2) <= 1.0
             coeffs = expand_standard(alpha)
             assert all(c in (-1, 0, 1) for c in coeffs.values())
             recon = np.zeros(len(idxs))
@@ -162,13 +162,12 @@ def test_criterion_06_partition_defect():
         energy = float(rng.uniform(-1.0, 1.0))
         defect, bound = partition_defect(sample, region, cells, energy)
         assert defect <= bound + 1e-8
-        h_full = assemble_hamiltonian(sample, region).matrix
+        h_full = assemble_hamiltonian(sample, region)
         h_split = np.zeros_like(h_full)
         pos = {s: i for i, s in enumerate(region.sites)}
         for cell in cells:
-            hc = assemble_hamiltonian(sample, cell)
-            ids = [pos[s] for s in hc.sites]
-            h_split[np.ix_(ids, ids)] = hc.matrix
+            ids = [pos[s] for s in cell.sites]
+            h_split[np.ix_(ids, ids)] = assemble_hamiltonian(sample, cell)
         assert numerical_rank(h_full - h_split) <= len(partition_boundary(region, cells, geo))
     _report(6, "partition defect within bound and rank within boundary on 10^3 configs")
 

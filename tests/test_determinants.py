@@ -120,7 +120,7 @@ class TestDirect:
     def test_rejects_asymmetric_entry_of_a_banded_matrix(self, row, col):
         spec = DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0)
         sample = sample_disorder(StripGeometry(4, 2, 30), spec, seed=8)
-        h = assemble_hamiltonian(sample, Region.rectangle(1, 30, 1, 4)).matrix.copy()
+        h = assemble_hamiltonian(sample, Region.rectangle(1, 30, 1, 4)).copy()
         rows, cols = np.nonzero(h)
         assert np.max(cols - rows) == 4  # sites in column order: the band reaches the next column
         logdet_direct(h, 0.5)
@@ -186,7 +186,7 @@ def _strip(spec, width, bandwidth, columns, seed):
 
 def _dense(sample, n_steps=None):
     n = sample.potentials.shape[0] if n_steps is None else n_steps
-    return assemble_hamiltonian(sample, Region.rectangle(1, n, 1, sample.geometry.width)).matrix
+    return assemble_hamiltonian(sample, Region.rectangle(1, n, 1, sample.geometry.width))
 
 
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
@@ -300,7 +300,7 @@ class TestWindowedDirect:
             cases += [(h, 0.5 * (lo + hi)) for lo, hi in zip(eigs, eigs[1:])]
         sample = sample_disorder(StripGeometry(4, 2, 64), DisorderSpec.uniform(-1.5, 1.5, u_law="random_band"), seed=4)
         holey = Region.from_sites([(n, w) for n in range(1, 65) for w in range(1, 5) if (n + w) % 7])
-        cases.append((assemble_hamiltonian(sample, holey).matrix, 0.25))
+        cases.append((assemble_hamiltonian(sample, holey), 0.25))
         assert max(len(h) for h, _ in cases[:200]) == 192 and len(cases[-1][0]) == 220 <= determinants._WINDOW
         for h, energy in cases:
             got, cond = logdet_direct(h, energy, with_condition=True)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from striplyap.determinants import logdet_direct, logdet_via_transfer
 from striplyap.exterior import (
-    WedgeFrame,
     WedgeIndex,
     boundary_identity_check,
     boundary_logdet,
@@ -55,25 +54,25 @@ def test_wedge_index_validation():
 
 def test_canonical_frame_w1():
     f1 = canonical_frame(WedgeIndex.of([1], 1))
-    assert np.array_equal(f1.matrix, np.array([[1.0], [0.0]]))
+    assert np.array_equal(f1, np.array([[1.0], [0.0]])) and not f1.flags.writeable
     f2 = canonical_frame(WedgeIndex.of([2], 1))
-    assert np.array_equal(f2.matrix, np.array([[1.0], [1.0]]))
+    assert np.array_equal(f2, np.array([[1.0], [1.0]]))
 
 
 def test_canonical_frame_w2_mixed():
     f = canonical_frame(WedgeIndex.of([1, 3], 2))
-    assert np.array_equal(f.top, np.eye(2))
+    assert np.array_equal(f[:2], np.eye(2))
     expected_bottom = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.array_equal(f.bottom, expected_bottom)
-    assert np.linalg.norm(f.bottom, 2) == pytest.approx(1.0)
+    assert np.array_equal(f[2:], expected_bottom)
+    assert np.linalg.norm(f[2:], 2) == pytest.approx(1.0)
 
 
 def test_canonical_frame_structure_all_indices():
     for w in (1, 2, 3):
         for alpha in wedge_indices(w):
             f = canonical_frame(alpha)
-            assert np.array_equal(f.top, np.eye(w))
-            assert np.linalg.norm(f.bottom, 2) <= 1.0 + 1e-15
+            assert np.array_equal(f[:w], np.eye(w))
+            assert np.linalg.norm(f[w:], 2) <= 1.0 + 1e-15
 
 
 def test_expand_standard_w1():
@@ -156,36 +155,51 @@ def test_exterior_action_on_decomposables():
 
 def test_boundary_operator_dirichlet_case():
     s = _sample(2, 5, seed=6)
-    dirich = WedgeFrame(matrix=np.vstack([np.eye(2), np.zeros((2, 2))]))
+    dirich = np.vstack([np.eye(2), np.zeros((2, 2))])
     op = boundary_operator(s, dirich, dirich, 5)
-    h = assemble_hamiltonian(s, Region.rectangle(1, 5, 1, 2)).matrix
-    assert np.array_equal(op.matrix, h)
-    assert op.is_symmetric
+    h = assemble_hamiltonian(s, Region.rectangle(1, 5, 1, 2))
+    assert np.array_equal(op, h)
+    assert np.array_equal(op, op.T)
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_boundary_operator_is_the_assembled_h_with_corner_terms(width):
+    w = width
+    s = _sample(w, 6, seed=20 + w, spec=DisorderSpec.cauchy(1.0, u_law="adjacency"))
+    frames = [canonical_frame(a) for a in wedge_indices(w)]
+    for n in (1, 4, 6):
+        h = assemble_hamiltonian(s, Region.rectangle(1, n, 1, w))
+        for fu, fv in itertools.product(frames, repeat=2):
+            ref = h.copy()
+            ref[:w, :w] -= fu[w:] @ np.linalg.inv(fu[:w])
+            ref[-w:, -w:] += (fv[w:] @ np.linalg.inv(fv[:w])).T
+            op = boundary_operator(s, fu, fv, n)
+            assert np.array_equal(op, ref) and not op.flags.writeable
 
 
 def test_boundary_operator_w1_scalar_shifts():
     geo = StripGeometry(1, 1, 3)
     samp = DisorderSample(geometry=geo, u_law="zero", potentials=np.array([[1.0], [2.0], [3.0]]))
-    u = WedgeFrame(matrix=np.array([[1.0], [0.4]]))
-    v = WedgeFrame(matrix=np.array([[1.0], [-0.7]]))
+    u = np.array([[1.0], [0.4]])
+    v = np.array([[1.0], [-0.7]])
     op = boundary_operator(samp, u, v, 3)
-    assert op.matrix[0, 0] == pytest.approx(1.0 - 0.4)
-    assert op.matrix[2, 2] == pytest.approx(3.0 + (-0.7))
+    assert op[0, 0] == pytest.approx(1.0 - 0.4)
+    assert op[2, 2] == pytest.approx(3.0 + (-0.7))
 
 
 def test_boundary_operator_norm_bound_for_canonical_frames():
     s = _sample(2, 6, seed=7)
-    h = assemble_hamiltonian(s, Region.rectangle(1, 6, 1, 2)).matrix
+    h = assemble_hamiltonian(s, Region.rectangle(1, 6, 1, 2))
     base = np.linalg.norm(h, 2)
     for alpha in wedge_indices(2):
         for beta in wedge_indices(2):
             op = boundary_operator(s, canonical_frame(alpha), canonical_frame(beta), 6)
-            assert np.linalg.norm(op.matrix, 2) <= base + 2.0 + 1e-9
+            assert np.linalg.norm(op, 2) <= base + 2.0 + 1e-9
 
 
 def test_boundary_identity_dirichlet_pair():
     s = _sample(2, 6, seed=8)
-    dirich = WedgeFrame(matrix=np.vstack([np.eye(2), np.zeros((2, 2))]))
+    dirich = np.vstack([np.eye(2), np.zeros((2, 2))])
     lhs, rhs = boundary_identity_check(s, 0.3, 6, dirich, dirich)
     ref = logdet_via_transfer(s, 0.3, 6)
     for side in (lhs, rhs):
@@ -197,8 +211,8 @@ def test_boundary_identity_hand_case():
     # V = (1, 2), E = 0, u = [1;1], v = [1;0]: both sides equal -1
     geo = StripGeometry(1, 1, 2)
     samp = DisorderSample(geometry=geo, u_law="zero", potentials=np.array([[1.0], [2.0]]))
-    u = WedgeFrame(matrix=np.array([[1.0], [1.0]]))
-    v = WedgeFrame(matrix=np.array([[1.0], [0.0]]))
+    u = np.array([[1.0], [1.0]])
+    v = np.array([[1.0], [0.0]])
     lhs, rhs = boundary_identity_check(samp, 0.0, 2, u, v)
     assert lhs.sign == rhs.sign == -1
     assert lhs.log_abs == pytest.approx(0.0, abs=1e-12)
@@ -278,6 +292,17 @@ def test_frame_det_gap_known_case():
     assert frame_det_gap(s, e, 4) >= -1e-12
 
 
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_frame_det_gap_is_the_pairwise_maximum(width):
+    # one H_N with the corners changed per pair equals one boundary operator per pair, bit for bit
+    s = _sample(width, 7, seed=30 + width, spec=DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=0.8))
+    e = 0.3
+    base = logdet_direct(assemble_hamiltonian(s, Region.rectangle(1, 7, 1, width)), e)
+    frames = [canonical_frame(a) for a in wedge_indices(width)]
+    vals = [boundary_logdet(s, fu, fv, 7, e) for fu in frames for fv in frames]
+    assert frame_det_gap(s, e, 7) == max(v.log_abs - base.log_abs for v in vals if v.sign != 0)
+
+
 def test_frame_det_gap_rejects_large_width():
     s = _sample(5, 2, seed=16, spec=DisorderSpec.uniform(-1, 1))
     with pytest.raises(ConfigurationError):
@@ -308,7 +333,7 @@ def test_compound_norm_bounded_by_canonical_minor_sum():
         norm = np.linalg.norm(compound, 2)
         frames = [canonical_frame(a) for a in idxs]
         total = sum(
-            abs(np.linalg.det(fv.matrix.T @ dense @ fu.matrix))
+            abs(np.linalg.det(fv.T @ dense @ fu))
             for fu in frames
             for fv in frames
         )

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplyap.determinants import logdet_direct
+from striplyap.verify import _SPECS
 from striplyap.model import (
     ConfigurationError,
     DisorderSample,
@@ -87,7 +88,7 @@ def test_gap_bound_chain_partition_example():
     geo = StripGeometry(1, 1, 4)
     samp = DisorderSample(geometry=geo, u_law="zero", potentials=np.zeros((4, 1)))
     region = Region.rectangle(1, 4, 1, 1)
-    h_full = assemble_hamiltonian(samp, region).matrix
+    h_full = assemble_hamiltonian(samp, region)
     h_split = h_full.copy()
     h_split[1, 2] = h_split[2, 1] = 0.0
     energy = 0.5
@@ -228,6 +229,30 @@ def test_partition_defect_random_grids():
         assert defect <= bound + 1e-8
 
 
+def _per_cell_defect(sample, region, cells, energy):
+    """partition_defect's defect and bound with each cell's H assembled on its own."""
+    h = assemble_hamiltonian(sample, region)
+    parts = [assemble_hamiltonian(sample, cell) for cell in cells]
+    defect = abs(logdet_direct(h, energy).log_abs - sum(logdet_direct(p, energy).log_abs for p in parts))
+    dist = float(min(np.min(np.abs(np.linalg.eigvalsh(m) - energy)) for m in [h, *parts]))
+    norm_term = log_plus(abs(energy) + float(np.linalg.norm(h, 2)))
+    bound = 4.0 * len(partition_boundary(region, cells, sample.geometry)) * max(norm_term, log_minus(dist))
+    return float(defect), float(bound)
+
+
+@pytest.mark.parametrize("spec", _SPECS, ids=["uniform adjacency", "cauchy adjacency", "random band"])
+def test_partition_defect_slices_equal_assembled_cells(spec):
+    rng = np.random.default_rng(23)
+    for w in (1, 2, 3):
+        for cell in (1, 2, 3, 4):
+            geo = StripGeometry(w, min(2, w), 7)
+            s = sample_disorder(geo, spec, seed=10 * w + cell)
+            region = Region.rectangle(1, 7, 1, w)
+            cells = grid_partition(region, cell)
+            energy = float(rng.uniform(-1, 1))
+            assert partition_defect(s, region, cells, energy) == _per_cell_defect(s, region, cells, energy)
+
+
 def test_rank_bounded_by_boundary():
     rng = np.random.default_rng(19)
     spec = DisorderSpec.uniform(-1, 1, u_law="adjacency")
@@ -238,12 +263,11 @@ def test_rank_bounded_by_boundary():
         s = sample_disorder(geo, spec, seed=80 + t)
         region = Region.rectangle(1, n, 1, w)
         cells = grid_partition(region, int(rng.integers(1, 4)))
-        h_full = assemble_hamiltonian(s, region).matrix
+        h_full = assemble_hamiltonian(s, region)
         h_split = np.zeros_like(h_full)
         pos = {site: i for i, site in enumerate(region.sites)}
         for cell in cells:
-            hc = assemble_hamiltonian(s, cell)
-            ids = [pos[site] for site in hc.sites]
-            h_split[np.ix_(ids, ids)] = hc.matrix
+            ids = [pos[site] for site in cell.sites]
+            h_split[np.ix_(ids, ids)] = assemble_hamiltonian(s, cell)
         bnd = partition_boundary(region, cells, geo)
         assert numerical_rank(h_full - h_split) <= len(bnd)

@@ -183,6 +183,16 @@ def test_samplers_reject_sites_outside_the_geometry(region):
         sample_spectral(UNIFORM, geo, region, 0.0, 8, seed=1)
 
 
+def test_samplers_reject_sites_outside_the_region():
+    geo = StripGeometry(2, 1, 4)
+    region = Region.rectangle(1, 3, 1, 2)
+    for site_a, site_b in [((9, 9), (1, 1)), ((1, 1), (4, 1))]:
+        with pytest.raises(ConfigurationError, match="not in region"):
+            sampling.sample_resolvent_entries(UNIFORM, geo, region, site_a, site_b, 0.0, 8, seed=1)
+    with pytest.raises(ConfigurationError, match="not in region"):
+        sampling.sample_site_shifts(UNIFORM, geo, region, (4, 1), 0.0, 8, seed=1)
+
+
 def test_sparse_region_assembles_in_small_slices():
     # two sites 299 columns apart: the bounding box of one sample is 300 x 300,
     # 46 MB over 64 samples if the boxes were built all at once

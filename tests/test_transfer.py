@@ -31,6 +31,8 @@ def _const_sample(columns, width=1, value=0.0, u_law="zero"):
 
 def test_one_step_examples():
     assert np.array_equal(one_step(np.array([[0.0]]), 0.0), np.array([[0.0, -1.0], [1.0, 0.0]]))
+    stack = np.random.default_rng(2).normal(size=(3, 4, 2, 2))
+    assert np.array_equal(one_step(stack, 0.3)[1, 2], one_step(stack[1, 2], 0.3))
     t = one_step(np.array([[2.5]]), 1.0)
     assert np.array_equal(t, np.array([[1.5, -1.0], [1.0, 0.0]]))
     assert np.linalg.det(t) == pytest.approx(1.0)
