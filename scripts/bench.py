@@ -5,7 +5,8 @@ Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
 11's law), and `logdet_via_transfer` on the two strips of the benchmark's
 `routes` workload (Cauchy 2000 x 2 and random band 500 x 4, d = 2, both at
-E = 0.5).  Unit: steps.
+E = 0.5).  Unit: steps.  Each case also records ``qr_calls``, the
+``transfer._qr_step`` calls of one more, untimed run.
 
 Suite ``logdets``: `sample_logdets` on full rectangles with one worker:
 criterion 11's law (uniform [-1.5, 1.5], adjacency, W = 2, E = 0) at N = 16,
@@ -66,6 +67,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np
 
+from striplyap import transfer
 from striplyap.determinants import logdet_direct, logdet_via_transfer
 from striplyap.exterior import frame_det_gap
 from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder, split_stream
@@ -228,6 +230,17 @@ def peak_mb(run) -> float:
         tracemalloc.stop()
 
 
+def qr_calls(run) -> int:
+    """``transfer._qr_step`` calls of one run."""
+    step, calls = transfer._qr_step, []
+    transfer._qr_step = lambda *args: calls.append(None) or step(*args)
+    try:
+        run()
+    finally:
+        transfer._qr_step = step
+    return len(calls)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("suite", choices=sorted(SUITES))
@@ -244,9 +257,10 @@ def main() -> int:
         median = statistics.median(seconds)
         per_unit = 1e6 * median / units
         peak = peak_mb(run)
-        results.append(
-            {"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit, "peak_mb": peak}
-        )
+        result = {"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit, "peak_mb": peak}
+        if args.suite == "cocycle":
+            result["qr_calls"] = qr_calls(run)
+        results.append(result)
         print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}, peak {peak:.1f} MB", flush=True)
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
     out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")

@@ -135,6 +135,8 @@ def config_from_document(doc: dict, command: str, overrides: dict | None = None)
         raise ConfigurationError(f"bad run setting: {exc}") from exc
     if config.n_samples < 1 or config.workers < 1:
         raise ConfigurationError("n_samples and workers must be positive")
+    if not math.isfinite(config.energy):
+        raise ConfigurationError("energy must be finite")
     return config
 
 

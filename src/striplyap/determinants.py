@@ -249,15 +249,18 @@ def logdet_direct(
     H is a symmetric matrix, or a ``DisorderSample`` standing for H on the
     rectangle [1, n_steps] x [1, W] (the whole sampled extent by default),
     as in ``logdet_via_transfer``.
-    A matrix is checked for finite entries and exact symmetry.  A sample of
-    two or more columns is never assembled whole: each window of the band is
-    stacked from the column blocks it covers, the blocks the dense matrix is
-    stacked from, so it is bit for bit the slice of the dense matrix, and on
-    a strip narrower than _MARGIN memory stays O(_WINDOW^2 + N W^2).
+    E must be finite.  A matrix is checked for finite entries and exact
+    symmetry.  A sample of two or more columns is never assembled whole:
+    each window of the band is stacked from the column blocks it covers, the
+    blocks the dense matrix is stacked from, so it is bit for bit the slice
+    of the dense matrix, and on a strip narrower than _MARGIN memory stays
+    O(_WINDOW^2 + N W^2).
 
     With ``with_condition=True`` also returns max|pivot|/min|pivot|, a crude
     estimate of how close E sits to the spectrum.
     """
+    if not math.isfinite(energy):
+        raise ValueError("energy is non-finite")
     if isinstance(hamiltonian, DisorderSample):
         rows, b, window = _sample_source(hamiltonian, n_steps)
     elif n_steps is not None:

@@ -19,14 +19,16 @@ cond_2(B) = |B|_2^2 <= |B|_F^2, so the smallest pivot of a block QR loses at
 most about e^20 eps.  Heavy-tailed potentials therefore fall back to shorter
 blocks on their own.  The n mod 64 steps at the end of a product run one QR
 per step, so a product shorter than 64 steps is the plain per-step sweep,
-bit for bit.  A requested checkpoint inside a block is reached on a side
-branch from the Q before the block, one step at a time, so checkpoints never
-change the main chain: the final radii do not depend on which were asked for.
+bit for bit.  The sweep records the radii its main chain passes through:
+at step 0, after every multiple of 64 steps and after each of the n mod 64
+tail steps.  ``lyapunov_spectrum`` sets its burn-in and block edges on these
+steps, so they cost no extra QR.  This needs every multiple of 64 to stay a
+block end (spans are powers of two dividing 64, windows multiples of 64); a
+per-block split of the doubling budget must keep that.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +57,9 @@ MIN_COCYCLE_STEPS = 16
 _BLOCK_STEPS = 64  # longest run of one-step matrices multiplied before one QR
 _WINDOW_STEPS = 4096  # one-step matrices built at a time, a multiple of _BLOCK_STEPS
 _FROB_SQ_BUDGET = np.exp(20.0)  # cap on |B|_F^2, which bounds cond_2(B) for a symplectic block B
+_BURN_IN_STEPS = 2000  # burn-in target of lyapunov_spectrum: min(N // 8, this)
+_BOOT_BLOCKS = 64  # bootstrap blocks of lyapunov_spectrum
+_BOOT_REPLICATES = 400
 
 
 class NumericError(ArithmeticError):
@@ -107,32 +112,26 @@ def _qr_step(m: np.ndarray, q: np.ndarray, radii: np.ndarray, signs: np.ndarray)
     return q
 
 
+def _recorded_steps(n_steps: int) -> np.ndarray:
+    """Step counts at which ``_sweep`` records the radii: 0, the multiples of 64, then every step of the tail."""
+    n_full = n_steps - n_steps % _BLOCK_STEPS
+    return np.concatenate([np.arange(0, n_full, _BLOCK_STEPS), np.arange(n_full, n_steps + 1)])
+
+
 def _sweep(
-    sample: DisorderSample,
-    energy: float,
-    start: int,
-    n_steps: int,
-    frame: np.ndarray,
-    log_radii: np.ndarray,
-    edges: Sequence[int] = (),
+    sample: DisorderSample, energy: float, start: int, n_steps: int, frame: np.ndarray, log_radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """QR-stabilized product of the one-step matrices of columns start+1 .. start+n_steps on ``frame``.
 
     Returns the sign-fixed frame, ``log_radii`` plus the accumulated log
-    pivots, and the radii after each of the distinct step counts in ``edges``.
+    pivots, and the radii after each of the ``_recorded_steps(n_steps)``.
     """
     q = frame
     radii = np.array(log_radii, dtype=float)
     signs = np.ones(frame.shape[1])
-    rows = {int(e): i for i, e in enumerate(edges)}
-    marks = sorted(rows)
-    out = np.empty((len(edges), len(radii)))
-
-    def record(step: int, r: np.ndarray) -> None:
-        if step in rows:
-            out[rows[step]] = r
-
-    record(0, radii)
+    out = np.empty((len(_recorded_steps(n_steps)), len(radii)))
+    out[0] = radii
+    row = 1
     for w0 in range(0, n_steps, _WINDOW_STEPS):
         n = min(_WINDOW_STEPS, n_steps - w0)
         blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, energy, (start + w0, start + w0 + n))
@@ -146,19 +145,15 @@ def _sweep(
             if not np.all(np.einsum("kij,kij->k", doubled, doubled) <= _FROB_SQ_BUDGET):
                 break
             prods, span = doubled, 2 * span
-        for b, block in enumerate(prods):
-            k0 = b * span
-            lo, hi = bisect_right(marks, w0 + k0), bisect_left(marks, w0 + k0 + span)
-            if lo < hi:  # checkpoints inside the block: side branch from the Q before it
-                q_side, r_side = q, radii.copy()
-                for k in range(k0, marks[hi - 1] - w0):
-                    q_side = _qr_step(mats[k], q_side, r_side, np.ones_like(signs))
-                    record(w0 + k + 1, r_side)
+        for b, block in enumerate(prods, 1):
             q = _qr_step(block, q, radii, signs)
-            record(w0 + k0 + span, radii)
+            if b * span % _BLOCK_STEPS == 0:
+                out[row] = radii
+                row += 1
         for k in range(n_full, n):
             q = _qr_step(mats[k], q, radii, signs)
-            record(w0 + k + 1, radii)
+            out[row] = radii
+            row += 1
     if not np.all(np.isfinite(radii)):
         raise NumericError("cocycle state lost finiteness")
     return q * signs, radii, out
@@ -233,51 +228,37 @@ class LyapunovSpectrum:
 
 
 def lyapunov_spectrum(
-    spec: DisorderSpec,
-    geometry: StripGeometry,
-    energy: float,
-    n_steps: int,
-    seed: int,
-    burn_in: int | None = None,
-    n_blocks: int = 64,
-    n_boot: int = 400,
+    spec: DisorderSpec, geometry: StripGeometry, energy: float, n_steps: int, seed: int
 ) -> LyapunovSpectrum:
     """Estimate the non-negative Lyapunov exponents from one long product.
 
     The estimate is the mean per-step log growth after a burn-in window, which
     removes the O(1)/N transient of the raw radii.  Error bars come from a
-    block bootstrap over contiguous segments of the post-burn-in increments.
+    block bootstrap over contiguous segments of the post-burn-in increments,
+    each replicate the resampled growth over the resampled steps.  The
+    burn-in min(N // 8, 2000) moves up to a step the sweep records (down if
+    none is before N), and each of the 64 evenly spaced block edges down.
     """
     if n_steps * geometry.width < MIN_COCYCLE_STEPS:
-        raise ConfigurationError(
-            f"n_steps * width must be at least {MIN_COCYCLE_STEPS}, got {n_steps * geometry.width}"
-        )
-    if burn_in is None:
-        burn_in = min(n_steps // 8, 2000)
-    work_geo = StripGeometry(geometry.width, geometry.bandwidth, n_steps)
-    sample = sample_disorder(work_geo, spec, seed)
-    span = n_steps - burn_in
-    n_blocks = max(1, min(n_blocks, span))
-    block_edges = burn_in + np.linspace(0, span, n_blocks + 1).astype(int)
-    edges = np.unique(np.concatenate([[0, burn_in], block_edges, [n_steps]]))
+        raise ConfigurationError(f"n_steps * width must be at least {MIN_COCYCLE_STEPS}, got {n_steps * geometry.width}")
     w = geometry.width
-    _, _, checkpoints = _sweep(sample, energy, 0, n_steps, np.eye(2 * w), np.zeros(2 * w), edges)
-    r0 = checkpoints[list(edges).index(burn_in)]
-    final = checkpoints[-1]
-    block_rows = [list(edges).index(e) for e in block_edges]
-    increments = np.diff(checkpoints[block_rows], axis=0)
-    gamma_all = (final - r0) / span
+    sample = sample_disorder(StripGeometry(w, geometry.bandwidth, n_steps), spec, seed)
+    _, final, record = _sweep(sample, energy, 0, n_steps, np.eye(2 * w), np.zeros(2 * w))
+    steps = _recorded_steps(n_steps)
+    first = min(int(np.searchsorted(steps, min(n_steps // 8, _BURN_IN_STEPS))), len(steps) - 2)
+    burn_in = int(steps[first])
+    span = n_steps - burn_in
+    targets = burn_in + np.linspace(0, span, min(_BOOT_BLOCKS, span) + 1).astype(int)
+    rows = np.unique(np.searchsorted(steps, targets, side="right") - 1)
+    increments, lengths = np.diff(record[rows], axis=0), np.diff(steps[rows])
+    gamma_all = (final - record[first]) / span
     rng = split_stream(seed, _DOMAIN_BOOT, 0)
-    idx = rng.integers(0, len(increments), size=(n_boot, len(increments)))
-    boot = increments[idx].sum(axis=1) / span
-    stderr = boot.std(axis=0, ddof=1) if n_boot > 1 else np.zeros(2 * w)
+    idx = rng.integers(0, len(increments), size=(_BOOT_REPLICATES, len(increments)))
+    boot = increments[idx].sum(axis=1) / lengths[idx].sum(axis=1)[:, None]
+    stderr = boot.std(axis=0, ddof=1)
     order = np.argsort(-gamma_all[:w])  # descending by construction, enforced anyway
     return LyapunovSpectrum(
-        exponents=gamma_all[order],
-        stderr=stderr[order],
-        radii=final.copy(),
-        n_steps=n_steps,
-        burn_in=burn_in,
+        exponents=gamma_all[order], stderr=stderr[order], radii=final, n_steps=n_steps, burn_in=burn_in
     )
 
 

@@ -101,6 +101,16 @@ def test_dets_command_routes_agree(tmp_path):
     assert doc["agreement_gap"] < 1e-8 * max(1.0, abs(doc["results"]["direct"]["log_abs"]))
 
 
+@pytest.mark.parametrize("energy", [float("nan"), float("inf")])
+def test_non_finite_energy_exits_2(tmp_path, energy, capsys):
+    cfg = write_config(tmp_path, energy=energy)
+    for argv in (["dets", "--route", "direct"], ["dets", "--route", "all"], ["lyapunov"], ["experiment", "negtail"]):
+        out = tmp_path / argv[0]
+        assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
+        assert "energy must be finite" in capsys.readouterr().err
+        assert not (out / "dets.json").exists()
+
+
 def test_experiment_determinism_across_workers(tmp_path):
     cfg = write_config(tmp_path, params={"k_grid": [0.5, 1.0, 2.0]})
     out1, out4 = tmp_path / "w1", tmp_path / "w4"

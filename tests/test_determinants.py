@@ -328,6 +328,13 @@ class TestWindowedDirect:
             with pytest.raises(ValueError, match="non-finite"):
                 logdet_direct(_dense(s), 0.3)
 
+    @pytest.mark.parametrize("energy", [math.nan, math.inf, -math.inf])
+    def test_non_finite_energy_raises(self, energy):
+        sample = _strip_sample(DisorderSpec.uniform(-1, 1, u_law="adjacency"), 2, 1, 20, 5)
+        for h in (sample, _dense(sample)):
+            with pytest.raises(ValueError, match="non-finite"):
+                logdet_direct(h, energy)
+
     def test_sample_form_never_builds_the_dense_matrix(self):
         # the dense 4000 x 4000 H alone is 128 MB
         spec, width, bandwidth = WINDOWED_STRIPS["cauchy"][:3]

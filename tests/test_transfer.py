@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from striplyap.model import (
     ConfigurationError, DisorderSample, DisorderSpec, Region, StripGeometry, assemble_hamiltonian, s_matrix, sample_disorder
 )
+from striplyap import transfer
 from striplyap.determinants import logdet_direct, logdet_via_transfer
 from striplyap.transfer import (
     CocycleAccumulator,
@@ -265,10 +266,43 @@ def test_blocked_transfer_route_matches_dense(name, width):
 
 @pytest.mark.parametrize("width, bandwidth, spec", STRIP_CASES)
 def test_lyapunov_checkpoints_inside_blocks(width, bandwidth, spec):
-    # burn_in = 100 falls inside the second 64-step block, so its radii come from a side branch
-    n, burn_in, seed, energy = 1000, 100, 5, 0.3
-    spectrum = lyapunov_spectrum(spec, StripGeometry(width, bandwidth, 1), energy, n, seed, burn_in=burn_in)
+    # the burn-in target N // 8 = 125 moves up to the recorded step 128, a block end of the main chain
+    n, seed, energy = 1000, 5, 0.3
+    spectrum = lyapunov_spectrum(spec, StripGeometry(width, bandwidth, 1), energy, n, seed)
+    assert spectrum.burn_in == 128
     sample = sample_disorder(StripGeometry(width, bandwidth, n), spec, seed)
-    growth = (accumulate(sample, energy, n).log_radii - accumulate(sample, energy, burn_in).log_radii) / (n - burn_in)
+    growth = (accumulate(sample, energy, n).log_radii - accumulate(sample, energy, 128).log_radii) / (n - 128)
     expected = np.sort(growth[:width])[::-1]
     assert np.allclose(spectrum.exponents, expected, rtol=1e-12, atol=0.0)
+
+
+QR_COUNT_LAWS = {
+    "criterion 11": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 2, 1, 0.0),
+    "cauchy": (DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency"), 2, 1, 0.5),
+    "resonant": (DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency"), 2, 1, 0.0),
+    "random_band": (DisorderSpec.uniform(-1.2, 1.2, u_law="random_band", coupling=0.5), 3, 2, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(QR_COUNT_LAWS))
+def test_lyapunov_spectrum_runs_the_accumulated_chain_only(name, monkeypatch):
+    # burn-in and block edges come from the main chain: not one QR more than accumulate
+    spec, width, bandwidth, energy = QR_COUNT_LAWS[name]
+    n, seed = 5000, 8  # two windows and an 8-step tail
+    calls = []
+    step = transfer._qr_step
+    monkeypatch.setattr(transfer, "_qr_step", lambda *args: calls.append(1) or step(*args))
+    spectrum = lyapunov_spectrum(spec, StripGeometry(width, bandwidth, 1), energy, n, seed)
+    spectrum_calls = len(calls)
+    calls.clear()
+    acc = accumulate(sample_disorder(StripGeometry(width, bandwidth, n), spec, seed), energy, n)
+    assert spectrum_calls == len(calls)
+    assert np.array_equal(spectrum.radii, acc.log_radii)
+
+
+def test_lyapunov_point_mass_has_no_spread():
+    # every step is the same hyperbolic matrix, so every block grows at the same rate up to roundoff
+    spectrum = lyapunov_spectrum(DisorderSpec.point(0.0), StripGeometry(1, 1, 1), 3.0, 10_000, seed=7)
+    assert spectrum.stderr[0] <= 1e-12
+    assert spectrum.exponents[0] == pytest.approx(GOLDEN, abs=1e-12)
+    assert spectrum.burn_in == 1280
