@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stabilized transfer products, the log-determinant sampler, route (a), dense assembly or the verify suites.
+"""Time the stabilized transfer products, the log-determinant sampler, route (a), dense assembly, the verify suites or CLI start-up.
 
 Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
@@ -37,12 +37,19 @@ at seed 1, with the trial budgets `verify_all` gives them (`verify_wedge`
 2-16 columns, uniform [-2, 2] and Cauchy adjacency laws in turn), drawn
 outside the timer.  Unit: trials (one strip per `frame_det_gap` trial).
 
-Each case runs three times in this process with one BLAS thread, then once
-more under `tracemalloc`; the file records every timed run, the median in
-seconds and in microseconds per unit, the traced peak in MB, and the host (nproc, CPU model, numpy and BLAS versions, git revision, with
+Suite ``startup``: what every `striplyap` call pays before its command runs.
+`python -c "import striplyap.cli"` runs 15 times, each in a fresh process on
+this checkout's `src` with one BLAS thread; the file records each process's
+wall time from spawn to exit and its peak RSS (`ru_maxrss`), their medians,
+and `len(sys.modules)` after the import.
+
+Each case of the other suites runs three times in this process with one BLAS
+thread, then once more under `tracemalloc`; the file records every timed run,
+the median in seconds and in microseconds per unit, the traced peak in MB,
+and the host (nproc, CPU model, numpy and BLAS versions, git revision, with
 -dirty for uncommitted changes).
 
-Run from the repository root:  python3 scripts/bench.py {assemble,cocycle,direct,logdets,verify} [--out PATH]
+Run from the repository root:  python3 scripts/bench.py {assemble,cocycle,direct,logdets,startup,verify} [--out PATH]
 The default output is BENCH_<suite>.json in the repository root.
 """
 
@@ -241,11 +248,36 @@ def qr_calls(run) -> int:
     return len(calls)
 
 
+def startup(runs: int = 15) -> dict:
+    """Wall time and peak RSS of ``runs`` fresh ``import striplyap.cli`` processes, and the modules it loads."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    seconds, rss_mb = [], []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, "-c", "import striplyap.cli"], env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        seconds.append(time.perf_counter() - t0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            raise RuntimeError(f"import striplyap.cli exited with {proc.returncode}")
+        rss_mb.append(usage.ru_maxrss / 1024.0)  # ru_maxrss is in KB on Linux
+    count = [sys.executable, "-c", "import sys, striplyap.cli; print(len(sys.modules))"]
+    modules = int(subprocess.run(count, env=env, capture_output=True, text=True, check=True).stdout)
+    result = {"case": "python -c 'import striplyap.cli'", "runs": runs, "seconds": seconds, "median_s": statistics.median(seconds)}
+    result.update(peak_rss_mb=rss_mb, median_peak_rss_mb=statistics.median(rss_mb), modules=modules)
+    print(f"import striplyap.cli: {result['median_s']:.3f} s, {result['median_peak_rss_mb']:.1f} MB, {modules} modules", flush=True)
+    return result
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("suite", choices=sorted(SUITES))
+    parser.add_argument("suite", choices=sorted([*SUITES, "startup"]))
     parser.add_argument("--out", help="output path (default BENCH_<suite>.json in the repository root)")
     args = parser.parse_args()
+    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
+    if args.suite == "startup":
+        out.write_text(json.dumps({"host": host(), "results": [startup()]}, indent=2) + "\n")
+        return 0
     unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples", "verify": "trials"}[args.suite]
     results = []
     for name, units, run in SUITES[args.suite]():
@@ -262,7 +294,6 @@ def main() -> int:
             result["qr_calls"] = qr_calls(run)
         results.append(result)
         print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}, peak {peak:.1f} MB", flush=True)
-    out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
     out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")
     return 0
 

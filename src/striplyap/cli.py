@@ -460,9 +460,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="striplyap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_config=True):
-        if needs_config:
-            sp.add_argument("--config", required=True, help="JSON run configuration")
+    def common(sp):
+        sp.add_argument("--config", required=True, help="JSON run configuration")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", default=None, help=f"output dir (default ${OUT_ROOT_ENV}/<command>)")
@@ -487,9 +486,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.time()
     out_dir = None
     try:

@@ -14,17 +14,21 @@ written once, for a stack of samples: ``logdet_via_schur`` is its one-sample
 call, and ``sampling.sample_logdets`` runs it on every rectangle of a Monte
 Carlo ensemble.  At W = 2 the sweep inverts its 2 x 2 blocks in closed form,
 elementwise over the samples; every other width calls LAPACK on the stack
-once per column.
+once per column.  Route (a) loads SciPy's ``dsytrf``, ``dsytrf_lwork`` and
+``dsytrs`` from ``scipy.linalg._flapack`` alone, nearly halving CLI start-up.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 from functools import reduce
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 
 import numpy as np
-from scipy.linalg.lapack import _compute_lwork, get_lapack_funcs
 
 from .model import ConfigurationError, DisorderSample, Region, _column_blocks, _stack_columns, assemble_hamiltonian
 from .transfer import NumericError, accumulate
@@ -43,7 +47,25 @@ PIVOT_FLOOR = 1e-300  # pivots below this count as exact zeros (safety net)
 COND_LIMIT = 1e14  # Schur blocks worse conditioned than this go to the dense route
 _WINDOW = 256  # rows per dsytrf call of the direct route
 _MARGIN = 64  # rows a window keeps past its cut
-_SYTRF, _SYTRF_LWORK, _SYTRS = get_lapack_funcs(("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
+
+
+def _load_flapack():
+    """``scipy.linalg._flapack`` from SciPy's ``linalg`` directory; the package would load ~290 more modules."""
+    scipy = PathFinder.find_spec("scipy")
+    where = [os.path.join(p, "linalg") for p in scipy.submodule_search_locations or ()] if scipy else sys.path
+    if (spec := scipy and PathFinder.find_spec("scipy.linalg._flapack", where)) is None:
+        raise ImportError(f"scipy.linalg._flapack not found in {where}")
+    return module_from_spec(spec)
+
+
+_SYTRF, _SYTRF_LWORK, _SYTRS = (getattr(_load_flapack(), name) for name in ("dsytrf", "dsytrf_lwork", "dsytrs"))
+
+
+def _compute_lwork(size: int) -> int:
+    lwork, info = _SYTRF_LWORK(size, lower=1)
+    if info:
+        raise ValueError(f"dsytrf work size query failed: info {info}")
+    return int(lwork)
 
 
 class NearSingularError(ArithmeticError):
@@ -117,13 +139,12 @@ def _ldl_signed_logdet(window, n: int, b: int, energy: float) -> tuple[SignedLog
     ``window(start, end)`` returns H[start:end, start:end] of an n-row
     symmetric matrix H of bandwidth at most b, as a float array of its own;
     each window is shifted by E on its diagonal in place, so H - E is never
-    formed whole.  The pivots
-    are the magnitudes of the 1x1 and 2x2 block determinants of LAPACK's
-    Bunch-Kaufman LDL^t (``dsytrf``); their ratio doubles as a cheap
-    condition estimate.  ``dsytrf`` runs on overlapping windows of _WINDOW
-    rows along the band.  A window keeps its pivots up to a cut: a block
-    boundary at least _MARGIN rows before its end, which no earlier
-    interchange reaches, with no earlier L entry in the window's last b rows.
+    formed whole.  The pivots are the magnitudes of the 1x1 and 2x2 block
+    determinants of LAPACK's Bunch-Kaufman LDL^t (``dsytrf``); their ratio
+    doubles as a cheap condition estimate.  ``dsytrf`` runs on overlapping
+    windows of _WINDOW rows along the band.  A window keeps its pivots up to
+    a cut: a block boundary at least _MARGIN rows before its end, which no
+    earlier interchange reaches, with no earlier L entry in its last b rows.
     Up to rounding these are the pivots one call on the whole matrix picks;
     the next window starts at the cut, its leading b x b block reduced by
     A21 A11^-1 A12 of the kept block.  A window without a cut runs to the end
@@ -139,7 +160,7 @@ def _ldl_signed_logdet(window, n: int, b: int, energy: float) -> tuple[SignedLog
         shifted.flat[:: size + 1] -= energy
         if start:
             shifted[:b, :b] = corner
-        ldu, ipiv, _ = _SYTRF(shifted, lower=1, lwork=_compute_lwork(_SYTRF_LWORK, size, lower=1))
+        ldu, ipiv, _ = _SYTRF(shifted, lower=1, lwork=_compute_lwork(size))
         piv, diag, sub = ipiv.tolist(), ldu.diagonal().tolist(), ldu.diagonal(-1).tolist()
         blocks, i = [], 0  # (start, block determinant); ipiv < 0 marks a 2x2 block
         while i < size:

@@ -21,6 +21,8 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
+import numpy.ma  # noqa: F401 - numpy 2 loads ma (np.unique, np.quantile) and random on first use;
+import numpy.random  # loaded here, at import, rather than inside the first command
 
 __all__ = [
     "ConfigurationError",
@@ -83,10 +85,6 @@ class StripGeometry:
     @property
     def n_sites(self) -> int:
         return self.width * self.columns
-
-    def contains(self, site: tuple[int, int]) -> bool:
-        n, w = site
-        return 1 <= n <= self.columns and 1 <= w <= self.width
 
 
 @dataclass(frozen=True)

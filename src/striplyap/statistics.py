@@ -553,7 +553,7 @@ def lyapunov_sum_pipeline(
         part_negative=part_neg,
         part_middle=part_mid,
         part_upper=part_up,
-        mean_identity_gap=abs((part_neg + part_mid + part_up) - mean),
+        mean_identity_gap=abs(mean - float(np.mean(values))),
         middle_second_moment=x2,
         chain_lhs=mean,
         chain_rhs=chain_rhs,

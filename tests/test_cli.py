@@ -173,7 +173,7 @@ def test_experiment_pipeline_and_bernstein(tmp_path):
     out = tmp_path / "pipe"
     assert main(["experiment", "pipeline", "--config", str(cfg), "--out", str(out)]) == 0
     doc = json.loads((out / "pipeline.json").read_text())
-    assert doc["mean_identity_gap"] == 0.0
+    assert doc["mean_identity_gap"] <= 1e-12 * max(1.0, abs(doc["chain_lhs"]))
     cfgb = write_config(tmp_path, n_samples=300, params={"cell": 2})
     outb = tmp_path / "bern"
     assert main(["experiment", "bernstein", "--config", str(cfgb), "--out", str(outb)]) == 0

@@ -164,14 +164,14 @@ class TestPipeline:
         assert report.gamma_sum == pytest.approx(golden, abs=1e-6)
         assert report.mean_per_step == pytest.approx(golden, abs=0.05)
         assert report.gap <= 2.0 * report.gap_scale
-        assert report.mean_identity_gap == 0.0
+        assert report.mean_identity_gap <= 1e-12 * max(1.0, abs(report.chain_lhs))
         assert report.chain_holds
 
     def test_decomposition_identity_random(self):
         report = lyapunov_sum_pipeline(
             UNIFORM, 0.0, 2, 1, 24, 0.25, 2000, seed=13, gamma_steps=20_000
         )
-        assert report.mean_identity_gap == 0.0
+        assert report.mean_identity_gap <= 1e-12 * max(1.0, abs(report.chain_lhs))
         assert report.chain_holds
         assert report.part_upper >= 0.0
         assert report.part_negative <= 0.0
