@@ -6,7 +6,8 @@ strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
 11's law), and `logdet_via_transfer` on the two strips of the benchmark's
 `routes` workload (Cauchy 2000 x 2 and random band 500 x 4, d = 2, both at
 E = 0.5).  Unit: steps.  Each case also records ``qr_calls``, the
-``transfer._qr_step`` calls of one more, untimed run.
+``transfer._qr_step`` calls of one more, untimed run, and ``us_per_qr``, the
+median time over ``qr_calls``: the whole run's cost per QR.
 
 Suite ``logdets``: `sample_logdets` on full rectangles with one worker:
 criterion 11's law (uniform [-1.5, 1.5], adjacency, W = 2, E = 0) at N = 16,
@@ -292,6 +293,7 @@ def main() -> int:
         result = {"case": name, unit: units, "seconds": seconds, "median_s": median, f"us_per_{unit[:-1]}": per_unit, "peak_mb": peak}
         if args.suite == "cocycle":
             result["qr_calls"] = qr_calls(run)
+            result["us_per_qr"] = 1e6 * median / result["qr_calls"]
         results.append(result)
         print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}, peak {peak:.1f} MB", flush=True)
     out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")

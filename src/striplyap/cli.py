@@ -240,6 +240,7 @@ def cmd_lyapunov(config: RunConfig, out_dir: Path) -> list:
         "stderr": spectrum.stderr.tolist(),
         "radii": spectrum.radii.tolist(),
         "burn_in": spectrum.burn_in,
+        "n_blocks": spectrum.n_blocks,
     }
     json_path = out_dir / "lyapunov.json"
     write_json(json_path, doc)

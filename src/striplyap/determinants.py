@@ -14,24 +14,20 @@ written once, for a stack of samples: ``logdet_via_schur`` is its one-sample
 call, and ``sampling.sample_logdets`` runs it on every rectangle of a Monte
 Carlo ensemble.  At W = 2 the sweep inverts its 2 x 2 blocks in closed form,
 elementwise over the samples; every other width calls LAPACK on the stack
-once per column.  Route (a) loads SciPy's ``dsytrf``, ``dsytrf_lwork`` and
-``dsytrs`` from ``scipy.linalg._flapack`` alone, nearly halving CLI start-up.
+once per column.  Route (a) takes ``dsytrf``, ``dsytrf_lwork`` and ``dsytrs``
+from ``transfer._FLAPACK`` (SciPy's ``_flapack`` alone), nearly halving start-up.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import sys
 from dataclasses import dataclass
 from functools import reduce
-from importlib.machinery import PathFinder
-from importlib.util import module_from_spec
 
 import numpy as np
 
 from .model import ConfigurationError, DisorderSample, Region, _column_blocks, _stack_columns, assemble_hamiltonian
-from .transfer import NumericError, accumulate
+from .transfer import _FLAPACK, NumericError, accumulate
 
 __all__ = [
     "SignedLogDet",
@@ -49,16 +45,7 @@ _WINDOW = 256  # rows per dsytrf call of the direct route
 _MARGIN = 64  # rows a window keeps past its cut
 
 
-def _load_flapack():
-    """``scipy.linalg._flapack`` from SciPy's ``linalg`` directory; the package would load ~290 more modules."""
-    scipy = PathFinder.find_spec("scipy")
-    where = [os.path.join(p, "linalg") for p in scipy.submodule_search_locations or ()] if scipy else sys.path
-    if (spec := scipy and PathFinder.find_spec("scipy.linalg._flapack", where)) is None:
-        raise ImportError(f"scipy.linalg._flapack not found in {where}")
-    return module_from_spec(spec)
-
-
-_SYTRF, _SYTRF_LWORK, _SYTRS = (getattr(_load_flapack(), name) for name in ("dsytrf", "dsytrf_lwork", "dsytrs"))
+_SYTRF, _SYTRF_LWORK, _SYTRS = _FLAPACK.dsytrf, _FLAPACK.dsytrf_lwork, _FLAPACK.dsytrs
 
 
 def _compute_lwork(size: int) -> int:

@@ -25,11 +25,18 @@ tail steps.  ``lyapunov_spectrum`` sets its burn-in and block edges on these
 steps, so they cost no extra QR.  This needs every multiple of 64 to stay a
 block end (spans are powers of two dividing 64, windows multiples of 64); a
 per-block split of the doubling budget must keep that.
+
+Each QR is one direct dgeqrf and dorgqr call on SciPy's ``_flapack``: up to
+2W = 128, where LAPACK runs unblocked, it is ``np.linalg.qr`` bit for bit.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from dataclasses import dataclass
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Sequence
 
 import numpy as np
@@ -66,6 +73,18 @@ class NumericError(ArithmeticError):
     """Non-finite values encountered in a cocycle product."""
 
 
+def _load_flapack():
+    """``scipy.linalg._flapack`` from SciPy's ``linalg`` directory; the package would load ~290 more modules."""
+    scipy = PathFinder.find_spec("scipy")
+    where = [os.path.join(p, "linalg") for p in scipy.submodule_search_locations or ()] if scipy else sys.path
+    if (spec := scipy and PathFinder.find_spec("scipy.linalg._flapack", where)) is None:
+        raise ImportError(f"scipy.linalg._flapack not found in {where}")
+    return module_from_spec(spec)
+
+
+_FLAPACK = _load_flapack()  # also the source of route (a)'s LDL^t in ``determinants``
+
+
 def one_step(s_block: np.ndarray, energy: float) -> np.ndarray:
     """One-step transfer matrices [[S - E, -I], [I, 0]], unit determinant.
 
@@ -94,18 +113,30 @@ def symplectic_defect(t: np.ndarray) -> float:
     return float(np.linalg.norm(t.T @ j @ t - j, 2))
 
 
+def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Q and diag R of the reduced QR of an m x n ``a``, m >= n, by dgeqrf and dorgqr as ``np.linalg.qr`` calls them."""
+    qr, tau, _, info = _FLAPACK.dgeqrf(a)
+    d = qr.diagonal().copy()  # dorgqr overwrites qr
+    q, _, info_q = _FLAPACK.dorgqr(qr, tau, overwrite_a=1)
+    if info or info_q:
+        raise NumericError(f"LAPACK QR failed: dgeqrf info {info}, dorgqr info {info_q}")
+    return q, d
+
+
 def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q, r = np.linalg.qr(a)
-    signs = np.copysign(1.0, np.diag(r))
-    return q * signs, r * signs[:, None]
+    """``a`` = Q R with diag R > 0: Q and log diag R."""
+    q, d = _qr(a)
+    r = np.abs(d)
+    if not r.min() > 0.0:
+        raise NumericError("rank-deficient or non-finite init_frame")
+    return q * np.copysign(1.0, d), np.log(r)
 
 
 def _qr_step(m: np.ndarray, q: np.ndarray, radii: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """Reorthonormalize ``m @ q``: add log|pivots| to ``radii``, multiply ``signs`` by theirs."""
-    q, r = np.linalg.qr(m @ q)
-    d = np.diagonal(r)
+    q, d = _qr(m @ q)
     a = np.abs(d)
-    if not np.all(a > 0.0):
+    if not a.min() > 0.0:
         raise NumericError("rank-deficient step in cocycle product")
     radii += np.log(a)
     signs *= np.copysign(1.0, d)
@@ -209,22 +240,22 @@ def shadow_product(
     if start + n_steps > sample.potentials.shape[0]:
         raise ConfigurationError("shadow range exceeds sampled extent")
     x = np.asarray(init_frame, dtype=float)
-    if x.ndim != 2 or x.shape[0] != 2 * sample.geometry.width:
+    if x.ndim != 2 or x.shape[0] != 2 * sample.geometry.width or x.shape[1] > x.shape[0]:
         raise ConfigurationError("init_frame must be 2W x k")
-    q, r = _qr_positive(x)
-    q, radii, _ = _sweep(sample, energy, start, n_steps, q, np.log(np.diag(r)))
+    q, radii, _ = _sweep(sample, energy, start, n_steps, *_qr_positive(x))
     return CocycleAccumulator(frame=q, log_radii=radii, steps=n_steps)
 
 
 @dataclass(frozen=True)
 class LyapunovSpectrum:
-    """Top-W exponents with block-bootstrap error bars plus all 2W raw radii."""
+    """Top-W exponents with block-bootstrap error bars plus all 2W raw radii; NaN error bars below two blocks."""
 
     exponents: np.ndarray
     stderr: np.ndarray
     radii: np.ndarray
     n_steps: int
     burn_in: int
+    n_blocks: int
 
 
 def lyapunov_spectrum(
@@ -255,10 +286,10 @@ def lyapunov_spectrum(
     rng = split_stream(seed, _DOMAIN_BOOT, 0)
     idx = rng.integers(0, len(increments), size=(_BOOT_REPLICATES, len(increments)))
     boot = increments[idx].sum(axis=1) / lengths[idx].sum(axis=1)[:, None]
-    stderr = boot.std(axis=0, ddof=1)
+    stderr = boot.std(axis=0, ddof=1) if len(increments) > 1 else np.full(2 * w, np.nan)
     order = np.argsort(-gamma_all[:w])  # descending by construction, enforced anyway
     return LyapunovSpectrum(
-        exponents=gamma_all[order], stderr=stderr[order], radii=final, n_steps=n_steps, burn_in=burn_in
+        gamma_all[order], stderr[order], radii=final, n_steps=n_steps, burn_in=burn_in, n_blocks=len(increments)
     )
 
 

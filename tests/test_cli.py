@@ -90,6 +90,7 @@ def test_lyapunov_command(tmp_path):
     doc = json.loads((out / "lyapunov.json").read_text())
     assert doc["W"] == 2 and doc["N"] == 400
     assert len(doc["gamma"]) == 2 and len(doc["radii"]) == 4
+    assert doc["n_blocks"] == 8
 
 
 def test_dets_command_routes_agree(tmp_path):

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from striplyap import determinants
+from striplyap import determinants, transfer
 from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, sample_disorder
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,6 +117,14 @@ def test_direct_binding_is_scipy_lapack_bit_for_bit(case):
         np.testing.assert_array_equal(x, y)
 
 
+def test_one_lapack_extension_serves_both_modules():
+    # route (a) and the QR sweep share the extension module loaded once, at import of ``transfer``
+    assert determinants._FLAPACK is transfer._FLAPACK
+    lapack = transfer._FLAPACK
+    assert determinants._SYTRF is lapack.dsytrf and determinants._SYTRS is lapack.dsytrs
+    assert determinants._SYTRF_LWORK is lapack.dsytrf_lwork
+
+
 def test_lwork_matches_scipy_query():
     _, _, query = scipy_lapack()
     assert [determinants._compute_lwork(n) for n in range(1, 601)] == [query(n) for n in range(1, 601)]
@@ -130,5 +138,5 @@ def test_missing_scipy_names_the_searched_directory(tmp_path, monkeypatch):
     for root, searched in ((empty, empty), (moved, moved / "scipy" / "linalg")):
         monkeypatch.setattr(sys, "path", [str(root)])
         with pytest.raises(ImportError, match="scipy.linalg._flapack not found") as info:
-            determinants._load_flapack()
+            transfer._load_flapack()
         assert str(searched) in str(info.value)

@@ -300,6 +300,62 @@ def test_lyapunov_spectrum_runs_the_accumulated_chain_only(name, monkeypatch):
     assert np.array_equal(spectrum.radii, acc.log_radii)
 
 
+@pytest.mark.parametrize("n, n_blocks", [(64, 1), (65, 1), (128, 1), (129, 1), (192, 2), (50_000, 64)])
+def test_lyapunov_error_bars_need_two_blocks(n, n_blocks):
+    # one bootstrap block has no spread to measure: its error bar is undefined, not roundoff
+    spectrum = lyapunov_spectrum(DisorderSpec.uniform(-1, 1, u_law="adjacency"), StripGeometry(1, 1, 1), 0.3, n, seed=3)
+    assert spectrum.n_blocks == n_blocks
+    if n_blocks < 2:
+        assert np.all(np.isnan(spectrum.stderr))
+    else:
+        assert np.all(spectrum.stderr > 0.0)
+
+
+QR_KERNEL_LAWS = {
+    "cauchy": (DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency"), 0.5),
+    "resonant": (DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency"), 0.0),
+    "point": (DisorderSpec.point(0.0, u_law="adjacency"), 0.3),
+    "uniform": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 0.0),
+}
+
+
+def _kernel_inputs(spec, width, energy, n=64, seed=17):
+    """The 2W x 2W matrices a sweep factors: one step on the running frame, and the doubled blocks of 2 to 64 steps."""
+    sample = sample_disorder(StripGeometry(width, 1, n), spec, seed)
+    mats = one_step(np.stack([s_matrix(sample, k) for k in range(1, n + 1)]), energy)
+    q, inputs = np.eye(2 * width), []
+    for m in mats:
+        inputs.append(m @ q)
+        q, _ = np.linalg.qr(inputs[-1])
+    prods = mats
+    while len(prods) > 1:
+        prods = prods[1::2] @ prods[0::2]
+        inputs.extend(prods)
+    return inputs
+
+
+@pytest.mark.parametrize("width", range(1, 7))
+@pytest.mark.parametrize("name", sorted(QR_KERNEL_LAWS))
+def test_qr_kernel_is_numpy_qr_bit_for_bit(name, width):
+    spec, energy = QR_KERNEL_LAWS[name]
+    for a in _kernel_inputs(spec, width, energy):
+        for x in (a, a[:, :width]):
+            q, d = transfer._qr(x)
+            q_ref, r_ref = np.linalg.qr(x)
+            assert np.array_equal(q, q_ref)
+            assert np.array_equal(d, np.diagonal(r_ref))
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank_deficient_init_frame_raises_at_once():
+    sample = sample_disorder(StripGeometry(2, 1, 12), DisorderSpec.uniform(-1, 1, u_law="adjacency"), seed=5)
+    for frame in (np.eye(4)[:, [0, 0]], np.zeros((4, 2)), np.eye(4)[:, [1, 2, 1]]):
+        with pytest.raises(NumericError, match="rank-deficient"):
+            shadow_product(sample, 0.2, 12, frame)
+    with pytest.raises(ConfigurationError, match="2W x k"):
+        shadow_product(sample, 0.2, 12, np.ones((4, 5)))
+
+
 def test_lyapunov_point_mass_has_no_spread():
     # every step is the same hyperbolic matrix, so every block grows at the same rate up to roundoff
     spectrum = lyapunov_spectrum(DisorderSpec.point(0.0), StripGeometry(1, 1, 1), 3.0, 10_000, seed=7)
