@@ -114,7 +114,7 @@ def symplectic_defect(t: np.ndarray) -> float:
 
 
 def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q and diag R of the reduced QR of an m x n ``a``, m >= n, by dgeqrf and dorgqr as ``np.linalg.qr`` calls them."""
+    """Q and diag R of the reduced QR of an m x n ``a``, m >= n, by dgeqrf and dorgqr, the routines of ``np.linalg.qr``."""
     qr, tau, _, info = _FLAPACK.dgeqrf(a)
     d = qr.diagonal().copy()  # dorgqr overwrites qr
     q, _, info_q = _FLAPACK.dorgqr(qr, tau, overwrite_a=1)
