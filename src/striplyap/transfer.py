@@ -26,8 +26,12 @@ steps, so they cost no extra QR.  This needs every multiple of 64 to stay a
 block end (spans are powers of two dividing 64, windows multiples of 64); a
 per-block split of the doubling budget must keep that.
 
-Each QR is one direct dgeqrf and dorgqr call on SciPy's ``_flapack``: up to
-2W = 128, where LAPACK runs unblocked, it is ``np.linalg.qr`` bit for bit.
+Each QR is one direct dgeqrf and dorgqr call on SciPy's ``_flapack`` with
+LAPACK's queried work sizes, so it is ``np.linalg.qr`` bit for bit.  The loop
+over a window's blocks only multiplies and factors, and writes each raw
+diagonal of R into a pivot table; one vectorized pass per window then checks
+the rank, multiplies up the signs and adds the log pivots in order, so a
+rank-deficient step raises at the end of its window.
 """
 
 from __future__ import annotations
@@ -35,15 +39,17 @@ from __future__ import annotations
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib.machinery import PathFinder
 from importlib.util import module_from_spec
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
 from .model import (
-    _DOMAIN_BOOT, ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, _column_blocks, s_matrix, sample_disorder,
-    split_stream,
+    _DOMAIN_BOOT, ConfigurationError, DisorderSample, DisorderSpec, StripGeometry, _column_blocks, _diagonal, s_matrix,
+    sample_disorder, split_stream,
 )
 
 __all__ = [
@@ -92,10 +98,11 @@ def one_step(s_block: np.ndarray, energy: float) -> np.ndarray:
     """
     s_block = np.asarray(s_block, dtype=float)
     w = s_block.shape[-1]
-    t = np.zeros(s_block.shape[:-2] + (2 * w, 2 * w))
-    t[..., :w, :w] = s_block - energy * np.eye(w)
-    t[..., :w, w:] = -np.eye(w)
-    t[..., w:, :w] = np.eye(w)
+    t = np.empty(s_block.shape[:-2] + (2 * w, 2 * w))
+    t[...] = symplectic_form(w)
+    t[..., :w, :w] = s_block
+    if energy:
+        _diagonal(t)[..., :w] -= energy
     return t
 
 
@@ -113,34 +120,39 @@ def symplectic_defect(t: np.ndarray) -> float:
     return float(np.linalg.norm(t.T @ j @ t - j, 2))
 
 
-def _qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Q and diag R of the reduced QR of an m x n ``a``, m >= n, by dgeqrf and dorgqr, the routines of ``np.linalg.qr``."""
-    qr, tau, _, info = _FLAPACK.dgeqrf(a)
-    d = qr.diagonal().copy()  # dorgqr overwrites qr
-    q, _, info_q = _FLAPACK.dorgqr(qr, tau, overwrite_a=1)
+@cache
+def _lwork(m: int, n: int) -> tuple[int, int]:
+    """LAPACK's optimal work sizes of dgeqrf and dorgqr on an m x n matrix, as ``np.linalg.qr`` queries them."""
+    a = np.zeros((m, n))
+    return int(_FLAPACK.dgeqrf(a, -1)[2][0]), int(_FLAPACK.dorgqr(a, np.zeros(n), -1)[1][0])
+
+
+def _qr(a: np.ndarray, d: np.ndarray, lwork: tuple[int, int]) -> np.ndarray:
+    """Q of the reduced QR of an m x n ``a``, m >= n, by dgeqrf and dorgqr as in ``np.linalg.qr``; diag R goes into ``d``.
+
+    ``lwork`` is ``_lwork(m, n)``.
+    """
+    qr, tau, _, info = _FLAPACK.dgeqrf(a, lwork[0])  # positional arguments parse faster than keywords
+    d[:] = qr.diagonal()  # dorgqr overwrites qr
+    q, _, info_q = _FLAPACK.dorgqr(qr, tau, lwork[1], 1)
     if info or info_q:
         raise NumericError(f"LAPACK QR failed: dgeqrf info {info}, dorgqr info {info_q}")
-    return q, d
+    return q
 
 
 def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``a`` = Q R with diag R > 0: Q and log diag R."""
-    q, d = _qr(a)
+    d = np.empty(a.shape[1])
+    q = _qr(a, d, _lwork(*a.shape))
     r = np.abs(d)
     if not r.min() > 0.0:
         raise NumericError("rank-deficient or non-finite init_frame")
     return q * np.copysign(1.0, d), np.log(r)
 
 
-def _qr_step(m: np.ndarray, q: np.ndarray, radii: np.ndarray, signs: np.ndarray) -> np.ndarray:
-    """Reorthonormalize ``m @ q``: add log|pivots| to ``radii``, multiply ``signs`` by theirs."""
-    q, d = _qr(m @ q)
-    a = np.abs(d)
-    if not a.min() > 0.0:
-        raise NumericError("rank-deficient step in cocycle product")
-    radii += np.log(a)
-    signs *= np.copysign(1.0, d)
-    return q
+def _qr_step(m: np.ndarray, q: np.ndarray, pivots: np.ndarray, lwork: tuple[int, int]) -> np.ndarray:
+    """Reorthonormalize ``m @ q``; the raw diagonal of its R goes into ``pivots``."""
+    return _qr(np.dot(m, q), pivots, lwork)  # np.dot makes the BLAS call of m @ q with less overhead
 
 
 def _recorded_steps(n_steps: int) -> np.ndarray:
@@ -157,12 +169,8 @@ def _sweep(
     Returns the sign-fixed frame, ``log_radii`` plus the accumulated log
     pivots, and the radii after each of the ``_recorded_steps(n_steps)``.
     """
-    q = frame
-    radii = np.array(log_radii, dtype=float)
-    signs = np.ones(frame.shape[1])
-    out = np.empty((len(_recorded_steps(n_steps)), len(radii)))
-    out[0] = radii
-    row = 1
+    q, radii, signs = frame, np.array(log_radii, dtype=float), np.ones(frame.shape[1])
+    record, lwork = [radii[None]], _lwork(*frame.shape)
     for w0 in range(0, n_steps, _WINDOW_STEPS):
         n = min(_WINDOW_STEPS, n_steps - w0)
         blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, energy, (start + w0, start + w0 + n))
@@ -176,18 +184,21 @@ def _sweep(
             if not np.all(np.einsum("kij,kij->k", doubled, doubled) <= _FROB_SQ_BUDGET):
                 break
             prods, span = doubled, 2 * span
-        for b, block in enumerate(prods, 1):
-            q = _qr_step(block, q, radii, signs)
-            if b * span % _BLOCK_STEPS == 0:
-                out[row] = radii
-                row += 1
-        for k in range(n_full, n):
-            q = _qr_step(mats[k], q, radii, signs)
-            out[row] = radii
-            row += 1
+        table = np.empty((len(prods) + n - n_full + 1, len(radii)))  # row 0 the radii, row i the pivots of QR i
+        table[0] = radii
+        for m, pivots in zip(chain(prods, mats[n_full:]), table[1:]):
+            q = _qr_step(m, q, pivots, lwork)
+        signs *= np.copysign(1.0, table[1:]).prod(axis=0)
+        logs = np.abs(table[1:], out=table[1:])
+        if not logs.min() > 0.0:
+            raise NumericError("rank-deficient step in cocycle product")
+        np.log(logs, out=logs)
+        radii = np.cumsum(table, axis=0, out=table)[-1]  # adds in order, as radii += log|d| per QR would
+        stride = _BLOCK_STEPS // span  # blocks per 64 steps
+        record.append(table[np.r_[stride : len(prods) + 1 : stride, len(prods) + 1 : len(table)]])
     if not np.all(np.isfinite(radii)):
         raise NumericError("cocycle state lost finiteness")
-    return q * signs, radii, out
+    return q * signs, radii, np.concatenate(record)
 
 
 @dataclass

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -37,6 +43,13 @@ def test_one_step_examples():
     t = one_step(np.array([[2.5]]), 1.0)
     assert np.array_equal(t, np.array([[1.5, -1.0], [1.0, 0.0]]))
     assert np.linalg.det(t) == pytest.approx(1.0)
+
+
+def test_one_step_is_the_block_formula():
+    stack = np.random.default_rng(4).normal(size=(5, 3, 3))
+    eye, zero = np.broadcast_to(np.eye(3), stack.shape), np.zeros(stack.shape)
+    for energy in (0.0, 0.7, -1.3):
+        assert np.array_equal(one_step(stack, energy), np.block([[stack - energy * eye, -eye], [eye, zero]]))
 
 
 @given(st.integers(0, 1000))
@@ -320,30 +333,97 @@ QR_KERNEL_LAWS = {
 
 
 def _kernel_inputs(spec, width, energy, n=64, seed=17):
-    """The 2W x 2W matrices a sweep factors: one step on the running frame, and the doubled blocks of 2 to 64 steps."""
+    """(m, q) pairs as a sweep meets them: each step on the running frame, each doubled block of 2 to 64 steps on one."""
     sample = sample_disorder(StripGeometry(width, 1, n), spec, seed)
     mats = one_step(np.stack([s_matrix(sample, k) for k in range(1, n + 1)]), energy)
-    q, inputs = np.eye(2 * width), []
+    q, frames = np.eye(2 * width), []
     for m in mats:
-        inputs.append(m @ q)
-        q, _ = np.linalg.qr(inputs[-1])
-    prods = mats
+        frames.append(q)
+        q, _ = np.linalg.qr(m @ q)
+    pairs, prods = list(zip(mats, frames)), mats
     while len(prods) > 1:
         prods = prods[1::2] @ prods[0::2]
-        inputs.extend(prods)
-    return inputs
+        pairs.extend(zip(prods, frames))
+    return pairs
 
 
 @pytest.mark.parametrize("width", range(1, 7))
 @pytest.mark.parametrize("name", sorted(QR_KERNEL_LAWS))
 def test_qr_kernel_is_numpy_qr_bit_for_bit(name, width):
     spec, energy = QR_KERNEL_LAWS[name]
-    for a in _kernel_inputs(spec, width, energy):
-        for x in (a, a[:, :width]):
-            q, d = transfer._qr(x)
-            q_ref, r_ref = np.linalg.qr(x)
-            assert np.array_equal(q, q_ref)
+    for m, q in _kernel_inputs(spec, width, energy):
+        for frame in (q, q[:, :width], np.asfortranarray(q)):
+            d = np.empty(frame.shape[1])
+            got = transfer._qr_step(m, frame, d, transfer._lwork(*frame.shape))
+            q_ref, r_ref = np.linalg.qr(m @ frame)
+            assert np.array_equal(got, q_ref)
             assert np.array_equal(d, np.diagonal(r_ref))
+
+
+WIDE_QR = """
+import json
+import numpy as np
+from striplyap import transfer
+unequal = []
+for n in range(129, 301):
+    rng = np.random.default_rng(n)
+    m, (q, _) = rng.standard_normal((n, n)), np.linalg.qr(rng.standard_normal((n, n)))
+    for frame in (q, q[:, : n // 2]):
+        d = np.empty(frame.shape[1])
+        got = transfer._qr_step(m, frame, d, transfer._lwork(*frame.shape))
+        q_ref, r_ref = np.linalg.qr(m @ frame)
+        if not (np.array_equal(got, q_ref) and np.array_equal(d, np.diagonal(r_ref))):
+            unequal.append(frame.shape)
+print(json.dumps(unequal))
+"""
+
+
+def test_qr_kernel_is_numpy_qr_bit_for_bit_past_the_blocking_crossover(tmp_path):
+    # past 128 columns LAPACK runs blocked code, whose panel width follows the work size.  One BLAS
+    # thread: a threaded BLAS splits the panel updates by thread count, so np.linalg.qr alone is not
+    # reproducible across thread counts there.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", WIDE_QR], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == []
+
+
+def _per_qr_sweep(sample, energy, n_steps, frame):
+    """The blocked sweep one QR at a time: radii += log|d| and signs *= sign d per QR, the record written per block."""
+    q, radii, signs = frame, np.zeros(frame.shape[1]), np.ones(frame.shape[1])
+    record = [radii.copy()]
+    for w0 in range(0, n_steps, 4096):
+        n = min(4096, n_steps - w0)
+        mats = one_step(np.stack([s_matrix(sample, k) for k in range(w0 + 1, w0 + n + 1)]), energy)
+        n_full = n - n % 64
+        prods, span = mats[:n_full], 1
+        while span < 64:
+            doubled = prods[1::2] @ prods[0::2]
+            if not np.all(np.einsum("kij,kij->k", doubled, doubled) <= np.exp(20.0)):
+                break
+            prods, span = doubled, 2 * span
+        for b, m in enumerate([*prods, *mats[n_full:]], 1):
+            q, r = np.linalg.qr(m @ q)
+            d = np.diagonal(r)
+            radii += np.log(np.abs(d))
+            signs *= np.copysign(1.0, d)
+            if b > len(prods) or b * span % 64 == 0:
+                record.append(radii.copy())
+    return q * signs, radii, np.array(record)
+
+
+@pytest.mark.parametrize("n", [63, 64, 4095, 4096, 4097, 8192 + 37])
+@pytest.mark.parametrize("name", sorted(QR_COUNT_LAWS))
+def test_window_reduction_matches_per_qr_accumulation(name, n):
+    # the pivot table's sign product, log and in-order cumulative sum are the per-QR updates, bit for bit
+    spec, width, bandwidth, energy = QR_COUNT_LAWS[name]
+    sample = sample_disorder(StripGeometry(width, bandwidth, n), spec, seed=19)
+    for k in (2 * width, width):
+        frame = np.eye(2 * width)[:, :k]
+        got = transfer._sweep(sample, energy, 0, n, frame, np.zeros(k))
+        for a, b in zip(got, _per_qr_sweep(sample, energy, n, frame)):
+            assert np.array_equal(a, b)
 
 
 @pytest.mark.filterwarnings("error")
@@ -354,6 +434,21 @@ def test_rank_deficient_init_frame_raises_at_once():
             shadow_product(sample, 0.2, 12, frame)
     with pytest.raises(ConfigurationError, match="2W x k"):
         shadow_product(sample, 0.2, 12, np.ones((4, 5)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [40, 5000])
+def test_rank_deficient_step_raises_at_the_end_of_its_window(n):
+    # the pivots are checked before any log is taken, so log(0) never warns
+    spec = DisorderSpec.uniform(-1, 1, u_law="adjacency")
+    sample = sample_disorder(StripGeometry(2, 1, n), spec, seed=5)
+    with pytest.raises(NumericError, match="rank-deficient step"):
+        transfer._sweep(sample, 0.2, 0, n, np.zeros((4, 2)), np.zeros(2))
+    pot = sample.potentials.copy()
+    pot[n - 3, 1] = np.nan
+    sample = DisorderSample(geometry=sample.geometry, u_law="adjacency", potentials=pot)
+    with pytest.raises(NumericError, match="non-finite transfer matrix entries"):
+        transfer._sweep(sample, 0.2, 0, n, np.eye(4), np.zeros(4))
 
 
 def test_lyapunov_point_mass_has_no_spread():
