@@ -27,11 +27,11 @@ block end (spans are powers of two dividing 64, windows multiples of 64); a
 per-block split of the doubling budget must keep that.
 
 Each QR is one direct dgeqrf and dorgqr call on SciPy's ``_flapack`` with
-LAPACK's queried work sizes, so it is ``np.linalg.qr`` bit for bit.  The loop
-over a window's blocks only multiplies and factors, and writes each raw
-diagonal of R into a pivot table; one vectorized pass per window then checks
-the rank, multiplies up the signs and adds the log pivots in order, so a
-rank-deficient step raises at the end of its window.
+LAPACK's queried work sizes: ``np.linalg.qr`` bit for bit (past 128 columns
+with one BLAS thread).  The loop over a window's blocks only multiplies and
+factors, writing each raw diagonal of R into a pivot table; one vectorized
+pass per window checks the rank, multiplies up the signs and adds the log
+pivots in order, so a rank-deficient step raises at the end of its window.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def _qr_positive(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _qr_step(m: np.ndarray, q: np.ndarray, pivots: np.ndarray, lwork: tuple[int, int]) -> np.ndarray:
     """Reorthonormalize ``m @ q``; the raw diagonal of its R goes into ``pivots``."""
-    return _qr(np.dot(m, q), pivots, lwork)  # np.dot makes the BLAS call of m @ q with less overhead
+    return _qr(m.dot(q), pivots, lwork)  # the BLAS call of m @ q, with less overhead
 
 
 def _recorded_steps(n_steps: int) -> np.ndarray:
@@ -195,7 +195,7 @@ def _sweep(
         np.log(logs, out=logs)
         radii = np.cumsum(table, axis=0, out=table)[-1]  # adds in order, as radii += log|d| per QR would
         stride = _BLOCK_STEPS // span  # blocks per 64 steps
-        record.append(table[np.r_[stride : len(prods) + 1 : stride, len(prods) + 1 : len(table)]])
+        record.append(np.concatenate((table[stride : len(prods) + 1 : stride], table[len(prods) + 1 :])))
     if not np.all(np.isfinite(radii)):
         raise NumericError("cocycle state lost finiteness")
     return q * signs, radii, np.concatenate(record)
