@@ -43,9 +43,6 @@ def test_one_step_examples():
     t = one_step(np.array([[2.5]]), 1.0)
     assert np.array_equal(t, np.array([[1.5, -1.0], [1.0, 0.0]]))
     assert np.linalg.det(t) == pytest.approx(1.0)
-
-
-def test_one_step_is_the_block_formula():
     stack = np.random.default_rng(4).normal(size=(5, 3, 3))
     eye, zero = np.broadcast_to(np.eye(3), stack.shape), np.zeros(stack.shape)
     for energy in (0.0, 0.7, -1.3):
