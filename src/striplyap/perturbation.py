@@ -1,32 +1,25 @@
 """Rank-perturbation inequalities: Weyl interlacing, log-det gaps, partitions.
 
 Correctness over speed: spectral distances come from full eigensolves, which
-is fine at the matrix sizes these verification routines target.
+is fine at the matrix sizes these verification routines target.  One
+eigensolve per matrix feeds the Weyl chains, ||H1||_2 = max |lambda(H1)| and
+dist(E, spec H2); the two slogdets stay as the independent left side.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .determinants import _signed_logdets, logdet_direct
-from .model import (
-    ConfigurationError,
-    DisorderSample,
-    Region,
-    StripGeometry,
-    assemble_hamiltonian,
-    boundary,
-)
+from .model import ConfigurationError, Region, StripGeometry, boundary
 
 __all__ = [
     "InterlacingReport",
     "numerical_rank",
-    "weyl_check",
-    "logdet_gap_bound",
+    "interlacing_checks",
     "grid_partition",
     "partition_boundary",
     "partition_defect",
@@ -35,6 +28,7 @@ __all__ = [
 ]
 
 RANK_RTOL = 1e-9  # singular values below this times the norm count as zero
+WEYL_TOL = 1e-9  # chain slack, relative to the largest |eigenvalue| (at least 1)
 
 
 def log_plus(x: float) -> float:
@@ -49,61 +43,35 @@ def log_minus(x: float) -> float:
     return max(-math.log(x), 0.0)
 
 
-def _one_or_stack(func):
-    """Let a function of (m, n, n) stacks take single (n, n) matrices too.
-
-    Single matrices go in as stacks of one, and the one result comes back as
-    a plain value: an int, a bool or a report.
-    """
-
-    @functools.wraps(func)
-    def call(*args, **kwargs):
-        if np.ndim(args[0]) != 2:
-            return func(*args, **kwargs)
-        (out,) = func(*(np.asarray(a)[None] if np.ndim(a) == 2 else a for a in args), **kwargs)
-        return out.item() if isinstance(out, np.generic) else out
-
-    return call
-
-
-@_one_or_stack
-def numerical_rank(matrix: np.ndarray, rtol: float = RANK_RTOL):
-    """Numerical rank of each matrix of an (m, n, n) stack, or of one matrix (an int)."""
+def numerical_rank(matrix: np.ndarray):
+    """Numerical rank of one matrix (an int) or of each matrix of an (m, n, n) stack."""
     sv = np.linalg.svd(np.asarray(matrix, dtype=float), compute_uv=False)
-    return np.count_nonzero(sv > rtol * sv[..., :1], axis=-1)
+    rank = np.count_nonzero(sv > RANK_RTOL * sv[..., :1], axis=-1)
+    return rank if np.ndim(rank) else int(rank)
 
 
-@_one_or_stack
-def weyl_check(h1: np.ndarray, h2: np.ndarray, tol: float = 1e-9, rank: int | np.ndarray | None = None):
-    """Both interlacing chains for a rank-r difference of symmetric matrices.
+def _weyl_chains(e1: np.ndarray, e2: np.ndarray, r: np.ndarray, tol: float) -> np.ndarray:
+    """Both interlacing chains for rank-r differences, from increasing spectra.
 
-    With eigenvalues in increasing order the chains are E1_j <= E2_{j+r} and
-    E2_{j-r} <= E1_j; the rank is the numerical rank of the difference unless
-    given.  On (m, n, n) stacks (``rank`` then one per matrix) it returns a
-    boolean array, on two matrices a bool.
+    The chains are E1_j <= E2_{j+r} and E2_j <= E1_{j+r} for j < n - r; rank
+    zero asks for equal spectra.  Takes (m, n) spectra and m ranks and returns
+    m bools.
     """
-    h1 = np.asarray(h1, dtype=float)
-    h2 = np.asarray(h2, dtype=float)
-    if h1.shape != h2.shape:
-        raise ConfigurationError("matrices must have the same shape")
-    e1 = np.linalg.eigvalsh(h1)
-    e2 = np.linalg.eigvalsh(h2)
-    r = np.broadcast_to(numerical_rank(h1 - h2) if rank is None else rank, e1.shape[:-1])[..., None]
+    r = np.asarray(r)[:, None]
     n = e1.shape[-1]
     scale = np.maximum(1.0, np.maximum(np.max(np.abs(e1), axis=-1), np.max(np.abs(e2), axis=-1)))
-    slack = (tol * scale)[..., None]
-    # chain entry j compares E1_j with E2_{j+r} (and E2_j with E1_{j+r}) for j < n - r
+    slack = (tol * scale)[:, None]
     j = np.arange(n)
     outside = j >= n - r
     partner = np.minimum(j + r, n - 1)
     up = outside | (e1 <= np.take_along_axis(e2, partner, axis=-1) + slack)
     down = outside | (e2 <= np.take_along_axis(e1, partner, axis=-1) + slack)
-    return np.where(r[..., 0] == 0, np.all(np.abs(e1 - e2) <= slack, axis=-1), np.all(up & down, axis=-1))
+    return np.where(r[:, 0] == 0, np.all(np.abs(e1 - e2) <= slack, axis=-1), np.all(up & down, axis=-1))
 
 
 @dataclass(frozen=True)
 class InterlacingReport:
-    """Both sides of the rank-perturbation log-det bound on one instance."""
+    """The Weyl chains and both sides of the rank-perturbation log-det bound on one pair."""
 
     lhs: float
     rhs: float
@@ -111,6 +79,7 @@ class InterlacingReport:
     norm_term: float
     dist_term: float
     vacuous: bool
+    weyl: bool
 
     @property
     def slack(self) -> float:
@@ -121,38 +90,37 @@ class InterlacingReport:
         return self.vacuous or self.lhs <= self.rhs + 1e-8
 
 
-@_one_or_stack
-def logdet_gap_bound(
-    h1: np.ndarray,
-    h2: np.ndarray,
-    energy: float | np.ndarray,
-    rank: int | np.ndarray | None = None,
-):
-    """Evaluate log|det(H1-E)| - log|det(H2-E)| against the rank bound.
+def interlacing_checks(h1: np.ndarray, h2: np.ndarray, energy: float | np.ndarray) -> list[InterlacingReport]:
+    """Weyl chains and the log-det gap bound for each pair of two (m, n, n) stacks.
 
-    The bound is 4 rank(H1-H2) max(log+(|E| + ||H1||), log-(dist(E, spec H2))).
-    A singular H2 - E makes the bound vacuous; this is flagged, not raised.
-    On (m, n, n) stacks, with ``energy`` and ``rank`` scalars or one per
-    matrix, it returns a list of m reports; the factorizations run once on
-    each stack and the scalar terms per matrix.  A single pair gives a report.
+    The gap log|det(H1-E)| - log|det(H2-E)| is held against
+    4 rank(H1-H2) max(log+(|E| + ||H1||), log-(dist(E, spec H2))); a singular
+    H2 - E makes the bound vacuous, which is flagged, not raised.  ``energy``
+    is a scalar or one per pair.  The rank, each spectrum and each slogdet
+    run once on the whole stack.
     """
     h1 = np.asarray(h1, dtype=float)
     h2 = np.asarray(h2, dtype=float)
+    if h1.ndim != 3 or h1.shape != h2.shape:
+        raise ConfigurationError("expected two (m, n, n) stacks of the same shape")
     m, n = h1.shape[:2]
     e = np.broadcast_to(np.asarray(energy, dtype=float), (m,))
-    ranks = np.broadcast_to(numerical_rank(h1 - h2) if rank is None else np.asarray(rank, dtype=int), (m,))
+    ranks = numerical_rank(h1 - h2)
+    e1 = np.linalg.eigvalsh(h1)
+    e2 = np.linalg.eigvalsh(h2)
+    weyl = _weyl_chains(e1, e2, ranks, WEYL_TOL)
     (_, log1), (sign2, log2) = (_signed_logdets(h - e[:, None, None] * np.eye(n)) for h in (h1, h2))
-    dists = np.min(np.abs(np.linalg.eigvalsh(h2) - e[:, None]), axis=1)
-    norms = np.linalg.norm(h1, 2, axis=(1, 2))
+    norms = np.max(np.abs(e1), axis=1)
+    dists = np.min(np.abs(e2 - e[:, None]), axis=1)
     reports = []
     rows = zip(e.tolist(), ranks.tolist(), norms.tolist(), dists.tolist(), sign2.tolist(), log1.tolist(), log2.tolist())
-    for energy, r, norm, dist, s2, l1, l2 in rows:
+    for (energy, r, norm, dist, s2, l1, l2), ok in zip(rows, weyl.tolist()):
         norm_term = log_plus(abs(energy) + norm)
         dist_term = log_minus(dist)
         vacuous = s2 == 0.0 or not math.isfinite(dist_term)
         lhs = l1 - l2 if not vacuous else -math.inf
         rhs = 4.0 * r * max(norm_term, dist_term)
-        reports.append(InterlacingReport(lhs, rhs, rank=r, norm_term=norm_term, dist_term=dist_term, vacuous=vacuous))
+        reports.append(InterlacingReport(lhs, rhs, r, norm_term, dist_term, vacuous, weyl=ok))
     return reports
 
 
@@ -201,25 +169,27 @@ def _cell_labels(region: Region, partition: list[Region]) -> np.ndarray:
 
 
 def partition_defect(
-    sample: DisorderSample,
+    h: np.ndarray,
     region: Region,
     partition: list[Region],
+    geometry: StripGeometry,
     energy: float,
 ) -> tuple[float, float]:
     """Determinant defect of a partition against its deterministic bound.
 
-    defect = |log|det(H - E)| - sum of the per-cell values|; the bound is
+    ``h`` is the region's H, rows in ``region.sites`` order.  defect =
+    |log|det(H - E)| - sum of the per-cell values|; the bound is
     4 |union of cell boundaries| max(log+(|E| + ||H||), log-(dist to the joint
-    spectrum of the region and all cells)).  H is assembled once; each cell's
-    operator is its principal submatrix on the cell's sites, the Dirichlet
-    restriction.
+    spectrum of the region and all cells)).  Each cell's operator is the
+    principal submatrix of H on the cell's sites, the Dirichlet restriction.
     """
     labels = _cell_labels(region, partition)
-    h = assemble_hamiltonian(sample, region)
+    if np.shape(h) != (region.size, region.size):
+        raise ConfigurationError(f"H is {np.shape(h)}, the region has {region.size} sites")
     cells = [h[np.ix_(labels == c, labels == c)] for c in range(len(partition))]
     full = logdet_direct(h, energy)
     defect = abs(full.log_abs - sum(logdet_direct(hc, energy).log_abs for hc in cells))
-    bnd_sites = partition_boundary(region, partition, sample.geometry)
+    bnd_sites = partition_boundary(region, partition, geometry)
     dist = float(min(np.min(np.abs(np.linalg.eigvalsh(m) - energy)) for m in [h, *cells]))
     norm_term = log_plus(abs(energy) + float(np.linalg.norm(h, 2)))
     bound = 4.0 * len(bnd_sites) * max(norm_term, log_minus(dist))

@@ -31,11 +31,10 @@ from .model import (
 from .perturbation import (
     _cell_labels,
     grid_partition,
-    logdet_gap_bound,
+    interlacing_checks,
     numerical_rank,
     partition_boundary,
     partition_defect,
-    weyl_check,
 )
 
 __all__ = ["verify_wedge", "verify_interlacing", "verify_determinants", "verify_all"]
@@ -129,9 +128,8 @@ def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
     worst_slack = math.inf
     for trials_of_dim in stacks.values():
         h1, h2, energy = (np.stack(part) for part in zip(*trials_of_dim))
-        rank = numerical_rank(h1 - h2)
-        weyl_violations += int(np.count_nonzero(~weyl_check(h1, h2, rank=rank)))
-        for rep in logdet_gap_bound(h1, h2, energy, rank=rank):
+        for rep in interlacing_checks(h1, h2, energy):
+            weyl_violations += not rep.weyl
             bound_violations += not rep.holds
             if not rep.vacuous:
                 worst_slack = min(worst_slack, rep.slack)
@@ -146,10 +144,10 @@ def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
         sample = sample_disorder(geo, spec, seed=seed + 500 + t)
         region = Region.rectangle(1, n, 1, w)
         cells = grid_partition(region, int(rng.integers(1, 4)))
-        defect, bound = partition_defect(sample, region, cells, float(rng.uniform(-1, 1)))
+        h_full = assemble_hamiltonian(sample, region)
+        defect, bound = partition_defect(h_full, region, cells, geo, float(rng.uniform(-1, 1)))
         if defect > bound + 1e-8:
             defect_violations += 1
-        h_full = assemble_hamiltonian(sample, region)
         labels = _cell_labels(region, cells)
         # H of the split operator: the cells' Dirichlet blocks, no bonds between cells
         h_split = np.where(labels[:, None] == labels, h_full, 0.0)

@@ -32,11 +32,10 @@ from striplyap.model import (
 )
 from striplyap.perturbation import (
     grid_partition,
-    logdet_gap_bound,
+    interlacing_checks,
     numerical_rank,
     partition_boundary,
     partition_defect,
-    weyl_check,
 )
 from striplyap.sampling import sample_logdets
 from striplyap.statistics import (
@@ -136,6 +135,7 @@ def test_criterion_04_canonical_frame_structure():
 
 def test_criterion_05_interlacing_suite():
     rng = split_stream(105, 0)
+    by_dim = {}  # dimension -> (H1, H2, E) of its trials, in draw order
     for _ in range(10_000):
         dim = int(rng.integers(4, 25))
         a = rng.normal(size=(dim, dim))
@@ -143,9 +143,12 @@ def test_criterion_05_interlacing_suite():
         r = int(rng.integers(1, 4))
         x = rng.normal(size=(dim, r))
         h2 = h1 + (x * rng.uniform(-2.0, 2.0, size=r)) @ x.T
-        assert weyl_check(h1, h2, tol=1e-9)
-        rep = logdet_gap_bound(h1, h2, float(rng.uniform(-1.0, 1.0)))
-        assert rep.holds
+        by_dim.setdefault(dim, []).append((h1, h2, float(rng.uniform(-1.0, 1.0))))
+    assert sum(map(len, by_dim.values())) == 10_000
+    for trials in by_dim.values():
+        h1, h2, energy = (np.stack(part) for part in zip(*trials))
+        for rep in interlacing_checks(h1, h2, energy):
+            assert rep.weyl and rep.holds
     _report(5, "zero Weyl or log-det bound violations in 10^4 low-rank trials")
 
 
@@ -160,9 +163,9 @@ def test_criterion_06_partition_defect():
         region = Region.rectangle(1, columns, 1, width)
         cells = grid_partition(region, int(rng.integers(1, 5)))
         energy = float(rng.uniform(-1.0, 1.0))
-        defect, bound = partition_defect(sample, region, cells, energy)
-        assert defect <= bound + 1e-8
         h_full = assemble_hamiltonian(sample, region)
+        defect, bound = partition_defect(h_full, region, cells, geo, energy)
+        assert defect <= bound + 1e-8
         h_split = np.zeros_like(h_full)
         pos = {s: i for i, s in enumerate(region.sites)}
         for cell in cells:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplyap.determinants import logdet_direct
-from striplyap.verify import _SPECS
+from striplyap.verify import _SPECS, verify_interlacing
 from striplyap.model import (
     ConfigurationError,
     DisorderSample,
@@ -18,14 +18,15 @@ from striplyap.model import (
     sample_disorder,
 )
 from striplyap.perturbation import (
+    WEYL_TOL,
+    _weyl_chains,
     grid_partition,
+    interlacing_checks,
     log_minus,
     log_plus,
-    logdet_gap_bound,
     numerical_rank,
     partition_boundary,
     partition_defect,
-    weyl_check,
 )
 
 
@@ -42,10 +43,16 @@ def test_log_plus_minus():
     assert log_minus(0.0) == math.inf
 
 
+def _check(h1, h2, energy=0.0):
+    """interlacing_checks on one pair, as a stack of one."""
+    (rep,) = interlacing_checks(h1[None], h2[None], energy)
+    return rep
+
+
 def test_weyl_equal_matrices():
     rng = np.random.default_rng(0)
     h = _sym(rng, 8)
-    assert weyl_check(h, h)
+    assert _check(h, h).weyl
 
 
 def test_weyl_rank_one_update():
@@ -54,7 +61,7 @@ def test_weyl_rank_one_update():
     h1 = _sym(rng, 10)
     x = rng.normal(size=10)
     h2 = h1 + 1.3 * np.outer(x, x)
-    assert weyl_check(h1, h2)
+    assert _check(h1, h2).weyl
     e1 = np.linalg.eigvalsh(h1)
     e2 = np.linalg.eigvalsh(h2)
     assert np.all(e1 <= e2 + 1e-9)
@@ -70,13 +77,13 @@ def test_weyl_random_low_rank(seed):
     x = rng.normal(size=(dim, r))
     scales = rng.uniform(-2, 2, size=r)
     h2 = h1 + (x * scales) @ x.T
-    assert weyl_check(h1, h2)
+    assert _check(h1, h2).weyl
 
 
 def test_gap_bound_equal_matrices():
     rng = np.random.default_rng(2)
     h = _sym(rng, 6)
-    rep = logdet_gap_bound(h, h, 0.4)
+    rep = _check(h, h, 0.4)
     assert rep.rank == 0
     assert rep.lhs == pytest.approx(0.0, abs=1e-9)
     assert rep.rhs == 0.0
@@ -95,7 +102,7 @@ def test_gap_bound_chain_partition_example():
     f4 = 0.3125  # f_k = -0.5 f_{k-1} - f_{k-2}, f_4 computed by hand
     f2 = -0.75
     lhs = abs(math.log(abs(f4)) - math.log(f2 * f2))
-    rep = logdet_gap_bound(h_full, h_split, energy)
+    rep = _check(h_full, h_split, energy)
     assert rep.rank == 2
     assert abs(abs(rep.lhs) - lhs) < 1e-10
     assert abs(rep.lhs) <= rep.rhs
@@ -109,11 +116,11 @@ def test_gap_bound_random_low_rank(seed):
     r = int(rng.integers(1, 4))
     x = rng.normal(size=(dim, r))
     h2 = h1 + (x * rng.uniform(-1, 1, size=r)) @ x.T
-    rep = logdet_gap_bound(h1, h2, float(rng.uniform(-1, 1)))
+    rep = _check(h1, h2, float(rng.uniform(-1, 1)))
     assert rep.holds
 
 
-def test_stacks_match_single_matrices():
+def _five_pairs():
     # rank 0, 1, 2 and full-rank differences, and E on the spectrum of H2
     rng = np.random.default_rng(11)
     h1 = np.stack([_sym(rng, 7) for _ in range(5)])
@@ -125,21 +132,60 @@ def test_stacks_match_single_matrices():
     h2[4] += np.outer(*(2 * [rng.normal(size=7)]))
     energy = rng.uniform(-1, 1, size=5)
     energy[4] = np.linalg.eigvalsh(h2[4])[2]  # E on the spectrum of H2: a vacuous bound
+    return h1, h2, energy
+
+
+def _random_pairs(m=200):
+    rng = np.random.default_rng(12)
+    h1 = np.stack([_sym(rng, 9) for _ in range(m)])
+    x = rng.normal(size=(m, 9, 3))
+    h2 = h1 + (x * rng.uniform(-2, 2, size=(m, 1, 3))) @ x.transpose(0, 2, 1)
+    return h1, h2, rng.uniform(-1, 1, size=m)
+
+
+def test_stacks_match_single_matrices():
+    h1, h2, energy = _five_pairs()
     ranks = numerical_rank(h1 - h2)
     assert ranks.tolist() == [0, 1, 2, 7, 1]
-    assert weyl_check(h1, h2).tolist() == [weyl_check(a, b) for a, b in zip(h1, h2)]
-    assert weyl_check(h1, h2, rank=ranks).tolist() == weyl_check(h1, h2).tolist()
-    reports = logdet_gap_bound(h1, h2, energy, rank=ranks)
+    assert [numerical_rank(d) for d in h1 - h2] == ranks.tolist()
+    assert isinstance(numerical_rank(h1[0] - h2[1]), int)
+    reports = interlacing_checks(h1, h2, energy)
+    assert [rep.rank for rep in reports] == ranks.tolist() and all(rep.weyl for rep in reports)
     assert reports[4].vacuous and reports[4].lhs == -math.inf and not any(rep.vacuous for rep in reports[:4])
-    assert reports == [logdet_gap_bound(a, b, e) for a, b, e in zip(h1, h2, energy.tolist())]
-    assert isinstance(numerical_rank(h1[0] - h2[1]), int) and isinstance(weyl_check(h1[0], h2[0]), bool)
+    assert reports == [_check(a, b, e) for a, b, e in zip(h1, h2, energy.tolist())]
+    assert interlacing_checks(h1[:1], h2[:1], energy[0]) == reports[:1]
+
+
+@pytest.mark.parametrize("pairs", [_five_pairs, _random_pairs], ids=["five pairs", "200 random pairs"])
+def test_terms_match_norm_and_separate_spectrum(pairs):
+    # oracle: ||H1||_2 by SVD and dist(E, spec H2) from its own eigensolve
+    h1, h2, energy = pairs()
+    norms = np.linalg.norm(h1, 2, axis=(1, 2))
+    dists = np.min(np.abs(np.linalg.eigvalsh(h2) - energy[:, None]), axis=1)
+    ranks = numerical_rank(h1 - h2)
+    for rep, e, norm, dist, r in zip(interlacing_checks(h1, h2, energy), energy, norms, dists, ranks):
+        norm_term = log_plus(abs(e) + norm)
+        dist_term = log_minus(dist)
+        assert rep.norm_term == pytest.approx(norm_term, rel=1e-12, abs=0.0)
+        assert rep.dist_term == pytest.approx(dist_term, rel=1e-12, abs=0.0)
+        assert rep.rhs == pytest.approx(4.0 * r * max(norm_term, dist_term), rel=1e-12, abs=0.0)
+
+
+def test_interlacing_checks_rejects_mismatched_stacks():
+    h = np.zeros((2, 3, 3))
+    with pytest.raises(ConfigurationError):
+        interlacing_checks(h, np.zeros((2, 4, 4)), 0.0)
+    with pytest.raises(ConfigurationError):
+        interlacing_checks(h[0], h[0], 0.0)
 
 
 def test_weyl_rejects_an_understated_rank():
     # a rank-2 drop moves two eigenvalues past their rank-1 neighbours
     h1, h2 = np.zeros((4, 4)), np.diag([-5.0, -5.0, 0.0, 0.0])
-    assert weyl_check(h1, h2) and not weyl_check(h1, h2, rank=1)
-    assert weyl_check(h1[None], h2[None], rank=[1]).tolist() == [False]
+    assert _check(h1, h2).weyl and _check(h1, h2).rank == 2
+    e1, e2 = np.linalg.eigvalsh(h1)[None], np.linalg.eigvalsh(h2)[None]
+    assert _weyl_chains(e1, e2, [2], WEYL_TOL).tolist() == [True]
+    assert _weyl_chains(e1, e2, [1], WEYL_TOL).tolist() == [False]
 
 
 def test_grid_partition_single_cell():
@@ -185,7 +231,7 @@ def test_partition_trivial():
     geo = StripGeometry(2, 1, 4)
     s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law="adjacency"), seed=3)
     region = Region.rectangle(1, 4, 1, 2)
-    defect, bound = partition_defect(s, region, [region], 0.3)
+    defect, bound = partition_defect(assemble_hamiltonian(s, region), region, [region], geo, 0.3)
     assert defect == pytest.approx(0.0, abs=1e-10)
     assert bound == 0.0
 
@@ -195,7 +241,7 @@ def test_partition_chain_split():
     samp = DisorderSample(geometry=geo, u_law="zero", potentials=np.zeros((4, 1)))
     region = Region.rectangle(1, 4, 1, 1)
     parts = [Region.rectangle(1, 2, 1, 1), Region.rectangle(3, 4, 1, 1)]
-    defect, bound = partition_defect(samp, region, parts, 0.5)
+    defect, bound = partition_defect(assemble_hamiltonian(samp, region), region, parts, geo, 0.5)
     assert defect == pytest.approx(abs(math.log(0.3125) - math.log(0.5625)), rel=1e-10)
     assert defect <= bound
 
@@ -204,12 +250,13 @@ def test_partition_rejects_bad_cover():
     geo = StripGeometry(1, 1, 4)
     s = sample_disorder(geo, DisorderSpec.uniform(-1, 1), seed=1)
     region = Region.rectangle(1, 4, 1, 1)
+    h = assemble_hamiltonian(s, region)
     with pytest.raises(ConfigurationError):
-        partition_defect(s, region, [Region.rectangle(1, 2, 1, 1)], 0.0)
+        partition_defect(h, region, [Region.rectangle(1, 2, 1, 1)], geo, 0.0)
     with pytest.raises(ConfigurationError):
-        partition_defect(
-            s, region, [Region.rectangle(1, 3, 1, 1), Region.rectangle(3, 4, 1, 1)], 0.0
-        )
+        partition_defect(h, region, [Region.rectangle(1, 3, 1, 1), Region.rectangle(3, 4, 1, 1)], geo, 0.0)
+    with pytest.raises(ConfigurationError):
+        partition_defect(h[:3, :3], region, [region], geo, 0.0)
 
 
 def test_partition_defect_random_grids():
@@ -225,7 +272,7 @@ def test_partition_defect_random_grids():
         s = sample_disorder(geo, specs[t % 2], seed=50 + t)
         region = Region.rectangle(1, n, 1, w)
         cells = grid_partition(region, int(rng.integers(1, 4)))
-        defect, bound = partition_defect(s, region, cells, float(rng.uniform(-1, 1)))
+        defect, bound = partition_defect(assemble_hamiltonian(s, region), region, cells, geo, float(rng.uniform(-1, 1)))
         assert defect <= bound + 1e-8
 
 
@@ -250,7 +297,8 @@ def test_partition_defect_slices_equal_assembled_cells(spec):
             region = Region.rectangle(1, 7, 1, w)
             cells = grid_partition(region, cell)
             energy = float(rng.uniform(-1, 1))
-            assert partition_defect(s, region, cells, energy) == _per_cell_defect(s, region, cells, energy)
+            h = assemble_hamiltonian(s, region)
+            assert partition_defect(h, region, cells, geo, energy) == _per_cell_defect(s, region, cells, energy)
 
 
 def test_rank_bounded_by_boundary():
@@ -271,3 +319,14 @@ def test_rank_bounded_by_boundary():
             h_split[np.ix_(ids, ids)] = assemble_hamiltonian(s, cell)
         bnd = partition_boundary(region, cells, geo)
         assert numerical_rank(h_full - h_split) <= len(bnd)
+
+
+@pytest.mark.parametrize(
+    "seed, worst_slack", [(1, 2.2215566078025435), (8, 3.71193281323318), (21000, 3.4377037636924768)]
+)
+def test_verify_interlacing_pinned(seed, worst_slack):
+    # worst_slack as computed with ||H1||_2 by SVD and a second eigensolve of H2
+    report = verify_interlacing(seed, 1000)
+    counts = ["weyl_violations", "bound_violations", "partition_defect_violations", "rank_violations"]
+    assert report["passed"] and [report[key] for key in counts] == [0, 0, 0, 0]
+    assert report["worst_slack"] == pytest.approx(worst_slack, rel=1e-12, abs=0.0)
