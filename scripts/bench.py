@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stabilized transfer products, the log-determinant sampler, route (a), dense assembly, the verify suites or CLI start-up.
+"""Time the stabilized transfer products, the log-determinant sampler, routes (a) and (c), dense assembly, the verify suites or CLI start-up.
 
 Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
@@ -38,6 +38,11 @@ at seed 1, with the trial budgets `verify_all` gives them (`verify_wedge`
 2-16 columns, uniform [-2, 2] and Cauchy adjacency laws in turn), drawn
 outside the timer.  Unit: trials (one strip per `frame_det_gap` trial).
 
+Suite ``schur``: `logdet_via_schur`, route (c) on one sample, on the three
+strips of the ``direct`` suite (seed 1), and `verify_determinants` at seed 1
+with 50 trials, which runs all three routes on strips of W = 1-6 and 2-32
+columns.  Unit: columns (the `verify_determinants` case counts its trials).
+
 Suite ``startup``: what every `striplyap` call pays before its command runs.
 `python -c "import striplyap.cli"` runs 15 times, each in a fresh process on
 this checkout's `src` with one BLAS thread; the file records each process's
@@ -48,9 +53,13 @@ Each case of the other suites runs three times in this process with one BLAS
 thread, then once more under `tracemalloc`; the file records every timed run,
 the median in seconds and in microseconds per unit, the traced peak in MB,
 and the host (nproc, CPU model, numpy and BLAS versions, git revision, with
--dirty for uncommitted changes).
+-dirty for uncommitted changes).  With ``--append`` the runs are added to
+those already in the output file and the medians taken over all of them, so
+that two checkouts can be recorded in alternation, one round at a time:
+medians of three runs in one process mostly record the host's drift.
 
-Run from the repository root:  python3 scripts/bench.py {assemble,cocycle,direct,logdets,startup,verify} [--out PATH]
+Run from the repository root:
+    python3 scripts/bench.py {assemble,cocycle,direct,logdets,schur,startup,verify} [--out PATH] [--append]
 The default output is BENCH_<suite>.json in the repository root.
 """
 
@@ -76,7 +85,7 @@ sys.path.insert(0, str(ROOT / "src"))
 import numpy as np
 
 from striplyap import transfer
-from striplyap.determinants import logdet_direct, logdet_via_transfer
+from striplyap.determinants import logdet_direct, logdet_via_schur, logdet_via_transfer
 from striplyap.exterior import frame_det_gap
 from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder, split_stream
 from striplyap.sampling import sample_logdets
@@ -124,6 +133,15 @@ def direct_case(name, spec, width, bandwidth, columns, energy, form):
         logdet_direct(h, energy, with_condition=True)
 
     return f"logdet_direct {form} {name} {columns}x{width} E={energy}", columns * width, run
+
+
+def schur_case(name, spec, width, bandwidth, columns, energy):
+    sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=1)
+
+    def run():
+        logdet_via_schur(sample, energy)
+
+    return f"logdet_via_schur {name} {columns}x{width} E={energy}", columns, run
 
 
 def assemble_case(name, region, columns, n_samples):
@@ -194,6 +212,7 @@ SUITES = {
         logdets_case("resonant", RESONANT, 17, 0.0, 16_384),
         logdets_case("random_band d=2", BAND, 32, 0.3, 16_384, width=4, bandwidth=2),
     ],
+    "schur": lambda: [*(schur_case(*strip) for strip in DIRECT_STRIPS), verify_case(verify_determinants, 50)],
     "verify": lambda: [
         verify_case(verify_wedge, 25),
         verify_case(verify_interlacing, 1000),
@@ -274,15 +293,22 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("suite", choices=sorted([*SUITES, "startup"]))
     parser.add_argument("--out", help="output path (default BENCH_<suite>.json in the repository root)")
+    parser.add_argument("--append", action="store_true", help="add this round's runs to those in the output file")
     args = parser.parse_args()
     out = Path(args.out) if args.out else ROOT / f"BENCH_{args.suite}.json"
     if args.suite == "startup":
+        if args.append:
+            parser.error("--append applies to the timed suites, not startup")
         out.write_text(json.dumps({"host": host(), "results": [startup()]}, indent=2) + "\n")
         return 0
-    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples", "verify": "trials"}[args.suite]
+    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples", "schur": "columns", "verify": "trials"}[args.suite]
+    earlier, rounds = {}, 1
+    if args.append and out.exists():
+        previous = json.loads(out.read_text())
+        earlier, rounds = {r["case"]: r["seconds"] for r in previous["results"]}, previous.get("rounds", 1) + 1
     results = []
     for name, units, run in SUITES[args.suite]():
-        seconds = []
+        seconds = list(earlier.get(name, []))
         for _ in range(REPEATS):
             t0 = time.perf_counter()
             run()
@@ -295,8 +321,8 @@ def main() -> int:
             result["qr_calls"] = qr_calls(run)
             result["us_per_qr"] = 1e6 * median / result["qr_calls"]
         results.append(result)
-        print(f"{name}: {median:.3f} s, {per_unit:.2f} us/{unit[:-1]}, peak {peak:.1f} MB", flush=True)
-    out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "results": results}, indent=2) + "\n")
+        print(f"{name}: {median:.3f} s over {len(seconds)} runs, {per_unit:.2f} us/{unit[:-1]}, peak {peak:.1f} MB", flush=True)
+    out.write_text(json.dumps({"host": host(), "repeats": REPEATS, "rounds": rounds, "results": results}, indent=2) + "\n")
     return 0
 
 

@@ -9,13 +9,14 @@ so that its cost grows linearly in N W on a strip instead of as (N W)^3,
 blocks.  Route (a) reads H through a window source, (start, end) ->
 H[start:end, start:end]: slices of a dense matrix, or, given the disorder
 sample, windows stacked one at a time from the column blocks of the columns
-they cover, so that a strip's dense matrix is never built.  Route (c) is
-written once, for a stack of samples: ``logdet_via_schur`` is its one-sample
-call, and ``sampling.sample_logdets`` runs it on every rectangle of a Monte
-Carlo ensemble.  At W = 2 the sweep inverts its 2 x 2 blocks in closed form,
-elementwise over the samples; every other width calls LAPACK on the stack
-once per column.  Route (a) takes ``dsytrf``, ``dsytrf_lwork`` and ``dsytrs``
-from ``transfer._FLAPACK`` (SciPy's ``_flapack`` alone), nearly halving start-up.
+they cover, so that a strip's dense matrix is never built.  Route (c) runs
+every rectangle of a ``sampling.sample_logdets`` ensemble as a stack: at
+W = 2 it inverts the 2 x 2 blocks in closed form, elementwise over the
+samples; every other width calls LAPACK on the stack once per column.  One
+sample, all ``logdet_via_schur`` passes, runs as a loop over its columns
+with the operations the stacked kernels make on it, bit for bit.  Route (a)
+takes ``dsytrf``, ``dsytrf_lwork`` and ``dsytrs`` from ``transfer._FLAPACK``
+(SciPy's ``_flapack`` alone), nearly halving start-up.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ PIVOT_FLOOR = 1e-300  # pivots below this count as exact zeros (safety net)
 COND_LIMIT = 1e14  # Schur blocks worse conditioned than this go to the dense route
 _WINDOW = 256  # rows per dsytrf call of the direct route
 _MARGIN = 64  # rows a window keeps past its cut
+_SWEEP_COLUMNS = 4096  # columns the one-sample W = 2 loop holds as Python floats at a time
 
 
 _SYTRF, _SYTRF_LWORK, _SYTRS = _FLAPACK.dsytrf, _FLAPACK.dsytrf_lwork, _FLAPACK.dsytrs
@@ -308,10 +310,7 @@ def _norm1(m: np.ndarray) -> np.ndarray:
 def _lapack_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route (c) at any width: one ``inv`` and one ``slogdet`` per column on (m, W, W) stacks."""
     m, n, w, _ = blocks.shape
-    eye = np.eye(w)
-    sign = np.ones(m)
-    log_abs = np.zeros(m)
-    bad = np.zeros(m, dtype=bool)
+    eye, sign, log_abs, bad = np.eye(w), np.ones(m), np.zeros(m), np.zeros(m, dtype=bool)
     b = blocks[:, 0].copy()
     for k in range(n):
         if k:
@@ -364,6 +363,49 @@ def _closed_form_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return sign, reduce(np.add, np.log(np.abs(dets, out=dets), out=dets)), bad
 
 
+def _closed_form_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
+    """``_closed_form_sweep`` on one sample's (n, 2, 2) blocks, on Python floats: its operations in its order.
+
+    ``max`` keeps a NaN as ``np.maximum`` does: B_{k-1} is finite when tested, its inverse all NaN or none.
+    """
+    dets, a, ill = np.empty(len(blocks)), None, False
+    for start in range(0, len(blocks), _SWEEP_COLUMNS):
+        window = []
+        for p, q, r, t in blocks[start : start + _SWEEP_COLUMNS].reshape(-1, 4).tolist():
+            if a is None:  # B_1 = S_1 - E
+                a, b, c, d = p, q, r, t
+            else:
+                ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+                ill = not max(abs(a) + abs(c), abs(b) + abs(d)) * max(abs(ia) + abs(ic), abs(ib) + abs(id_)) <= COND_LIMIT
+                a, b, c, d = p - ia, q - ib, r - ic, t - id_
+            det = a * d - b * c
+            if ill or det == 0.0:
+                return 0.0, math.nan, True
+            window.append(det)
+        dets[start : start + len(window)] = window
+    sign = 1.0 - 2.0 * (np.count_nonzero(dets < 0.0) % 2)
+    return sign, np.add.accumulate(np.log(np.abs(dets)))[-1], False
+
+
+def _lapack_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
+    """``_lapack_sweep`` on one sample's (n, W, W) blocks: one ``inv`` and one ``slogdet`` per column."""
+    sign, log_abs, b = 1.0, 0.0, blocks[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(len(blocks)):
+            if k:
+                binv = np.linalg.inv(b)
+                norm, inv_norm = _norm1(np.array((b, binv)))
+                if not norm * inv_norm <= COND_LIMIT:
+                    return 0.0, math.nan, True
+                b = blocks[k] - binv
+            s, la = np.linalg.slogdet(b)
+            if s == 0.0:
+                return 0.0, math.nan, True
+            sign *= s
+            log_abs += la
+    return sign, log_abs, False
+
+
 def _schur_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Route (c) for a stack of samples: sign, log|det| and a bad mask per sample.
 
@@ -372,16 +414,18 @@ def _schur_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     det(H_N - E) is the product of the det(B_k).  At W = 2 each step is
     elementwise numpy over the samples, with the inverse and determinant in
     closed form; every other width calls one ``inv`` and one ``slogdet`` per
-    column on the stack.  A sample is bad on an exactly singular B_k, or when
-    a block to be inverted has |B|_1 |B^-1|_1 > COND_LIMIT (a NaN counts),
-    read off the inverse already computed.  The offending block is swapped
-    for the identity, so one singular sample never fails the stack; a bad
-    sample comes back as sign 0 and log|det| nan, for the caller to
-    recompute.  No sample's arithmetic depends on the rest of the stack.
+    column on the stack.  A stack of one runs the same operations as a loop
+    over its columns.  A sample is bad on an exactly singular B_k, or when a
+    block to be inverted has |B|_1 |B^-1|_1 > COND_LIMIT (a NaN counts), read
+    off the inverse already computed.  The offending block is swapped for the
+    identity, so one singular sample never fails the stack; a bad sample comes
+    back as sign 0 and log|det| nan, for the caller to recompute.  No sample's
+    arithmetic depends on the rest of the stack.
     """
     if not np.all(np.isfinite(blocks)):
         raise NumericError("non-finite transfer matrix entries")
-    sign, log_abs, bad = (_closed_form_sweep if blocks.shape[-1] == 2 else _lapack_sweep)(blocks)
+    loop, stacked = (_closed_form_loop, _closed_form_sweep) if blocks.shape[-1] == 2 else (_lapack_loop, _lapack_sweep)
+    sign, log_abs, bad = (np.array([x]) for x in loop(blocks[0])) if len(blocks) == 1 else stacked(blocks)
     sign[bad] = 0.0
     log_abs[bad] = np.nan
     return sign, log_abs, bad
@@ -435,8 +479,9 @@ def site_shift(
     i = region.sites.index(k)
     rest = np.arange(region.size) != i
     shifted = h[np.ix_(rest, rest)] - energy * np.eye(region.size - 1)
-    cond = float(np.linalg.cond(shifted))
-    if not np.isfinite(cond) or cond > 1e14:
+    spectrum = np.abs(np.linalg.eigvalsh(shifted))  # cond_2 of a symmetric matrix is max|lambda| / min|lambda|
+    cond = math.inf if spectrum.min() == 0.0 else float(spectrum.max() / spectrum.min())
+    if not math.isfinite(cond) or cond > 1e14:
         raise NearSingularError("punctured Hamiltonian nearly singular at this energy", cond)
     gamma = h[i, rest]
     x = np.linalg.solve(shifted, gamma)

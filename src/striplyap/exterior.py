@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -68,8 +69,17 @@ class WedgeIndex:
         return np.asarray(self.elements, dtype=np.intp) - 1
 
 
-def wedge_indices(width: int) -> list[WedgeIndex]:
-    return [WedgeIndex(c, width) for c in itertools.combinations(range(1, 2 * width + 1), width)]
+@cache
+def wedge_indices(width: int) -> tuple[WedgeIndex, ...]:
+    return tuple(WedgeIndex(c, width) for c in itertools.combinations(range(1, 2 * width + 1), width))
+
+
+@cache
+def _wedge_rows(width: int) -> np.ndarray:
+    """Read-only (C(2W, W), W) array of the zero-based elements of each wedge index, in basis order."""
+    rows = np.array([idx.zero_based() for idx in wedge_indices(width)])
+    rows.setflags(write=False)
+    return rows
 
 
 def _pairing(alpha: WedgeIndex) -> dict[int, int]:
@@ -99,14 +109,8 @@ def canonical_frame(alpha: WedgeIndex) -> np.ndarray:
 
 
 def _sort_parity(seq) -> int:
-    """Sign of the permutation sorting seq ascending (distinct entries)."""
-    seq = list(seq)
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign
+    """Sign of the permutation sorting seq ascending (distinct entries): -1 to the number of inversions."""
+    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
 
 
 def expand_standard(alpha: WedgeIndex) -> dict[WedgeIndex, int]:
@@ -140,9 +144,8 @@ def wedge_inner(u, v) -> float:
 
 
 def wedge_coordinates(frame, width: int) -> np.ndarray:
-    """Coordinates of a decomposable vector in the standard wedge basis."""
-    m = np.asarray(frame, dtype=float)
-    return np.array([np.linalg.det(m[idx.zero_based(), :]) for idx in wedge_indices(width)])
+    """Coordinates of a decomposable vector in the standard wedge basis: every W x W row minor, one stacked det."""
+    return np.linalg.det(np.asarray(frame, dtype=float)[_wedge_rows(width)])
 
 
 def minor(beta: WedgeIndex, alpha: WedgeIndex, transfer) -> SignedLogDet:
@@ -231,7 +234,7 @@ def sylvester_franke_check(sample: DisorderSample, energy: float, n_steps: int) 
     if w > MAX_EXTERIOR_WIDTH:
         raise ConfigurationError(f"exterior power materialized only for width <= {MAX_EXTERIOR_WIDTH}")
     acc = accumulate(sample, energy, n_steps)
-    rows = np.array([idx.zero_based() for idx in wedge_indices(w)])
+    rows = _wedge_rows(w)
     # compound[b, a] = det of the rows beta_b and columns alpha_a of Q
     compound = np.linalg.det(acc.frame[rows[:, None, :, None], rows[None, :, None, :]])
     log_q = signed_logdet(compound).log_abs

@@ -168,21 +168,8 @@ def _cell_labels(region: Region, partition: list[Region]) -> np.ndarray:
     return np.array([cell_of[s] for s in region.sites])
 
 
-def partition_defect(
-    h: np.ndarray,
-    region: Region,
-    partition: list[Region],
-    geometry: StripGeometry,
-    energy: float,
-) -> tuple[float, float]:
-    """Determinant defect of a partition against its deterministic bound.
-
-    ``h`` is the region's H, rows in ``region.sites`` order.  defect =
-    |log|det(H - E)| - sum of the per-cell values|; the bound is
-    4 |union of cell boundaries| max(log+(|E| + ||H||), log-(dist to the joint
-    spectrum of the region and all cells)).  Each cell's operator is the
-    principal submatrix of H on the cell's sites, the Dirichlet restriction.
-    """
+def _partition_terms(h: np.ndarray, region: Region, partition: list[Region], geometry: StripGeometry, energy: float):
+    """``partition_defect``'s (defect, bound), then the cell labels and the boundary it built them from."""
     labels = _cell_labels(region, partition)
     if np.shape(h) != (region.size, region.size):
         raise ConfigurationError(f"H is {np.shape(h)}, the region has {region.size} sites")
@@ -193,4 +180,18 @@ def partition_defect(
     dist = float(min(np.min(np.abs(np.linalg.eigvalsh(m) - energy)) for m in [h, *cells]))
     norm_term = log_plus(abs(energy) + float(np.linalg.norm(h, 2)))
     bound = 4.0 * len(bnd_sites) * max(norm_term, log_minus(dist))
-    return float(defect), float(bound)
+    return float(defect), float(bound), labels, bnd_sites
+
+
+def partition_defect(
+    h: np.ndarray, region: Region, partition: list[Region], geometry: StripGeometry, energy: float
+) -> tuple[float, float]:
+    """Determinant defect of a partition against its deterministic bound.
+
+    ``h`` is the region's H, rows in ``region.sites`` order.  defect =
+    |log|det(H - E)| - sum of the per-cell values|; the bound is
+    4 |union of cell boundaries| max(log+(|E| + ||H||), log-(dist to the joint
+    spectrum of the region and all cells)).  Each cell's operator is the
+    principal submatrix of H on the cell's sites, the Dirichlet restriction.
+    """
+    return _partition_terms(h, region, partition, geometry, energy)[:2]

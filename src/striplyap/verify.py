@@ -28,14 +28,7 @@ from .model import (
     sample_disorder,
     split_stream,
 )
-from .perturbation import (
-    _cell_labels,
-    grid_partition,
-    interlacing_checks,
-    numerical_rank,
-    partition_boundary,
-    partition_defect,
-)
+from .perturbation import _partition_terms, grid_partition, interlacing_checks, numerical_rank
 
 __all__ = ["verify_wedge", "verify_interlacing", "verify_determinants", "verify_all"]
 
@@ -145,13 +138,11 @@ def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
         region = Region.rectangle(1, n, 1, w)
         cells = grid_partition(region, int(rng.integers(1, 4)))
         h_full = assemble_hamiltonian(sample, region)
-        defect, bound = partition_defect(h_full, region, cells, geo, float(rng.uniform(-1, 1)))
+        defect, bound, labels, bnd = _partition_terms(h_full, region, cells, geo, float(rng.uniform(-1, 1)))
         if defect > bound + 1e-8:
             defect_violations += 1
-        labels = _cell_labels(region, cells)
         # H of the split operator: the cells' Dirichlet blocks, no bonds between cells
         h_split = np.where(labels[:, None] == labels, h_full, 0.0)
-        bnd = partition_boundary(region, cells, geo)
         if numerical_rank(h_full - h_split) > len(bnd):
             rank_violations += 1
     passed = weyl_violations == 0 and bound_violations == 0 and rank_violations == 0 and defect_violations == 0

@@ -489,3 +489,15 @@ class TestSiteShift:
         region = Region.rectangle(1, 2, 1, 1)
         with pytest.raises(NearSingularError):
             site_shift(samp, region, (1, 1), 0.5)
+
+    def test_near_singular_but_not_exact_raises(self):
+        # E at an eigenvalue of the punctured 2-site chain, as eigvalsh returns it: singular to roundoff only
+        samp = DisorderSample(geometry=StripGeometry(1, 1, 3), u_law="zero", potentials=np.array([[0.0], [0.3], [-0.2]]))
+        region = Region.rectangle(1, 3, 1, 1)
+        punctured = assemble_hamiltonian(samp, Region.rectangle(2, 3, 1, 1))
+        for e in np.linalg.eigvalsh(punctured):
+            shifted = punctured - e * np.eye(2)
+            assert np.linalg.cond(shifted) > 1e14 and np.min(np.abs(np.linalg.eigvalsh(shifted))) > 0.0
+            with pytest.raises(NearSingularError):
+                site_shift(samp, region, (1, 1), float(e))
+            assert math.isfinite(site_shift(samp, region, (1, 1), float(e) + 1e-3))

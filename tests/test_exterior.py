@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from striplyap.determinants import logdet_direct, logdet_via_transfer
 from striplyap.exterior import (
     WedgeIndex,
+    _wedge_rows,
     boundary_identity_check,
     boundary_logdet,
     boundary_operator,
@@ -364,3 +365,20 @@ def test_frame_gap_tail_harness():
         if onset_seen:
             assert frac <= math.exp(-k / 4.0) + 3 * sigma
     assert onset_seen
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_wedge_coordinates_stacked_det_is_the_per_index_loop(w):
+    rng = np.random.default_rng(60 + w)
+    frames = [canonical_frame(a) for a in wedge_indices(w)] + [rng.normal(size=(2 * w, w)) for _ in range(20)]
+    for frame in frames:
+        loop = np.array([np.linalg.det(frame[idx.zero_based(), :]) for idx in wedge_indices(w)])
+        assert np.array_equal(wedge_coordinates(frame, w), loop)
+
+
+@pytest.mark.parametrize("w", [1, 2, 3, 4])
+def test_wedge_index_tables_are_cached_and_read_only(w):
+    assert wedge_indices(w) is wedge_indices(w) and isinstance(wedge_indices(w), tuple)
+    rows = _wedge_rows(w)
+    assert rows is _wedge_rows(w) and not rows.flags.writeable
+    assert rows.tolist() == [list(idx.zero_based()) for idx in wedge_indices(w)]

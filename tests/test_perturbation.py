@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from striplyap import perturbation
 from striplyap.determinants import logdet_direct
 from striplyap.verify import _SPECS, verify_interlacing
 from striplyap.model import (
@@ -330,3 +331,13 @@ def test_verify_interlacing_pinned(seed, worst_slack):
     counts = ["weyl_violations", "bound_violations", "partition_defect_violations", "rank_violations"]
     assert report["passed"] and [report[key] for key in counts] == [0, 0, 0, 0]
     assert report["worst_slack"] == pytest.approx(worst_slack, rel=1e-12, abs=0.0)
+
+
+def test_verify_interlacing_builds_labels_and_boundary_once_per_partition_trial(monkeypatch):
+    calls = Counter()
+    for name in ("_cell_labels", "partition_boundary"):
+        original = getattr(perturbation, name)
+        monkeypatch.setattr(perturbation, name, lambda *args, _f=original, _n=name: calls.update([_n]) or _f(*args))
+    report = verify_interlacing(seed=1, trials=1000)
+    assert report["partition_trials"] == 50
+    assert calls == {"_cell_labels": 50, "partition_boundary": 50}

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 import striplyap.sampling as sampling
-from striplyap.determinants import _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
+from striplyap import determinants
+from striplyap.determinants import SignedLogDet, _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
 from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, assemble_hamiltonian, draw_chunk, sample_disorder
 from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets, sample_spectral
+from striplyap.transfer import NumericError
 
 UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
@@ -119,6 +121,68 @@ def test_closed_form_sweep_is_independent_of_batch_composition(spec, columns, en
     blocks = _strip_blocks(spec, columns, energy, 3000)
     long, short = _schur_sweep(blocks), _schur_sweep(blocks[:1000])
     assert all(np.array_equal(x[:1000], y, equal_nan=True) for x, y in zip(long, short))
+
+
+def _assert_rows_are_stacks_of_one(blocks):
+    """Each sample alone (the per-column loop) against its row of the stacked kernel, bit for bit."""
+    stacked = _schur_sweep(blocks)
+    for i in range(len(blocks)):
+        alone = _schur_sweep(blocks[i : i + 1])
+        for x, y in zip(alone, stacked):
+            assert x.dtype == y.dtype and np.array_equal(x, y[i : i + 1], equal_nan=True)
+    return stacked[2]
+
+
+@pytest.mark.parametrize("name, spec, columns, energy, m", ADVERSARIAL, ids=[c[0] for c in ADVERSARIAL])
+def test_one_sample_loop_matches_stacked_sweep_on_adversarial_strips(name, spec, columns, energy, m):
+    _assert_rows_are_stacks_of_one(_strip_blocks(spec, columns, energy, m))
+
+
+WIDE_STRIPS = [
+    (f"{law} W={w}", spec, w, d)
+    for w in (1, 3, 4, 6)
+    for law, spec, d in (("band", BAND, min(2, w)), ("point 0", DisorderSpec.point(0.0, u_law="adjacency"), 1))
+]
+
+
+@pytest.mark.parametrize("name, spec, width, bandwidth", WIDE_STRIPS, ids=[c[0] for c in WIDE_STRIPS])
+@pytest.mark.parametrize("energy", [0.0, 0.3])
+def test_one_sample_loop_matches_stacked_sweep_at_other_widths(name, spec, width, bandwidth, energy):
+    pot, u_band = draw_chunk(spec, StripGeometry(width, bandwidth, 24), 0, 40, seed=29)
+    bad = _assert_rows_are_stacks_of_one(_column_blocks(pot, spec.u_law, u_band, energy, (0, 24)))
+    if spec.density == "point" and energy == 0.0:
+        assert bad.all()  # the clean strip is singular at E = 0 at every width here
+
+
+@pytest.mark.parametrize("w", [2, 3, 4])
+def test_one_sample_loop_masks_the_bad_samples_of_a_stack(w):
+    bad = _assert_rows_are_stacks_of_one(_masked_blocks(w))
+    assert bad.tolist() == [False, True, False, True, False]
+
+
+def test_one_sample_loop_crosses_its_column_windows():
+    blocks = _strip_blocks(CAUCHY, 2 * determinants._SWEEP_COLUMNS + 5, 0.5, 2)
+    assert not _assert_rows_are_stacks_of_one(blocks).any()
+
+
+@pytest.mark.parametrize(
+    "spec, width, bandwidth, columns", [(CAUCHY, 2, 1, 2000), (BAND, 4, 2, 500)], ids=["cauchy 2000x2", "band 500x4"]
+)
+def test_logdet_via_schur_is_the_stacked_sweep_on_the_routes_strips(spec, width, bandwidth, columns):
+    sample = sample_disorder(StripGeometry(width, bandwidth, columns), spec, seed=1)
+    blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.5, (0, columns))
+    sign, log_abs, bad = _schur_sweep(np.stack([blocks, blocks]))
+    assert not bad[0]
+    assert logdet_via_schur(sample, 0.5) == SignedLogDet(int(sign[0]), float(log_abs[0]))
+
+
+@pytest.mark.parametrize("w", [2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_one_sample_sweep_rejects_non_finite_blocks(w, value):
+    blocks = _masked_blocks(w)[:1].copy()
+    blocks[0, 4, 0, 0] = value
+    with pytest.raises(NumericError, match="non-finite"):
+        _schur_sweep(blocks)
 
 
 def test_schur_route_matches_direct_on_cauchy_strip():
