@@ -390,19 +390,17 @@ def _closed_form_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
 def _lapack_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
     """``_lapack_sweep`` on one sample's (n, W, W) blocks: one ``inv`` and one ``slogdet`` per column."""
     sign, log_abs, b = 1.0, 0.0, blocks[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(len(blocks)):
-            if k:
-                binv = np.linalg.inv(b)
-                norm, inv_norm = _norm1(np.array((b, binv)))
-                if not norm * inv_norm <= COND_LIMIT:
-                    return 0.0, math.nan, True
-                b = blocks[k] - binv
-            s, la = np.linalg.slogdet(b)
-            if s == 0.0:
+    for k in range(len(blocks)):
+        if k:
+            binv = np.linalg.inv(b)
+            norm, inv_norm = _norm1(np.array((b, binv))).tolist()  # Python floats overflow without a warning
+            if not norm * inv_norm <= COND_LIMIT:
                 return 0.0, math.nan, True
-            sign *= s
-            log_abs += la
+            b = blocks[k] - binv
+        s, la = np.linalg.slogdet(b)
+        if s == 0.0:
+            return 0.0, math.nan, True
+        sign, log_abs = sign * s, log_abs + la
     return sign, log_abs, False
 
 
@@ -447,14 +445,10 @@ def logdet_via_schur(
     """
     n = _rectangle_steps(sample, n_steps)
     blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, energy, (0, n))
-    sign, log_abs, bad = _schur_sweep(blocks[None])
-    fallback = bool(bad[0])
-    if fallback:
-        result = logdet_direct(sample, energy, n_steps=n)
-    else:
-        result = SignedLogDet(int(sign[0]), float(log_abs[0]))
+    (sign,), (log_abs,), (fallback,) = _schur_sweep(blocks[None])
+    result = logdet_direct(sample, energy, n_steps=n) if fallback else SignedLogDet(int(sign), float(log_abs))
     if return_info:
-        return result, fallback
+        return result, bool(fallback)
     return result
 
 

@@ -109,8 +109,14 @@ def canonical_frame(alpha: WedgeIndex) -> np.ndarray:
 
 
 def _sort_parity(seq) -> int:
-    """Sign of the permutation sorting seq ascending (distinct entries): -1 to the number of inversions."""
-    return (-1) ** sum(a > b for a, b in itertools.combinations(seq, 2))
+    """Sign of the permutation sorting seq ascending (distinct entries)."""
+    seq = list(seq)
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign
 
 
 def expand_standard(alpha: WedgeIndex) -> dict[WedgeIndex, int]:

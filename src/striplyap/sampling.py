@@ -7,11 +7,11 @@ only schedule whole batches, so every sampler here returns the same arrays
 for any worker count.  Rectangles in ``sample_logdets`` go through the
 batched Schur sweep (route c) on column blocks cut straight from the draws,
 in batches of up to DEFAULT_CHUNK samples; at W = 2 that sweep is elementwise
-numpy over the batch, so a second worker speeds it up.  Every other kernel
-factors the dense stack of H_region - E that ``model.build_hamiltonians``
-stacks from the same column blocks, one chunk per batch;
-``sample_site_shifts`` reads the coupling row of the peeled site off its row
-of that stack.
+numpy over the batch, so a second worker speeds it up, and a batch of one
+sample runs as its bit-for-bit per-column loop.  Every other kernel factors
+the dense stack of H_region - E that ``model.build_hamiltonians`` stacks from
+the same column blocks, one chunk per batch; ``sample_site_shifts`` reads the
+coupling row of the peeled site off its row of that stack.
 """
 
 from __future__ import annotations

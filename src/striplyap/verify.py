@@ -139,12 +139,10 @@ def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
         cells = grid_partition(region, int(rng.integers(1, 4)))
         h_full = assemble_hamiltonian(sample, region)
         defect, bound, labels, bnd = _partition_terms(h_full, region, cells, geo, float(rng.uniform(-1, 1)))
-        if defect > bound + 1e-8:
-            defect_violations += 1
+        defect_violations += defect > bound + 1e-8
         # H of the split operator: the cells' Dirichlet blocks, no bonds between cells
         h_split = np.where(labels[:, None] == labels, h_full, 0.0)
-        if numerical_rank(h_full - h_split) > len(bnd):
-            rank_violations += 1
+        rank_violations += numerical_rank(h_full - h_split) > len(bnd)
     passed = weyl_violations == 0 and bound_violations == 0 and rank_violations == 0 and defect_violations == 0
     return {
         "suite": "interlacing",
