@@ -12,7 +12,9 @@ sample, windows stacked one at a time from the column blocks of the columns
 they cover, so that a strip's dense matrix is never built.  Route (c) runs
 every rectangle of a ``sampling.sample_logdets`` ensemble as a stack: at
 W = 2 it inverts the 2 x 2 blocks in closed form, elementwise over the
-samples; every other width calls LAPACK on the stack once per column.  One
+samples, on samples-last entries (one contiguous vector over the samples per
+entry and column), which an (m, n, 2, 2) stack is transposed to; every other
+width calls LAPACK on the stack once per column.  One
 sample, all ``logdet_via_schur`` passes, runs as a loop over its columns
 with the operations the stacked kernels make on it, bit for bit.  Route (a)
 takes ``dsytrf``, ``dsytrf_lwork`` and ``dsytrs`` from ``transfer._FLAPACK``
@@ -331,41 +333,50 @@ def _lapack_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return sign, log_abs, bad
 
 
-def _closed_form_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route (c) at W = 2: B_k as four length-m vectors, inverted by its adjugate.
+def _closed_form_sweep(sa, sb, sc, sd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Route (c) at W = 2 on samples-last entries: ``_schur_sweep``'s sign, log|det| and bad mask.
 
-    Every step is elementwise over the samples, with the condition test and
-    the identity swap of ``_lapack_sweep``; the det(B_k) go into one (n, m)
-    array that is reduced to sign and log|det| at the end.
+    ``sa``, ``sb``, ``sc`` and ``sd`` are the entries (0, 0), (0, 1), (1, 0)
+    and (1, 1) of the column blocks S_k - E as (n, m) arrays, one contiguous
+    length-m vector per column, or (n, 1) for an entry every sample shares.
+    Each B_k is inverted by its adjugate, elementwise over the samples, with
+    the checks and the identity swap of ``_lapack_sweep``; the det(B_k) go
+    into one (n, m) array that is reduced to sign and log|det| at the end.
     """
-    s = np.moveaxis(blocks, 0, -1)  # (n, 2, 2, m): one length-m vector per entry
-    n, m = s.shape[0], s.shape[-1]
+    if not all(np.all(np.isfinite(x)) for x in (sa, sb, sc, sd)):
+        raise NumericError("non-finite transfer matrix entries")
+    n, m = len(sa), max(x.shape[1] for x in (sa, sb, sc, sd))
     dets = np.empty((n, m))
     bad = np.zeros(m, dtype=bool)
-    a, b, c, d = (s[0, i, j].copy() for i, j in ((0, 0), (0, 1), (1, 0), (1, 1)))
+    a, b, c, d = (np.broadcast_to(x[0], m).copy() for x in (sa, sb, sc, sd))
     ill = False
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n):
+            det = dets[k]
             if k:
-                det = dets[k - 1]
-                ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+                prev = dets[k - 1]
+                # B^-1 = [[d, -b], [-c, a]] / det, with the two negations folded into S_k - B^-1
+                ia, qb, qc, id_ = d / prev, b / prev, c / prev, a / prev
                 norm = np.maximum(abs(a) + abs(c), abs(b) + abs(d))
-                ill = ~(norm * np.maximum(abs(ia) + abs(ic), abs(ib) + abs(id_)) <= COND_LIMIT)
-                a, b, c, d = s[k, 0, 0] - ia, s[k, 0, 1] - ib, s[k, 1, 0] - ic, s[k, 1, 1] - id_
-            det = a * d - b * c
+                ill = ~(norm * np.maximum(abs(ia) + abs(qc), abs(qb) + abs(id_)) <= COND_LIMIT)
+                a, b, c, d = sa[k] - ia, sb[k] + qb, sc[k] + qc, sd[k] - id_
+            np.subtract(np.multiply(a, d, out=det), b * c, out=det)
             hit = ill | (det == 0.0)
             if hit.any():
                 bad |= hit
                 a[hit], b[hit], c[hit], d[hit], det[hit] = 1.0, 0.0, 0.0, 1.0, 1.0
-            dets[k] = det
     sign = 1.0 - 2.0 * (np.count_nonzero(dets < 0.0, axis=0) % 2)
     # in place, and rows summed in order, so a sample's log|det| never depends on m
-    return sign, reduce(np.add, np.log(np.abs(dets, out=dets), out=dets)), bad
+    log_abs = reduce(np.add, np.log(np.abs(dets, out=dets), out=dets))
+    sign[bad] = 0.0
+    log_abs[bad] = np.nan
+    return sign, log_abs, bad
 
 
 def _closed_form_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
     """``_closed_form_sweep`` on one sample's (n, 2, 2) blocks, on Python floats: its operations in its order.
 
+    -b / det there is -(b / det) and s - (-q) is s + q, exactly, as IEEE rounding is symmetric in sign.
     ``max`` keeps a NaN as ``np.maximum`` does: B_{k-1} is finite when tested, its inverse all NaN or none.
     """
     dets, a, ill = np.empty(len(blocks)), None, False
@@ -409,21 +420,23 @@ def _schur_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
     ``blocks`` is (m, n, W, W), the column blocks S_k - E of m samples.  The
     sweep runs B_k = S_k - E - B_{k-1}^{-1} for the whole stack, and
-    det(H_N - E) is the product of the det(B_k).  At W = 2 each step is
-    elementwise numpy over the samples, with the inverse and determinant in
-    closed form; every other width calls one ``inv`` and one ``slogdet`` per
-    column on the stack.  A stack of one runs the same operations as a loop
-    over its columns.  A sample is bad on an exactly singular B_k, or when a
+    det(H_N - E) is the product of the det(B_k).  At W = 2 the stack is
+    transposed to samples last for ``_closed_form_sweep``; every other width
+    calls one ``inv`` and one ``slogdet`` per column on the stack.  A stack of
+    one runs the same operations as a loop over its columns.  A sample is bad on an exactly singular B_k, or when a
     block to be inverted has |B|_1 |B^-1|_1 > COND_LIMIT (a NaN counts), read
     off the inverse already computed.  The offending block is swapped for the
     identity, so one singular sample never fails the stack; a bad sample comes
     back as sign 0 and log|det| nan, for the caller to recompute.  No sample's
     arithmetic depends on the rest of the stack.
     """
+    m, n, w, _ = blocks.shape
+    if w == 2 and m > 1:  # samples last, a copy: a contiguous length-m vector per entry and column
+        return _closed_form_sweep(*np.moveaxis(blocks, 0, -1).reshape(n, 4, m).transpose(1, 0, 2))
     if not np.all(np.isfinite(blocks)):
         raise NumericError("non-finite transfer matrix entries")
-    loop, stacked = (_closed_form_loop, _closed_form_sweep) if blocks.shape[-1] == 2 else (_lapack_loop, _lapack_sweep)
-    sign, log_abs, bad = (np.array([x]) for x in loop(blocks[0])) if len(blocks) == 1 else stacked(blocks)
+    loop = _closed_form_loop if w == 2 else _lapack_loop
+    sign, log_abs, bad = (np.array([x]) for x in loop(blocks[0])) if m == 1 else _lapack_sweep(blocks)
     sign[bad] = 0.0
     log_abs[bad] = np.nan
     return sign, log_abs, bad

@@ -10,7 +10,8 @@ Every matrix entry comes from one builder, the column blocks S_k - E of
 stacks the blocks of the region's bounding box block-tridiagonally, -I
 between neighbouring columns, and keeps the principal submatrix on the
 region's sites, which is its Dirichlet restriction.  The transfer sweep, the
-Schur route and the windows of the direct route read the same blocks.
+Schur route and the windows of the direct route read the same blocks; the
+W = 2 ensemble sweep forms their entries by the same operations, samples last.
 """
 
 from __future__ import annotations
@@ -243,9 +244,14 @@ class DisorderSpec:
 
     def potentials_from_uniform(self, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF transform of uniform(0,1) draws to potential values."""
+        return self._from_uniform(np.array(u, dtype=float))
+
+    def _from_uniform(self, u: np.ndarray) -> np.ndarray:
+        """``potentials_from_uniform`` on a float array it may overwrite: the uniform law maps it in place."""
         if self.density == "uniform":
-            lo, hi = self.params["lo"], self.params["hi"]
-            return lo + (hi - lo) * u
+            u *= self.params["hi"] - self.params["lo"]
+            u += self.params["lo"]  # lo + (hi - lo) u
+            return u
         if self.density == "cauchy":
             s, t = self.params["scale"], self.params.get("cutoff", 1e6)
             return s * np.tan((2.0 * u - 1.0) * np.arctan(t / s))
@@ -408,6 +414,26 @@ def _column_blocks(
     return s
 
 
+def _column_entries(potentials, u_law, u_band, energy: float, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
+    """``_column_blocks`` of W = 2 rows of (m, N, W) draws, samples last: entries (0, 0), (0, 1), (1, 0), (1, 1).
+
+    Each is (n, m), by the same operations in the same order; off the diagonal
+    (n, 1) where the coupling law gives every sample the same U.
+    """
+    (c0, c1), (r0, r1) = cols, rows
+    if c1 > potentials.shape[-2] or r1 > potentials.shape[-1]:
+        raise ConfigurationError("sites outside the sampled extent")
+    if u_law == "random_band":
+        u = np.moveaxis(_couplings(potentials.shape[:1], u_law, u_band, cols, rows), 0, -1)
+    else:  # one U for every sample
+        u = _couplings((), u_law, None, cols, rows)[..., None]
+    s = np.subtract(0.0, u, order="C")  # (n, 2, 2, m or 1)
+    diag = potentials[:, c0:c1, r0:r1].transpose(1, 2, 0).copy()
+    diag += s[:, (0, 1), (0, 1)]
+    diag -= energy
+    return diag[:, 0], s[:, 0, 1], s[:, 1, 0], diag[:, 1]
+
+
 def _stack_columns(blocks: np.ndarray) -> np.ndarray:
     """Block tridiagonal H - E of consecutive columns: the blocks S_k - E on the diagonal, -I beside them."""
     *lead, n, w, _ = blocks.shape
@@ -483,7 +509,7 @@ def _draw(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     """(m, N, W) potentials and (m, N, d+1, W) band entries from the streams (seed, *path, field)."""
     n, w, d = geometry.columns, geometry.width, geometry.bandwidth
-    pot = spec.potentials_from_uniform(split_stream(seed, *path, 0).random((m, n, w)))
+    pot = spec._from_uniform(split_stream(seed, *path, 0).random((m, n, w)))
     u_band = None
     if spec.u_law == "random_band":
         c = spec.u_params.get("coupling", 1.0)

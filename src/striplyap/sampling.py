@@ -5,13 +5,14 @@ geometry, seed, k), with a chunk size set by the dense memory budget of the
 region.  A kernel batch is a run of consecutive whole chunks, and workers
 only schedule whole batches, so every sampler here returns the same arrays
 for any worker count.  Rectangles in ``sample_logdets`` go through the
-batched Schur sweep (route c) on column blocks cut straight from the draws,
-in batches of up to DEFAULT_CHUNK samples; at W = 2 that sweep is elementwise
-numpy over the batch, so a second worker speeds it up, and a batch of one
-sample runs as its bit-for-bit per-column loop.  Every other kernel factors
-the dense stack of H_region - E that ``model.build_hamiltonians`` stacks from
-the same column blocks, one chunk per batch; ``sample_site_shifts`` reads the
-coupling row of the peeled site off its row of that stack.
+batched Schur sweep (route c), in batches of up to DEFAULT_CHUNK samples: at
+W = 2 on entries built from the draws samples last, elementwise numpy over
+the batch, so a second worker speeds it up, and on (m, n, W, W) column blocks
+at other widths.  Only a sample the sweep marks bad gets a dense H - E, for
+slogdet.  Every other kernel factors the dense stack of H_region - E that
+``model.build_hamiltonians`` stacks from the same column blocks, one chunk
+per batch; ``sample_site_shifts`` reads the coupling row of the peeled site
+off its row of that stack.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .determinants import _schur_sweep
+from .determinants import _closed_form_sweep, _schur_sweep
 from .model import (
     _DOMAIN_BOOT_CI,
     ConfigurationError,
@@ -28,6 +29,7 @@ from .model import (
     Region,
     StripGeometry,
     _column_blocks,
+    _column_entries,
     _couplings,
     _stack_columns,
     build_hamiltonians,
@@ -72,9 +74,10 @@ def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, wor
             draw_chunk(spec, geometry, idx, min(chunk, n_samples - idx * chunk), seed)
             for idx in range(first, min(first + per_batch, n_chunks))
         ]
-        pot = np.concatenate([p for p, _ in draws])
-        u_band = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
-        return batch(pot, u_band)
+        if len(draws) > 1:  # a batch of one chunk takes its draws as they are
+            pots, bands = zip(*draws)
+            draws = [(np.concatenate(pots), None if bands[0] is None else np.concatenate(bands))]
+        return batch(*draws[0])
 
     batches = range(0, n_chunks, per_batch)
     if workers <= 1:
@@ -132,15 +135,18 @@ def sample_logdets(
 
     if region.is_rectangle:
         n0, n1, w0, w1 = region.bounds()
-        chunk = _effective_chunk(region.size)
+        cols, rows, chunk = (n0 - 1, n1), (w0 - 1, w1), _effective_chunk(region.size)
 
         def batch(pot, u_band):
-            blocks = _column_blocks(pot, spec.u_law, u_band, energy, (n0 - 1, n1), (w0 - 1, w1))
-            _, log_abs, bad = _schur_sweep(blocks)
+            if w1 - w0 == 1:
+                _, log_abs, bad = _closed_form_sweep(*_column_entries(pot, spec.u_law, u_band, energy, cols, rows))
+            else:
+                _, log_abs, bad = _schur_sweep(_column_blocks(pot, spec.u_law, u_band, energy, cols, rows))
             idx = np.flatnonzero(bad)
             for lo in range(0, len(idx), chunk):  # dense stacks keep to the chunk's memory budget
                 sel = idx[lo : lo + chunk]
-                log_abs[sel] = dense(_stack_columns(blocks[sel]))
+                blocks = _column_blocks(pot[sel], spec.u_law, None if u_band is None else u_band[sel], energy, cols, rows)
+                log_abs[sel] = dense(_stack_columns(blocks))
             return (log_abs,)
 
         doubles = (n1 - n0 + 1) * (w1 - w0 + 1) ** 2

@@ -310,6 +310,7 @@ def negative_tail_experiment(
     n, w = geometry.columns, geometry.width
     region = Region.rectangle(1, n, 1, w)
     values, _ = sample_logdets(spec, geometry, region, energy, n_samples, seed, workers)
+    _nonsingular(values)  # the all-singular rule; singular samples of a mixed ensemble count as tail hits
     rows = []
     for k in k_grid:
         thr = -10.0 * k * w
@@ -395,6 +396,7 @@ def block_logdet_summands(
     columns = []
     for part in cells:
         values, _ = sample_logdets(spec, geometry, part, energy, n_samples, seed, workers)
+        _nonsingular(values)  # the all-singular rule, per cell
         columns.append(values)
     matrix = np.stack(columns, axis=1)
     matrix = matrix - np.mean(matrix, axis=0, keepdims=True)

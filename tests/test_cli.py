@@ -71,6 +71,19 @@ def test_bad_config_exits_2(tmp_path, capsys):
         assert "all 200 samples excluded as singular" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["negtail", "bernstein"])
+def test_all_singular_tail_experiments_exit_2(tmp_path, kind, capsys):
+    # point mass 0 at E = 0: the 5-site chain is singular, and so is bernstein's one-column cell
+    singular = write_config(
+        tmp_path,
+        disorder={"density": "point", "params": {"value": 0.0}, "u_law": "adjacency", "u_params": {}},
+        geometry={"width": 1, "bandwidth": 1, "columns": 5},
+        n_samples=64,
+    )
+    assert main(["experiment", kind, "--config", str(singular), "--out", str(tmp_path / "o")]) == 2
+    assert "all 64 samples excluded as singular" in capsys.readouterr().err
+
+
 def test_sample_command_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"

@@ -6,14 +6,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from striplyap.model import (
+    _DOMAIN_CHUNK,
     ConfigurationError,
     DisorderSpec,
     Region,
     StripGeometry,
     assemble_hamiltonian,
     boundary,
+    draw_chunk,
     s_matrix,
     sample_disorder,
+    split_stream,
 )
 
 
@@ -53,6 +56,18 @@ def test_sampling_determinism():
     b = sample_disorder(geo, spec, seed=123)
     assert np.array_equal(a.potentials, b.potentials)
     assert np.array_equal(a.u_band, b.u_band)
+
+
+@pytest.mark.parametrize("spec", [DisorderSpec.uniform(-1.5, 2.5), DisorderSpec.cauchy(1.0, cutoff=1e6)])
+def test_chunk_draws_are_the_public_inverse_cdf(spec):
+    # the chunk draw maps its own uniform array, in place for the uniform law; the public map copies
+    u = split_stream(9, _DOMAIN_CHUNK, 3, 0).random((7, 5, 2))
+    kept = u.copy()
+    pot = spec.potentials_from_uniform(u)
+    assert np.array_equal(u, kept)
+    assert np.array_equal(pot, draw_chunk(spec, StripGeometry(2, 1, 5), 3, 7, 9)[0])
+    if spec.density == "uniform":
+        assert np.array_equal(pot, -1.5 + (2.5 - -1.5) * u)
 
 
 def test_neighbouring_seeds_differ():

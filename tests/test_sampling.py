@@ -5,8 +5,8 @@ import pytest
 
 import striplyap.sampling as sampling
 from striplyap import determinants
-from striplyap.determinants import SignedLogDet, _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
-from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, assemble_hamiltonian, draw_chunk, sample_disorder
+from striplyap.determinants import SignedLogDet, _closed_form_sweep, _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
+from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, _column_entries, _stack_columns, assemble_hamiltonian, draw_chunk, sample_disorder
 from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets, sample_spectral
 from striplyap.transfer import NumericError
 
@@ -175,6 +175,84 @@ def test_one_sample_sweep_rejects_non_finite_blocks(w, value):
     blocks[0, 4, 0, 0] = value
     with pytest.raises(NumericError, match="non-finite"):
         _schur_sweep(blocks)
+
+
+def _assert_samples_last_is_the_stack(pot, u_law, u_band, energy, cols, rows):
+    """The sweep on entries built from the draws against ``_schur_sweep`` on the (m, n, 2, 2) stack, bit for bit."""
+    got = _closed_form_sweep(*_column_entries(pot, u_law, u_band, energy, cols, rows))
+    ref = _schur_sweep(_column_blocks(pot, u_law, u_band, energy, cols, rows))
+    for x, y in zip(got, ref):
+        assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
+    return got[2]
+
+
+@pytest.mark.parametrize("name, spec, columns, energy, m", ADVERSARIAL, ids=[c[0] for c in ADVERSARIAL])
+def test_samples_last_sweep_is_the_stacked_sweep_on_adversarial_strips(name, spec, columns, energy, m):
+    pot, u_band = draw_chunk(spec, StripGeometry(2, 1, columns), 0, m, seed=23)
+    bad = _assert_samples_last_is_the_stack(pot, spec.u_law, u_band, energy, (0, columns), (0, 2))
+    assert bad.all() if spec.density == "point" else not bad.any()  # every clean strip here is Schur-bad
+
+
+SUB_RECTANGLES = [
+    # (name, spec, geometry, columns, rows): ldt's 16 x 2 inside its 32 columns, rows 2-3 of W = 4 strips
+    ("uniform 16x2 of 32x2", DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency"), StripGeometry(2, 1, 32), (0, 16), (0, 2)),
+    *[(f"{law} rows 2-3 of 24x4", spec, StripGeometry(4, d, 24), (3, 20), (1, 3)) for law, spec, d in (("band", BAND, 2), ("adjacency", UNIFORM, 1), ("zero", LAWS[1], 1))],
+    ("band d=1 24x2", DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=0.7), StripGeometry(2, 1, 24), (0, 24), (0, 2)),
+]
+
+
+@pytest.mark.parametrize("name, spec, geometry, cols, rows", SUB_RECTANGLES, ids=[c[0] for c in SUB_RECTANGLES])
+@pytest.mark.parametrize("energy", [0.0, 0.3])
+def test_samples_last_sweep_is_the_stacked_sweep_on_sub_rectangles(name, spec, geometry, cols, rows, energy):
+    pot, u_band = draw_chunk(spec, geometry, 0, 700, seed=31)
+    _assert_samples_last_is_the_stack(pot, spec.u_law, u_band, energy, cols, rows)
+
+
+def _masked_draws():
+    """Zero-coupling potentials whose column blocks are ``_masked_blocks(2)``'s bad cases: samples 1 and 3 go bad."""
+    pot = np.random.default_rng(5).uniform(-2.0, 2.0, (5, 7, 2))
+    pot[1, :2] = pot[3, 0] = 1.0  # sample 1: B_2 = I - I^-1 = 0; sample 3: B_2 of condition 1e17, inverted at step 3
+    pot[3, 1] = (1e17, 2.0)
+    return pot
+
+
+def test_samples_last_sweep_masks_bad_samples_and_the_sampler_recomputes_them(monkeypatch):
+    pot = _masked_draws()
+    bad = _assert_samples_last_is_the_stack(pot, "zero", None, 0.0, (0, 7), (0, 2))
+    assert bad.tolist() == [False, True, False, True, False]
+    monkeypatch.setattr(sampling, "draw_chunk", lambda spec, geometry, idx, m, seed: (pot[:m].copy(), None))
+    got, n_singular = sample_logdets(LAWS[1], StripGeometry(2, 1, 7), Region.rectangle(1, 7, 1, 2), 0.0, 5, seed=1)
+    sign, ref = np.linalg.slogdet(_stack_columns(_column_blocks(pot, "zero", None, 0.0, (0, 7))))
+    assert n_singular == np.count_nonzero(sign == 0.0)
+    assert np.array_equal(got[bad], np.where(sign == 0.0, -np.inf, ref)[bad])
+    assert np.array_equal(got[~bad], _schur_sweep(_column_blocks(pot, "zero", None, 0.0, (0, 7)))[1][~bad])
+
+
+@pytest.mark.parametrize("spec, width, columns", [(UNIFORM, 2, 40), (BAND, 2, 23), (LAWS[1], 4, 40)], ids=["adjacency 40x2", "band 23x2", "zero rows 3-4 of 40x4"])
+def test_sampler_matches_the_stacked_sweep_across_chunks_and_workers(spec, width, columns):
+    # 80 sites: draw chunks of 1,310 samples in batches of three; 46 sites: batches of one 3,964-sample chunk
+    geometry, region = StripGeometry(width, 1, columns), Region.rectangle(1, columns, width - 1, width)
+    chunk = _effective_chunk(region.size)
+    assert chunk < DEFAULT_CHUNK
+    draws = [draw_chunk(spec, geometry, i, min(chunk, 5000 - i * chunk), 17) for i in range(-(-5000 // chunk))]
+    pot = np.concatenate([p for p, _ in draws])
+    u_band = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
+    _, ref, bad = _schur_sweep(_column_blocks(pot, spec.u_law, u_band, 0.2, (0, columns), (width - 2, width)))
+    assert not bad.any()
+    for workers in (1, 2):
+        got, _ = sample_logdets(spec, geometry, region, 0.2, 5000, seed=17, workers=workers)
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize(
+    "spec", [DisorderSpec.uniform(-1e308, 1e308, u_law="adjacency"), DisorderSpec.uniform(-1.0, 1.0, u_law="random_band", coupling=np.inf)],
+    ids=["potential", "coupling"],
+)
+@pytest.mark.parametrize("width", [2, 3])
+def test_sampler_rejects_non_finite_draws(spec, width):
+    geometry = StripGeometry(width, 1, 6)
+    with pytest.raises(NumericError, match="non-finite"):
+        sample_logdets(spec, geometry, Region.rectangle(1, 6, 1, width), 0.0, 40, seed=2)
 
 
 def test_schur_route_matches_direct_on_cauchy_strip():
