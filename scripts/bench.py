@@ -16,11 +16,12 @@ resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0; and,
 as a control off the closed-form W = 2 sweep, a random band (uniform
 [-1.5, 1.5], coupling 1, d = 2) 32 x 4 at E = 0.3.  Unit: samples.
 
-Suite ``direct``: `logdet_direct` (with its condition estimate) on the two
-strips of the `routes` workload (Cauchy 2000 x 2 and random band 500 x 4,
-d = 2, both at E = 0.5, seed 1) and on a uniform [-1.5, 1.5] adjacency strip
-1000 x 6 at E = 0, in both input forms: the dense matrix, assembled outside
-the timer, and the disorder sample, as `striplyap dets` calls it.  Unit: sites.
+Suite ``direct``: `logdet_direct`, route (a)'s one banded LU (`dgbtrf`, with
+its condition estimate), on the two strips of the `routes` workload (Cauchy
+2000 x 2 and random band 500 x 4, d = 2, both at E = 0.5, seed 1) and on a
+uniform [-1.5, 1.5] adjacency strip 1000 x 6 at E = 0, in both input forms:
+the dense matrix, assembled outside the timer, and the disorder sample, as
+`striplyap dets` calls it.  Unit: sites.
 
 Suite ``assemble``: `build_hamiltonians`, the dense stack of H_region - E
 that every non-Schur sampler factors, on one draw chunk of the uniform
@@ -28,8 +29,8 @@ that every non-Schur sampler factors, on one draw chunk of the uniform
 cartan run (4096 samples), a 40 x 2 rectangle (1310 samples, the chunk of an
 80-site region) and a 16 x 2 rectangle minus the site (8, 1) (4096 samples);
 plus `logdet_direct` on the Cauchy 2000 x 2 `routes` strip given as the
-sample, whose windows are assembled one at a time.  Unit: samples (the
-route-(a) case counts its one sample).
+sample, whose band storage is written from its column blocks.  Unit:
+samples (the route-(a) case counts its one sample).
 
 Suite ``verify``: the three suites of `striplyap verify all --trials 50`
 at seed 1, with the trial budgets `verify_all` gives them (`verify_wedge`

@@ -9,7 +9,9 @@ The matrix:
   adjacency, W = 2: point mass 0 at E = 0 and at E = 1, the resonant
   +-2.5e-9 strip at E = 0 and Cauchy (scale 1, cutoff 1e6) at E = 0.5.
   negtail runs 17 columns, where the point-mass strips are exactly
-  singular, and ldt the 16 x 2 and 18 x 2 rectangles, where they are not.
+  singular, and ldt the 16 x 2 and 18 x 2 rectangles, where they are not;
+* ``dets --route all`` on point mass 0 at E = 1 over 5, 11 and 301 columns,
+  all exactly singular, and on the resonant strip at E = 0 over 400 columns.
 
 Every command runs in this process through ``striplyap.cli.main``, with one
 BLAS thread, as perfbench's child runs it.  The fingerprint is one JSON
@@ -56,6 +58,19 @@ ADVERSARIAL = {
 }
 
 
+def _adversarial(law: dict, columns: int, energy: float, params: dict) -> dict:
+    """Run config of a W = 2 adjacency strip under one of the adversarial laws."""
+    return {
+        "disorder": {**law, "u_law": "adjacency", "u_params": {}},
+        "geometry": {"width": 2, "bandwidth": 1, "columns": columns},
+        "energy": energy,
+        "n_samples": 2048,
+        "seed": 11,
+        "workers": 1,
+        "params": params,
+    }
+
+
 def matrix() -> list:
     """(label, argv, config or None) of every command, in run order."""
     out = []
@@ -64,16 +79,10 @@ def matrix() -> list:
             out += [(f"{name}@{seed}/{c.label}", list(c.argv), c.config) for c in workload.commands(seed)]
     for name, (law, energy) in ADVERSARIAL.items():
         for kind, columns, params in (("negtail", 17, {}), ("ldt", 18, {"columns": [16, 18]})):
-            config = {
-                "disorder": {**law, "u_law": "adjacency", "u_params": {}},
-                "geometry": {"width": 2, "bandwidth": 1, "columns": columns},
-                "energy": energy,
-                "n_samples": 2048,
-                "seed": 11,
-                "workers": 1,
-                "params": params,
-            }
-            out.append((f"{kind} {name}", ["experiment", kind], config))
+            out.append((f"{kind} {name}", ["experiment", kind], _adversarial(law, columns, energy, params)))
+    for name, columns in (("point0 E=1", 5), ("point0 E=1", 11), ("point0 E=1", 301), ("resonant E=0", 400)):
+        law, energy = ADVERSARIAL[name]
+        out.append((f"dets {name} {columns}x2", ["dets", "--route", "all"], _adversarial(law, columns, energy, {})))
     return out
 
 

@@ -2,23 +2,20 @@
 
 Everything is carried as (sign, log|det|) pairs so that regions with tens of
 thousands of sites never overflow, and so that products of partial results
-compose exactly.  The routes are (a) LAPACK's Bunch-Kaufman LDL^t, run in
-overlapping 256-row windows along the band with the pivots of one dense call,
-so that its cost grows linearly in N W on a strip instead of as (N W)^3,
-(b) the stabilized transfer product and (c) the Schur sweep over column
-blocks.  Route (a) reads H through a window source, (start, end) ->
-H[start:end, start:end]: slices of a dense matrix, or, given the disorder
-sample, windows stacked one at a time from the column blocks of the columns
-they cover, so that a strip's dense matrix is never built.  Route (c) runs
-every rectangle of a ``sampling.sample_logdets`` ensemble as a stack: at
-W = 2 it inverts the 2 x 2 blocks in closed form, elementwise over the
-samples, on samples-last entries (one contiguous vector over the samples per
-entry and column), which an (m, n, 2, 2) stack is transposed to; every other
-width calls LAPACK on the stack once per column.  One
-sample, all ``logdet_via_schur`` passes, runs as a loop over its columns
-with the operations the stacked kernels make on it, bit for bit.  Route (a)
-takes ``dsytrf``, ``dsytrf_lwork`` and ``dsytrs`` from ``transfer._FLAPACK``
-(SciPy's ``_flapack`` alone), nearly halving start-up.
+compose exactly.  The routes are (a) one banded LU with partial pivoting,
+LAPACK's ``dgbtrf`` on the band storage of H - E, so that its cost grows
+linearly in N on a strip instead of as (N W)^3, (b) the stabilized transfer
+product and (c) the Schur sweep over column blocks.  Route (a) reads the band
+off a dense matrix, or, given the disorder sample, writes it from the column
+blocks, so that a strip's dense matrix is never built; it takes ``dgbtrf``
+from ``transfer._FLAPACK`` (SciPy's ``_flapack`` alone), nearly halving
+start-up.  Route (c) runs every rectangle of a ``sampling.sample_logdets``
+ensemble as a stack: at W = 2 it inverts the 2 x 2 blocks in closed form,
+elementwise over the samples, on samples-last entries (one contiguous vector
+over the samples per entry and column), which an (m, n, 2, 2) stack is
+transposed to; every other width calls LAPACK on the stack once per column.
+One sample, all ``logdet_via_schur`` passes, runs as a loop over its columns
+with the operations the stacked kernels make on it, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +26,7 @@ from functools import reduce
 
 import numpy as np
 
-from .model import ConfigurationError, DisorderSample, Region, _column_blocks, _stack_columns, assemble_hamiltonian
+from .model import ConfigurationError, DisorderSample, Region, _column_blocks, assemble_hamiltonian
 from .transfer import _FLAPACK, NumericError, accumulate
 
 __all__ = [
@@ -42,21 +39,9 @@ __all__ = [
     "site_shift",
 ]
 
-PIVOT_FLOOR = 1e-300  # pivots below this count as exact zeros (safety net)
 COND_LIMIT = 1e14  # Schur blocks worse conditioned than this go to the dense route
-_WINDOW = 256  # rows per dsytrf call of the direct route
-_MARGIN = 64  # rows a window keeps past its cut
 _SWEEP_COLUMNS = 4096  # columns the one-sample W = 2 loop holds as Python floats at a time
-
-
-_SYTRF, _SYTRF_LWORK, _SYTRS = _FLAPACK.dsytrf, _FLAPACK.dsytrf_lwork, _FLAPACK.dsytrs
-
-
-def _compute_lwork(size: int) -> int:
-    lwork, info = _SYTRF_LWORK(size, lower=1)
-    if info:
-        raise ValueError(f"dsytrf work size query failed: info {info}")
-    return int(lwork)
+_GBTRF = _FLAPACK.dgbtrf
 
 
 class NearSingularError(ArithmeticError):
@@ -124,66 +109,6 @@ def signed_logdet(matrix: np.ndarray) -> SignedLogDet:
     return SignedLogDet(int(sign), float(log_abs))
 
 
-def _ldl_signed_logdet(window, n: int, b: int, energy: float) -> tuple[SignedLogDet, float, float]:
-    """Symmetric-indefinite route on H - E: returns (result, min pivot, max pivot).
-
-    ``window(start, end)`` returns H[start:end, start:end] of an n-row
-    symmetric matrix H of bandwidth at most b, as a float array of its own;
-    each window is shifted by E on its diagonal in place, so H - E is never
-    formed whole.  The pivots are the magnitudes of the 1x1 and 2x2 block
-    determinants of LAPACK's Bunch-Kaufman LDL^t (``dsytrf``); their ratio
-    doubles as a cheap condition estimate.  ``dsytrf`` runs on overlapping
-    windows of _WINDOW rows along the band.  A window keeps its pivots up to
-    a cut: a block boundary at least _MARGIN rows before its end, which no
-    earlier interchange reaches, with no earlier L entry in its last b rows.
-    Up to rounding these are the pivots one call on the whole matrix picks;
-    the next window starts at the cut, its leading b x b block reduced by
-    A21 A11^-1 A12 of the kept block.  A window without a cut runs to the end
-    of the matrix, and a matrix of at most _WINDOW rows gets the one call of
-    ``scipy.linalg.ldl``, bit for bit.
-    """
-    sign, log_abs, pivots = 1, 0.0, []
-    start, to_end = 0, b >= _MARGIN
-    while start < n:
-        end = n if to_end else min(n, start + _WINDOW)
-        size = end - start
-        shifted = window(start, end)
-        shifted.flat[:: size + 1] -= energy
-        if start:
-            shifted[:b, :b] = corner
-        ldu, ipiv, _ = _SYTRF(shifted, lower=1, lwork=_compute_lwork(size))
-        piv, diag, sub = ipiv.tolist(), ldu.diagonal().tolist(), ldu.diagonal(-1).tolist()
-        blocks, i = [], 0  # (start, block determinant); ipiv < 0 marks a 2x2 block
-        while i < size:
-            blocks.append((i, diag[i] * diag[i + 1] - sub[i] * sub[i] if piv[i] < 0 else diag[i]))
-            i += 2 if piv[i] < 0 else 1
-        cut = size
-        if end < n:
-            limit = np.argmax(np.append(ldu[size - b :, : size - _MARGIN].any(axis=0), True))
-            cut = reach = 0
-            for i, _ in blocks:
-                if i > limit:
-                    break
-                cut = i if reach < i else cut
-                reach = max(reach, abs(piv[i]) - 1)
-            if not cut:
-                to_end = True
-                continue
-        for i, p in blocks:
-            if i >= cut:
-                break
-            pivots.append(abs(p))
-            if abs(p) < PIVOT_FLOOR:
-                return SignedLogDet.zero(), 0.0, max(pivots)
-            sign *= 1 if p > 0 else -1
-            log_abs += math.log(abs(p))
-        if cut < size:
-            x, _ = _SYTRS(ldu[:cut, :cut], ipiv[:cut], shifted[:cut, cut : cut + b], lower=1)
-            corner = shifted[cut : cut + b, cut : cut + b] - shifted[cut : cut + b, :cut] @ x
-        start += cut
-    return SignedLogDet(sign, log_abs), min(pivots), max(pivots)
-
-
 def _symmetric_bandwidth(h: np.ndarray) -> int | None:
     """Bandwidth (at least 1) of a square matrix if it is exactly symmetric, else None.
 
@@ -205,10 +130,11 @@ def _symmetric_bandwidth(h: np.ndarray) -> int | None:
     return max(1, b)
 
 
-def _matrix_source(hamiltonian: np.ndarray):
-    """(rows, bandwidth, window source) of a dense matrix, after its input checks.
+def _matrix_band(hamiltonian: np.ndarray) -> np.ndarray:
+    """LAPACK band storage (kl = ku = b) of a dense matrix, after its input checks.
 
-    The source hands out copies, which the factorization may shift in place.
+    The diagonals -b..b of H go into rows 3b..b of a (3b + 1, n) array in
+    Fortran order; ``dgbtrf`` keeps its fill-in in rows 0..b-1.
     """
     h = np.asarray(hamiltonian, dtype=float)
     if not np.all(np.isfinite(h)):
@@ -216,7 +142,11 @@ def _matrix_source(hamiltonian: np.ndarray):
     b = _symmetric_bandwidth(h) if h.shape[0] == h.shape[1] else None
     if b is None:
         raise ValueError("logdet_direct expects an exactly symmetric matrix")
-    return h.shape[0], b, lambda start, end: h[start:end, start:end].copy()
+    n = h.shape[0]
+    ab = np.zeros((3 * b + 1, n), order="F")
+    for o in range(-b, b + 1):
+        ab[2 * b - o, max(o, 0) : n + min(o, 0)] = np.diagonal(h, o)
+    return ab
 
 
 def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
@@ -226,28 +156,26 @@ def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
     return n
 
 
-def _sample_source(sample: DisorderSample, n_steps: int | None):
-    """(rows, bandwidth, window source) of H on the rectangle [1, n] x [1, W].
+def _sample_band(sample: DisorderSample, n_steps: int | None) -> np.ndarray:
+    """``_matrix_band`` of H on the rectangle [1, n] x [1, W], written from the column blocks.
 
-    The column blocks S_k of the n columns are built once, O(n W^2), and
-    checked finite.  Each window [start, end) is stacked from the blocks of
-    the columns it covers and cut to its rows; from two columns on, the
-    horizontal hops set the bandwidth to W.  One column has the bandwidth of
-    its couplings, so its one block is read off like a matrix.
+    The blocks S_k of the n columns are built once, O(n W^2), and checked
+    finite.  From two columns on the hops make the bandwidth W; one column
+    has the bandwidth of its couplings, so its one block is read off like a
+    matrix.  H itself is never assembled.
     """
     n, w = _rectangle_steps(sample, n_steps), sample.geometry.width
     blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.0, (0, n))
     if n == 1:
-        return _matrix_source(blocks[0])
+        return _matrix_band(blocks[0])
     if not np.all(np.isfinite(blocks)):
         raise ValueError("Hamiltonian has non-finite entries")
-
-    def window(start, end):
-        first = start // w
-        rows = slice(start - first * w, end - first * w)
-        return _stack_columns(blocks[first : -(-end // w)])[rows, rows]
-
-    return n * w, w, window
+    ab = np.zeros((3 * w + 1, n * w), order="F")
+    columns = ab.T  # C order: row j holds column j of the band
+    p, q = np.indices((w, w))
+    columns.reshape(n, w, 3 * w + 1)[:, q, 2 * w + p - q] = blocks  # H[kW + p, kW + q] = S_k[p, q]
+    columns[w:, w] = columns[:-w, 3 * w] = -1.0  # the hops, H[j - W, j] and H[j + W, j]
+    return ab
 
 
 def logdet_direct(
@@ -256,32 +184,46 @@ def logdet_direct(
     with_condition: bool = False,
     n_steps: int | None = None,
 ):
-    """SignedLogDet of H - E through a symmetric-indefinite factorization.
+    """SignedLogDet of H - E through one banded LU with partial pivoting (LAPACK ``dgbtrf``).
 
     H is a symmetric matrix, or a ``DisorderSample`` standing for H on the
     rectangle [1, n_steps] x [1, W] (the whole sampled extent by default),
     as in ``logdet_via_transfer``.
     E must be finite.  A matrix is checked for finite entries and exact
-    symmetry.  A sample of two or more columns is never assembled whole:
-    each window of the band is stacked from the column blocks it covers, the
-    blocks the dense matrix is stacked from, so it is bit for bit the slice
-    of the dense matrix, and on a strip narrower than _MARGIN memory stays
-    O(_WINDOW^2 + N W^2).
+    symmetry, and its bandwidth b read off.  A sample is never assembled
+    whole: its band storage is written from the column blocks the dense
+    matrix is stacked from, bit for bit the same array, so memory stays
+    O(N W^2).  The factorization costs O(N W^3) on a strip.
 
-    With ``with_condition=True`` also returns max|pivot|/min|pivot|, a crude
-    estimate of how close E sits to the spectrum.
+    The sign is that of the diagonal of U times the parity of the row
+    interchanges, and log|det| is the sum of log|u_ii|.  A pivot with
+    |u_ii| <= n eps max|u_jj| counts as an exact zero, so an exactly singular
+    H - E comes out singular (sign 0) rather than as roundoff.
+    With ``with_condition=True`` also returns max|u_ii| / min|u_ii|, a crude
+    estimate of how close E sits to the spectrum (inf when singular).
     """
     if not math.isfinite(energy):
         raise ValueError("energy is non-finite")
     if isinstance(hamiltonian, DisorderSample):
-        rows, b, window = _sample_source(hamiltonian, n_steps)
+        ab = _sample_band(hamiltonian, n_steps)
     elif n_steps is not None:
         raise ConfigurationError("n_steps applies to a DisorderSample only")
     else:
-        rows, b, window = _matrix_source(hamiltonian)
-    result, pmin, pmax = _ldl_signed_logdet(window, rows, b, energy)
+        ab = _matrix_band(hamiltonian)
+    b = (len(ab) - 1) // 3
+    ab[2 * b] -= energy
+    lu, ipiv, info = _GBTRF(ab, b, b, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info}")
+    u = lu[2 * b]
+    mags = np.abs(u)
+    top, bottom = float(mags.max()), float(mags.min())
+    if bottom <= len(u) * np.finfo(float).eps * top:
+        result, cond = SignedLogDet.zero(), math.inf
+    else:
+        flips = int(np.count_nonzero(ipiv != np.arange(len(u))) + np.count_nonzero(u < 0.0))  # ipiv is 0-based
+        result, cond = SignedLogDet(1 - 2 * (flips % 2), float(np.sum(np.log(mags)))), top / bottom
     if with_condition:
-        cond = math.inf if pmin == 0.0 else pmax / pmin
         return result, cond
     return result
 

@@ -8,7 +8,6 @@ import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
-from striplyap import determinants
 from striplyap.determinants import (
     NearSingularError,
     SignedLogDet,
@@ -28,6 +27,7 @@ from striplyap.model import (
     sample_disorder,
     split_stream,
 )
+from striplyap.sampling import sample_logdets
 from striplyap.transfer import CocycleAccumulator
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
@@ -156,24 +156,12 @@ class TestDirect:
             assert logdet_direct(h, mid).sign == (-1) ** (i + 1)
 
 
-def _dense_ldl(h, energy):
-    """Route (a) as one ``scipy.linalg.ldl`` call on all of H - E: (sign, log|det|, condition)."""
+def _dense_lu(h, energy):
+    """H - E by dense LU: ``np.linalg.slogdet``'s sign and log|det|, and the U-diagonal ratio of ``scipy.linalg.lu_factor``."""
     m = np.asarray(h, dtype=float) - energy * np.eye(len(h))
-    _, d, _ = scipy.linalg.ldl(m)
-    sign, log_abs, pivots, i = 1, 0.0, [], 0
-    while i < len(m):
-        if i + 1 < len(m) and d[i + 1, i] != 0.0:
-            c = d[i + 1, i]
-            p, size = d[i, i] * d[i + 1, i + 1] - c * c, 2
-        else:
-            p, size = d[i, i], 1
-        pivots.append(abs(p))
-        if abs(p) < determinants.PIVOT_FLOOR:
-            return 0, -math.inf, math.inf
-        sign *= 1 if p > 0 else -1
-        log_abs += math.log(abs(p))
-        i += size
-    return sign, log_abs, max(pivots) / min(pivots)
+    sign, log_abs = np.linalg.slogdet(m)
+    u = np.abs(np.diagonal(scipy.linalg.lu_factor(m)[0]))
+    return int(sign), float(log_abs), float(u.max() / u.min())
 
 
 def _strip_sample(spec, width, bandwidth, columns, seed):
@@ -190,9 +178,9 @@ def _dense(sample, n_steps=None):
 
 
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
-# (spec, W, d, N, E): every strip spans more than three windows; one column
-# has bandwidth d, not W
-WINDOWED_STRIPS = {
+# (spec, W, d, N, E): strips of several hundred rows; one column has
+# bandwidth d, not W
+BAND_STRIPS = {
     "cauchy": (DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency"), 2, 1, 400, 0.5),
     "one column": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 800, 1, 1, 0.3),
     "random_band": (DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0), 4, 2, 200, 0.5),
@@ -202,24 +190,21 @@ WINDOWED_STRIPS = {
 
 
 class TestWindowedDirect:
-    """Route (a) factors the band in overlapping ``dsytrf`` windows.
+    """Route (a) factors the band of H - E by one banded LU (``dgbtrf``).
 
-    It must keep the pivots of one dense call: equal sign, log|det| within
-    1e-12 and the pivot-ratio condition within 1e-9, relative.  Given the
-    disorder sample instead of H, it assembles each window on its own and
-    must return exactly what the dense matrix gives.  Not compared:
-    point mass 0 at E = 1 on a W = 2, N = 301 adjacency strip.  It is singular
-    in exact arithmetic, but LAPACK sees a pivot of about 1e-15, above
-    PIVOT_FLOOR, so both routes return roundoff noise there (log|det| near
-    -30, with either sign).
+    It must agree with the dense LU: equal sign, log|det| within 1e-12 of
+    ``np.linalg.slogdet`` and the U-diagonal condition within 1e-9 of
+    ``scipy.linalg.lu_factor``'s, relative.  Given the disorder sample
+    instead of H, it writes the band from the column blocks and must return
+    exactly what the dense matrix gives.
     """
 
     @staticmethod
     def _assert_matches_dense(h, energy):
         got, cond = logdet_direct(h, energy, with_condition=True)
-        sign, log_abs, ref_cond = _dense_ldl(h, energy)
+        sign, log_abs, ref_cond = _dense_lu(h, energy)
         assert got.sign == sign
-        assert got.log_abs == pytest.approx(log_abs, rel=1e-12)
+        assert got.log_abs == pytest.approx(log_abs, rel=1e-12, abs=1e-12)
         assert cond == pytest.approx(ref_cond, rel=1e-9)
 
     @staticmethod
@@ -228,63 +213,43 @@ class TestWindowedDirect:
         assert got == logdet_direct(_dense(sample, n_steps), energy, with_condition=True)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("name", sorted(WINDOWED_STRIPS))
+    @pytest.mark.parametrize("name", sorted(BAND_STRIPS))
     def test_matches_one_dense_call(self, name, seed):
-        spec, width, bandwidth, columns, energy = WINDOWED_STRIPS[name]
+        spec, width, bandwidth, columns, energy = BAND_STRIPS[name]
         sample = _strip_sample(spec, width, bandwidth, columns, 50 + seed)
-        h = _dense(sample)
-        assert len(h) > 3 * determinants._WINDOW
-        self._assert_matches_dense(h, energy)
+        self._assert_matches_dense(_dense(sample), energy)
         self._assert_sample_form_exact(sample, energy)
+
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_pivoting_strips_at_every_length(self, width):
+        # near-zero diagonals: partial pivoting interchanges rows all along the band
+        sample = _strip_sample(RESONANT, width, 1, 600 // width, 3)
+        h = _dense(sample)
+        _, piv = scipy.linalg.lu_factor(h)
+        assert np.sum(piv != np.arange(len(h))) > 100
+        self._assert_matches_dense(h, 0.0)
+        for n_steps in (None, 250 // width, 17):
+            self._assert_sample_form_exact(sample, 0.0, n_steps)
 
     @pytest.mark.parametrize("width, columns", [(1, 501), (3, 333)])
     def test_point_mass_zero_stays_singular(self, width, columns):
         sample = _strip_sample(DisorderSpec.point(0.0, u_law="adjacency"), width, 1, columns, 1)
         h = _dense(sample)
-        assert logdet_direct(h, 0.0).sign == 0 and _dense_ldl(h, 0.0)[0] == 0
+        assert logdet_direct(h, 0.0).sign == 0 and np.linalg.slogdet(h)[0] == 0
         assert logdet_direct(sample, 0.0).sign == 0
 
     @pytest.mark.parametrize("energy", [0.0, 0.7])
-    def test_zero_row_of_shifted_matrix_gives_sign_zero(self, monkeypatch, energy):
+    def test_zero_row_of_shifted_matrix_gives_sign_zero(self, energy):
         # row 300 of H - E is zero, while the band around it is narrow
         rng = np.random.default_rng(7)
         a = np.triu(np.tril(rng.normal(size=(600, 600)), 3), -3)
         h = a + a.T
         h[300, :] = h[:, 300] = 0.0
         h[300, 300] = energy
-        monkeypatch.setattr(determinants, "_WINDOW", 32)
-        monkeypatch.setattr(determinants, "_MARGIN", 16)
         got, cond = logdet_direct(h, energy, with_condition=True)
-        assert (got.sign, cond) == (0, math.inf) and _dense_ldl(h, energy)[0] == 0
+        assert (got.sign, cond) == (0, math.inf) and np.linalg.slogdet(h - energy * np.eye(600))[0] == 0
 
-    @pytest.mark.parametrize("width", [2, 3])
-    def test_short_windows_cut_between_pivots(self, monkeypatch, width):
-        # near-zero diagonals: Bunch-Kaufman takes many 2x2 pivots and interchanges
-        h = _strip(RESONANT, width, 1, 600 // width, 3)
-        _, ipiv, _ = scipy.linalg.lapack.dsytrf(h, lower=1)
-        assert np.sum(ipiv < 0) > 100
-        assert np.sum(np.abs(ipiv) != np.arange(1, len(h) + 1)) > 100
-        monkeypatch.setattr(determinants, "_WINDOW", 32)
-        monkeypatch.setattr(determinants, "_MARGIN", 16)
-        self._assert_matches_dense(h, 0.0)
-        sample = _strip_sample(RESONANT, width, 1, 600 // width, 3)
-        for n_steps in (None, 250 // width, 17):
-            self._assert_sample_form_exact(sample, 0.0, n_steps)
-
-    @pytest.mark.parametrize("bandwidth", [15, 16])
-    def test_no_cut_runs_to_the_end(self, monkeypatch, bandwidth):
-        # interchanges reach past every candidate cut (15), or the band is as
-        # wide as the margin (16): one call on the whole matrix
-        rng = np.random.default_rng(9)
-        a = np.triu(np.tril(rng.normal(size=(120, 120)), bandwidth), -bandwidth)
-        h = a + a.T
-        np.fill_diagonal(h, 0.0)
-        monkeypatch.setattr(determinants, "_WINDOW", 32)
-        monkeypatch.setattr(determinants, "_MARGIN", 16)
-        got, cond = logdet_direct(h, 0.0, with_condition=True)
-        assert (got.sign, got.log_abs, cond) == _dense_ldl(h, 0.0)
-
-    def test_single_window_is_scipy_ldl_bit_for_bit(self):
+    def test_criterion_01_and_verify_matrices_match_dense_lu(self):
         cases = []
         rng = split_stream(101, 0)  # criterion 01's configurations
         for t in range(200):
@@ -301,17 +266,13 @@ class TestWindowedDirect:
         sample = sample_disorder(StripGeometry(4, 2, 64), DisorderSpec.uniform(-1.5, 1.5, u_law="random_band"), seed=4)
         holey = Region.from_sites([(n, w) for n in range(1, 65) for w in range(1, 5) if (n + w) % 7])
         cases.append((assemble_hamiltonian(sample, holey), 0.25))
-        assert max(len(h) for h, _ in cases[:200]) == 192 and len(cases[-1][0]) == 220 <= determinants._WINDOW
         for h, energy in cases:
-            got, cond = logdet_direct(h, energy, with_condition=True)
-            assert (got.sign, got.log_abs, cond) == _dense_ldl(h, energy)
-        # the sample form up to one window, one column included: the one call of the dense rectangle
-        sample = sample_disorder(StripGeometry(4, 2, 64), DisorderSpec.uniform(-1.5, 1.5, u_law="random_band"), seed=4)
+            self._assert_matches_dense(h, energy)
+        # the sample form, one column included, is the dense rectangle's call bit for bit
         for n_steps in (64, 33, 1):
-            got, cond = logdet_direct(sample, 0.25, with_condition=True, n_steps=n_steps)
-            assert (got.sign, got.log_abs, cond) == _dense_ldl(_dense(sample, n_steps), 0.25)
+            self._assert_sample_form_exact(sample, 0.25, n_steps)
 
-    @pytest.mark.parametrize("columns", [20, 300])  # one window, and many
+    @pytest.mark.parametrize("columns", [20, 300])
     @pytest.mark.parametrize("u_law", ["adjacency", "random_band"])
     def test_sample_form_rejects_non_finite_entries(self, columns, u_law):
         sample = _strip_sample(DisorderSpec.uniform(-1, 1, u_law=u_law), 3, 2, columns, 5)
@@ -337,9 +298,9 @@ class TestWindowedDirect:
 
     def test_sample_form_never_builds_the_dense_matrix(self):
         # the dense 4000 x 4000 H alone is 128 MB
-        spec, width, bandwidth = WINDOWED_STRIPS["cauchy"][:3]
+        spec, width, bandwidth = BAND_STRIPS["cauchy"][:3]
         sample = _strip_sample(spec, width, bandwidth, 2000, 5)
-        logdet_direct(sample, 0.5)  # the rectangle's assembly plan is cached here
+        logdet_direct(sample, 0.5)
         tracemalloc.start()
         try:
             logdet_direct(sample, 0.5, with_condition=True)
@@ -347,6 +308,17 @@ class TestWindowedDirect:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+    def test_wide_strip_stays_banded(self):
+        # W = 64, N = 100: the dense H would be 328 MB; the band storage is 9.9 MB
+        sample = _strip_sample(DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 64, 1, 100, 5)
+        tracemalloc.start()
+        try:
+            got = logdet_direct(sample, 0.3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.sign != 0 and peak < 16e6
 
 
 class TestTransferRoute:
@@ -501,3 +473,86 @@ class TestSiteShift:
             with pytest.raises(NearSingularError):
                 site_shift(samp, region, (1, 1), float(e))
             assert math.isfinite(site_shift(samp, region, (1, 1), float(e) + 1e-3))
+
+
+def _bareiss(rows):
+    """Exact determinant of an integer matrix by fraction-free elimination (Bareiss, Math. Comp. 1968)."""
+    a = [list(r) for r in rows]
+    n, sign, prev = len(a), 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1]
+
+
+def _exact_dets(value, u_law, width, energy, lengths):
+    """Exact det(H_N - E) of a point-mass strip for each N in ``lengths``, as Python integers.
+
+    Every column block is A = S - E = (value - E) I - U, an integer matrix.
+    det(H_N - E) is the determinant of the top-left W x W block C_N of T^N,
+    T = [[A, -I], [I, 0]], as route (b) reads it; the blocks follow
+    C_n = A C_{n-1} - C_{n-2} from C_0 = I and C_{-1} = 0.
+    """
+    w = width
+    a = [[(value - energy) * (i == j) - (u_law == "adjacency" and abs(i - j) == 1) for j in range(w)] for i in range(w)]
+    prev, c, out = [[0] * w for _ in range(w)], [[int(i == j) for j in range(w)] for i in range(w)], {}
+    for n in range(1, max(lengths) + 1):
+        prev, c = c, [[sum(x * y for x, y in zip(row, col)) - z for col, z in zip(zip(*c), old)] for row, old in zip(a, prev)]
+        if n in lengths:
+            out[n] = _bareiss(c)
+    return out
+
+
+POINT_MASS_CONFIGS = [(v, law, w, e) for v in (0, 1) for law in ("adjacency", "zero") for w in range(1, 5) for e in range(-2, 3)]
+
+
+class TestExactIntegerOracle:
+    """Point-mass strips at an integer value and E have an integer H - E, whose determinant is exact.
+
+    Route (a), both forms, must give sign 0 exactly where det(H_N - E) = 0:
+    for odd N, point mass 0 at E = 1 on an adjacency strip of width 2 is
+    singular (its spectrum is -2 cos(pi j / (N + 1)) +- 1).  Elsewhere the
+    three routes must give the exact sign and ``sample_logdets`` the exact
+    log|det|, within 1e-12.  Routes (b) and (c) and the sampler are not held
+    to sign 0 on the singular strips.
+    """
+
+    LENGTHS = (1, 2, 3, 5, 8, 11, 50, 301)
+
+    def test_transfer_oracle_matches_bareiss(self):
+        for value, u_law, width, energy in POINT_MASS_CONFIGS:
+            exact = _exact_dets(value, u_law, width, energy, range(1, 7))
+            sample = _strip_sample(DisorderSpec.point(float(value), u_law=u_law), width, 1, 6, 0)
+            for n in range(1, 7):
+                h = _dense(sample, n) - energy * np.eye(n * width)
+                assert _bareiss(h.astype(int).tolist()) == exact[n]
+
+    @pytest.mark.parametrize("value, u_law", [(0, "adjacency"), (0, "zero"), (1, "adjacency"), (1, "zero")])
+    def test_routes_give_the_exact_determinant(self, value, u_law):
+        spec = DisorderSpec.point(float(value), u_law=u_law)
+        singular = 0
+        for _, _, width, energy in (c for c in POINT_MASS_CONFIGS if c[:2] == (value, u_law)):
+            exact = _exact_dets(value, u_law, width, energy, self.LENGTHS)
+            geo = StripGeometry(width, 1, max(self.LENGTHS))
+            sample = sample_disorder(geo, spec, seed=0)
+            for n in self.LENGTHS:
+                det, e = exact[n], float(energy)
+                direct = [logdet_direct(sample, e, n_steps=n), logdet_direct(_dense(sample, n), e)]
+                if det == 0:
+                    singular += 1
+                    assert [r.sign for r in direct] == [0, 0], (width, energy, n)
+                    continue
+                sign, log_abs = (1 if det > 0 else -1), math.log(abs(det))
+                for r in direct + [logdet_via_transfer(sample, e, n), logdet_via_schur(sample, e, n)]:
+                    assert r.sign == sign and r.log_abs == pytest.approx(log_abs, rel=1e-12, abs=1e-12), (width, energy, n)
+                (sampled,), excluded = sample_logdets(spec, geo, Region.rectangle(1, n, 1, width), e, 1, 1)
+                assert excluded == 0 and sampled == pytest.approx(log_abs, rel=1e-12, abs=1e-12), (width, energy, n)
+        assert singular

@@ -143,16 +143,17 @@ def test_assembly_exactly_symmetric():
     assert np.array_equal(h, h.T)
 
 
-@pytest.mark.parametrize("start, end", [(0, 40), (13, 77), (100, 169), (168, 169)])
-def test_sample_window_is_the_dense_slice(start, end):
-    # route (a) assembles each window from the column blocks it covers; (13, 77) starts mid-column
-    from striplyap.determinants import _sample_source
+@pytest.mark.parametrize("n_steps", [50, 33, 2, 1])
+def test_sample_band_is_the_dense_band(n_steps):
+    # route (a) writes the band storage from the column blocks; one column keeps its coupling bandwidth
+    from striplyap.determinants import _matrix_band, _sample_band
 
     geo = StripGeometry(4, 3, 50)
     s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law="random_band"), seed=8)
-    h = assemble_hamiltonian(s, Region.rectangle(1, 50, 1, 4))
-    rows, bandwidth, window = _sample_source(s, None)
-    assert (rows, bandwidth) == (200, 4) and np.array_equal(window(start, end), h[start:end, start:end])
+    h = assemble_hamiltonian(s, Region.rectangle(1, n_steps, 1, 4))
+    band = _sample_band(s, n_steps)
+    assert band.shape == (3 * (4 if n_steps > 1 else 3) + 1, 4 * n_steps) and band.flags.f_contiguous
+    assert np.array_equal(band, _matrix_band(h))
 
 
 def test_holey_region_is_the_principal_submatrix():

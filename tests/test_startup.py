@@ -85,17 +85,10 @@ def test_no_command_imports_a_module(tmp_path):
     assert report == {name: [0, []] for name in report}
 
 
-def scipy_lapack():
-    """``dsytrf``, ``dsytrf_lwork``, ``dsytrs`` and the work-size query as ``scipy.linalg.ldl`` gets them."""
-    from scipy.linalg import lapack
-
-    sytrf, sytrf_lwork, sytrs = lapack.get_lapack_funcs(("sytrf", "sytrf_lwork", "sytrs"), dtype=np.float64)
-    return sytrf, sytrs, lambda n: lapack._compute_lwork(sytrf_lwork, n, lower=1)
-
-
 @pytest.mark.parametrize("case", ["random 300x300", "point-mass strip 301x2"])
 def test_direct_binding_is_scipy_lapack_bit_for_bit(case):
-    sytrf, sytrs, query = scipy_lapack()
+    from scipy.linalg import lapack
+
     if case.startswith("random"):
         a = np.random.default_rng(5).standard_normal((300, 300))
         a = a + a.T
@@ -103,31 +96,18 @@ def test_direct_binding_is_scipy_lapack_bit_for_bit(case):
         spec = DisorderSpec.point(0.0, u_law="adjacency")
         sample = sample_disorder(StripGeometry(2, 1, 301), spec, seed=1)
         a = assemble_hamiltonian(sample, Region.rectangle(1, 301, 1, 2)) - np.eye(602)
-    n = a.shape[0]
-    rhs = np.random.default_rng(6).standard_normal((n, 3))
-    lwork = determinants._compute_lwork(n)
-    assert lwork == query(n)
-    ours = determinants._SYTRF(a, lower=1, lwork=lwork)
-    theirs = sytrf(a, lower=1, lwork=lwork)
+    ab = determinants._matrix_band(a)
+    b = (len(ab) - 1) // 3
+    ours = determinants._GBTRF(ab.copy(order="F"), b, b)
+    theirs = lapack.dgbtrf(ab.copy(order="F"), b, b)
     for x, y in zip(ours, theirs):
-        np.testing.assert_array_equal(x, y)
-    solved = determinants._SYTRS(ours[0], ours[1], rhs, lower=1)
-    reference = sytrs(theirs[0], theirs[1], rhs, lower=1)
-    for x, y in zip(solved, reference):
         np.testing.assert_array_equal(x, y)
 
 
 def test_one_lapack_extension_serves_both_modules():
     # route (a) and the QR sweep share the extension module loaded once, at import of ``transfer``
     assert determinants._FLAPACK is transfer._FLAPACK
-    lapack = transfer._FLAPACK
-    assert determinants._SYTRF is lapack.dsytrf and determinants._SYTRS is lapack.dsytrs
-    assert determinants._SYTRF_LWORK is lapack.dsytrf_lwork
-
-
-def test_lwork_matches_scipy_query():
-    _, _, query = scipy_lapack()
-    assert [determinants._compute_lwork(n) for n in range(1, 601)] == [query(n) for n in range(1, 601)]
+    assert determinants._GBTRF is transfer._FLAPACK.dgbtrf
 
 
 def test_missing_scipy_names_the_searched_directory(tmp_path, monkeypatch):
