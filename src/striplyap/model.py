@@ -10,8 +10,9 @@ Every matrix entry comes from one builder, the column blocks S_k - E of
 stacks the blocks of the region's bounding box block-tridiagonally, -I
 between neighbouring columns, and keeps the principal submatrix on the
 region's sites, which is its Dirichlet restriction.  The transfer sweep, the
-Schur route and the windows of the direct route read the same blocks; the
-W = 2 ensemble sweep forms their entries by the same operations, samples last.
+Schur route and the band storage of the direct route read the same blocks;
+the W = 2 ensemble sweep forms their entries by the same operations, samples
+last.
 """
 
 from __future__ import annotations

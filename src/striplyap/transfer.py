@@ -88,7 +88,7 @@ def _load_flapack():
     return module_from_spec(spec)
 
 
-_FLAPACK = _load_flapack()  # also the source of route (a)'s LDL^t in ``determinants``
+_FLAPACK = _load_flapack()  # also the source of route (a)'s banded LU, ``dgbtrf``, in ``determinants``
 
 
 def one_step(s_block: np.ndarray, energy: float) -> np.ndarray:

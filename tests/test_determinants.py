@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -505,13 +506,15 @@ def _exact_dets(value, u_law, width, energy, lengths):
     a = [[(value - energy) * (i == j) - (u_law == "adjacency" and abs(i - j) == 1) for j in range(w)] for i in range(w)]
     prev, c, out = [[0] * w for _ in range(w)], [[int(i == j) for j in range(w)] for i in range(w)], {}
     for n in range(1, max(lengths) + 1):
-        prev, c = c, [[sum(x * y for x, y in zip(row, col)) - z for col, z in zip(zip(*c), old)] for row, old in zip(a, prev)]
+        ac = [[sum(x * y for x, y in zip(row, col)) for col in zip(*c)] for row in a]
+        prev, c = c, [[x - y for x, y in zip(r, q)] for r, q in zip(ac, prev)]
         if n in lengths:
             out[n] = _bareiss(c)
     return out
 
 
-POINT_MASS_CONFIGS = [(v, law, w, e) for v in (0, 1) for law in ("adjacency", "zero") for w in range(1, 5) for e in range(-2, 3)]
+POINT_MASS_LAWS = [(0, "adjacency"), (0, "zero"), (1, "adjacency"), (1, "zero")]
+WIDTHS_AND_ENERGIES = [(w, e) for w in range(1, 5) for e in range(-2, 3)]
 
 
 class TestExactIntegerOracle:
@@ -528,18 +531,18 @@ class TestExactIntegerOracle:
     LENGTHS = (1, 2, 3, 5, 8, 11, 50, 301)
 
     def test_transfer_oracle_matches_bareiss(self):
-        for value, u_law, width, energy in POINT_MASS_CONFIGS:
+        for (value, u_law), (width, energy) in itertools.product(POINT_MASS_LAWS, WIDTHS_AND_ENERGIES):
             exact = _exact_dets(value, u_law, width, energy, range(1, 7))
             sample = _strip_sample(DisorderSpec.point(float(value), u_law=u_law), width, 1, 6, 0)
             for n in range(1, 7):
                 h = _dense(sample, n) - energy * np.eye(n * width)
                 assert _bareiss(h.astype(int).tolist()) == exact[n]
 
-    @pytest.mark.parametrize("value, u_law", [(0, "adjacency"), (0, "zero"), (1, "adjacency"), (1, "zero")])
+    @pytest.mark.parametrize("value, u_law", POINT_MASS_LAWS)
     def test_routes_give_the_exact_determinant(self, value, u_law):
         spec = DisorderSpec.point(float(value), u_law=u_law)
         singular = 0
-        for _, _, width, energy in (c for c in POINT_MASS_CONFIGS if c[:2] == (value, u_law)):
+        for width, energy in WIDTHS_AND_ENERGIES:
             exact = _exact_dets(value, u_law, width, energy, self.LENGTHS)
             geo = StripGeometry(width, 1, max(self.LENGTHS))
             sample = sample_disorder(geo, spec, seed=0)
