@@ -12,9 +12,12 @@ median time over ``qr_calls``: the whole run's cost per QR.
 Suite ``logdets``: `sample_logdets` on full rectangles with one worker:
 criterion 11's law (uniform [-1.5, 1.5], adjacency, W = 2, E = 0) at N = 16,
 64 and 256; Cauchy (scale 1, cutoff 1e6, adjacency) 32 x 2 at E = 0.5; the
-resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0; and,
-as a control off the closed-form W = 2 sweep, a random band (uniform
-[-1.5, 1.5], coupling 1, d = 2) 32 x 4 at E = 0.3.  Unit: samples.
+resonant contrast strip (uniform +-2.5e-9, adjacency) 17 x 2 at E = 0; as
+a control off the closed-form W = 2 sweep, a random band (uniform
+[-1.5, 1.5], coupling 1, d = 2) 32 x 4 at E = 0.3; and point mass 0
+(adjacency, W = 2) at E = 1, 17 x 2 over 4,096 samples and 500 x 2 over 16,
+where every sample is Schur-bad at its first column and goes to the
+sampler's fallback.  Unit: samples.
 
 Suite ``direct``: `logdet_direct`, route (a)'s one banded LU (`dgbtrf`, with
 its condition estimate), on the two strips of the `routes` workload (Cauchy
@@ -98,6 +101,7 @@ UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
 CAUCHY = DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency")
 BAND = DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0)
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
+POINT0 = DisorderSpec.point(0.0, u_law="adjacency")
 
 
 def lyapunov_case(width, n_steps):
@@ -212,6 +216,8 @@ SUITES = {
         logdets_case("cauchy", CAUCHY, 32, 0.5, 16_384),
         logdets_case("resonant", RESONANT, 17, 0.0, 16_384),
         logdets_case("random_band d=2", BAND, 32, 0.3, 16_384, width=4, bandwidth=2),
+        logdets_case("point 0", POINT0, 17, 1.0, 4_096),
+        logdets_case("point 0", POINT0, 500, 1.0, 16),
     ],
     "schur": lambda: [*(schur_case(*strip) for strip in DIRECT_STRIPS), verify_case(verify_determinants, 50)],
     "verify": lambda: [

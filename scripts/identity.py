@@ -5,6 +5,9 @@ The matrix:
 
 * the commands of the four perfbench workloads (``perfbench/workloads.py``)
   at seeds 1, 5 and 907;
+* the ``routes`` workload's ``verify all`` at seeds 8, 21 and 21000, and its
+  two ``dets --route all`` strips (Cauchy 2000 x 2, random band 500 x 4) at
+  seeds 8, 21 and 901;
 * ``experiment negtail`` and ``experiment ldt`` on the adversarial laws, all
   adjacency, W = 2: point mass 0 at E = 0 and at E = 1, the resonant
   +-2.5e-9 strip at E = 0 and Cauchy (scale 1, cutoff 1e6) at E = 0.5.
@@ -49,6 +52,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 from workloads import WORKLOADS  # noqa: E402
 
 SEEDS = (1, 5, 907)
+# more seeds of the routes workload: its verify and dets commands, by label
+ROUTES_SEEDS = {8: ("dets_cauchy", "dets_band", "verify"), 21: ("dets_cauchy", "dets_band", "verify"), 901: ("dets_cauchy", "dets_band"), 21000: ("verify",)}
 SKIPPED = ("manifest.json", "traceback.txt")
 ADVERSARIAL = {
     "point0 E=0": ({"density": "point", "params": {"value": 0.0}}, 0.0),
@@ -77,6 +82,8 @@ def matrix() -> list:
     for name, workload in WORKLOADS.items():
         for seed in SEEDS:
             out += [(f"{name}@{seed}/{c.label}", list(c.argv), c.config) for c in workload.commands(seed)]
+    for seed, labels in ROUTES_SEEDS.items():
+        out += [(f"routes@{seed}/{c.label}", list(c.argv), c.config) for c in WORKLOADS["routes"].commands(seed) if c.label in labels]
     for name, (law, energy) in ADVERSARIAL.items():
         for kind, columns, params in (("negtail", 17, {}), ("ldt", 18, {"columns": [16, 18]})):
             out.append((f"{kind} {name}", ["experiment", kind], _adversarial(law, columns, energy, params)))

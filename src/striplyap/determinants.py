@@ -6,10 +6,13 @@ compose exactly.  The routes are (a) one banded LU with partial pivoting,
 LAPACK's ``dgbtrf`` on the band storage of H - E, so that its cost grows
 linearly in N on a strip instead of as (N W)^3, (b) the stabilized transfer
 product and (c) the Schur sweep over column blocks.  Route (a) reads the band
-off a dense matrix, or, given the disorder sample, writes it from the column
-blocks, so that a strip's dense matrix is never built; it takes ``dgbtrf``
-from ``transfer._FLAPACK`` (SciPy's ``_flapack`` alone), nearly halving
-start-up.  Route (c) runs every rectangle of a ``sampling.sample_logdets``
+off a dense matrix, or writes it from column blocks, so that a strip's dense
+matrix is never built; it takes ``dgbtrf`` from ``transfer._FLAPACK``
+(SciPy's ``_flapack`` alone), nearly halving start-up.  The blocks come from
+a disorder sample, or from route (c): a sample it marks bad, in
+``logdet_via_schur`` or in ``sampling.sample_logdets``, is factored by route
+(a) from the blocks route (c) already holds, one fallback with one singular
+rule.  Route (c) runs every rectangle of a ``sampling.sample_logdets``
 ensemble as a stack: at W = 2 it inverts the 2 x 2 blocks in closed form,
 elementwise over the samples, on samples-last entries (one contiguous vector
 over the samples per entry and column), which an (m, n, 2, 2) stack is
@@ -156,16 +159,14 @@ def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
     return n
 
 
-def _sample_band(sample: DisorderSample, n_steps: int | None) -> np.ndarray:
-    """``_matrix_band`` of H on the rectangle [1, n] x [1, W], written from the column blocks.
+def _block_band(blocks: np.ndarray) -> np.ndarray:
+    """``_matrix_band`` of the block tridiagonal matrix of (n, W, W) column blocks, -I beside them, written from the blocks.
 
-    The blocks S_k of the n columns are built once, O(n W^2), and checked
-    finite.  From two columns on the hops make the bandwidth W; one column
-    has the bandwidth of its couplings, so its one block is read off like a
-    matrix.  H itself is never assembled.
+    The blocks are checked finite.  From two columns on the hops make the
+    bandwidth W; one column has the bandwidth of its couplings, so its one
+    block is read off like a matrix.  The dense matrix is never assembled.
     """
-    n, w = _rectangle_steps(sample, n_steps), sample.geometry.width
-    blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.0, (0, n))
+    n, w, _ = blocks.shape
     if n == 1:
         return _matrix_band(blocks[0])
     if not np.all(np.isfinite(blocks)):
@@ -176,6 +177,22 @@ def _sample_band(sample: DisorderSample, n_steps: int | None) -> np.ndarray:
     columns.reshape(n, w, 3 * w + 1)[:, q, 2 * w + p - q] = blocks  # H[kW + p, kW + q] = S_k[p, q]
     columns[w:, w] = columns[:-w, 3 * w] = -1.0  # the hops, H[j - W, j] and H[j + W, j]
     return ab
+
+
+def _band_logdet(ab: np.ndarray, energy: float) -> tuple[SignedLogDet, float]:
+    """Route (a) on the band storage of H, overwritten: ``dgbtrf`` of H - E, its relative pivot floor and condition estimate."""
+    b = (len(ab) - 1) // 3
+    ab[2 * b] -= energy
+    lu, ipiv, info = _GBTRF(ab, b, b, overwrite_ab=1)
+    if info < 0:
+        raise ValueError(f"dgbtrf rejected argument {-info}")
+    u = lu[2 * b]
+    mags = np.abs(u)
+    top, bottom = float(mags.max()), float(mags.min())
+    if bottom <= len(u) * np.finfo(float).eps * top:
+        return SignedLogDet.zero(), math.inf
+    flips = int(np.count_nonzero(ipiv != np.arange(len(u))) + np.count_nonzero(u < 0.0))  # ipiv is 0-based
+    return SignedLogDet(1 - 2 * (flips % 2), float(np.sum(np.log(mags)))), top / bottom
 
 
 def logdet_direct(
@@ -205,24 +222,13 @@ def logdet_direct(
     if not math.isfinite(energy):
         raise ValueError("energy is non-finite")
     if isinstance(hamiltonian, DisorderSample):
-        ab = _sample_band(hamiltonian, n_steps)
+        n = _rectangle_steps(hamiltonian, n_steps)
+        ab = _block_band(_column_blocks(hamiltonian.potentials, hamiltonian.u_law, hamiltonian.u_band, 0.0, (0, n)))
     elif n_steps is not None:
         raise ConfigurationError("n_steps applies to a DisorderSample only")
     else:
         ab = _matrix_band(hamiltonian)
-    b = (len(ab) - 1) // 3
-    ab[2 * b] -= energy
-    lu, ipiv, info = _GBTRF(ab, b, b, overwrite_ab=1)
-    if info < 0:
-        raise ValueError(f"dgbtrf rejected argument {-info}")
-    u = lu[2 * b]
-    mags = np.abs(u)
-    top, bottom = float(mags.max()), float(mags.min())
-    if bottom <= len(u) * np.finfo(float).eps * top:
-        result, cond = SignedLogDet.zero(), math.inf
-    else:
-        flips = int(np.count_nonzero(ipiv != np.arange(len(u))) + np.count_nonzero(u < 0.0))  # ipiv is 0-based
-        result, cond = SignedLogDet(1 - 2 * (flips % 2), float(np.sum(np.log(mags)))), top / bottom
+    result, cond = _band_logdet(ab, energy)
     if with_condition:
         return result, cond
     return result
@@ -396,12 +402,13 @@ def logdet_via_schur(
     det(H_N - E) is the product of det(B_k).  This is the one-sample call of
     the batched sweep that ``sample_logdets`` runs on rectangles.  If an
     intermediate block is singular or ill conditioned the routine falls back
-    to the direct factorization and reports it through the info flag.
+    to the direct factorization on the same blocks, bit for bit
+    ``logdet_direct``, and reports it through the info flag.
     """
     n = _rectangle_steps(sample, n_steps)
     blocks = _column_blocks(sample.potentials, sample.u_law, sample.u_band, energy, (0, n))
     (sign,), (log_abs,), (fallback,) = _schur_sweep(blocks[None])
-    result = logdet_direct(sample, energy, n_steps=n) if fallback else SignedLogDet(int(sign), float(log_abs))
+    result = _band_logdet(_block_band(blocks), 0.0)[0] if fallback else SignedLogDet(int(sign), float(log_abs))
     if return_info:
         return result, bool(fallback)
     return result

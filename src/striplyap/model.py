@@ -12,7 +12,7 @@ between neighbouring columns, and keeps the principal submatrix on the
 region's sites, which is its Dirichlet restriction.  The transfer sweep, the
 Schur route and the band storage of the direct route read the same blocks;
 the W = 2 ensemble sweep forms their entries by the same operations, samples
-last.
+last, copying a batch's draws in chunk by chunk.
 """
 
 from __future__ import annotations
@@ -248,14 +248,17 @@ class DisorderSpec:
         return self._from_uniform(np.array(u, dtype=float))
 
     def _from_uniform(self, u: np.ndarray) -> np.ndarray:
-        """``potentials_from_uniform`` on a float array it may overwrite: the uniform law maps it in place."""
+        """``potentials_from_uniform`` on a float array it may overwrite: the uniform and Cauchy laws map it in place."""
         if self.density == "uniform":
             u *= self.params["hi"] - self.params["lo"]
             u += self.params["lo"]  # lo + (hi - lo) u
             return u
         if self.density == "cauchy":
             s, t = self.params["scale"], self.params.get("cutoff", 1e6)
-            return s * np.tan((2.0 * u - 1.0) * np.arctan(t / s))
+            u *= 2.0
+            u -= 1.0
+            u *= np.arctan(t / s)
+            return np.multiply(np.tan(u, out=u), s, out=u)  # s tan((2u - 1) arctan(t / s))
         if self.density == "point":
             return np.full_like(u, self.params["value"])
         edges = np.asarray(self.params["edges"], dtype=float)
@@ -359,6 +362,7 @@ def boundary(region: Region, subregion: Region, geometry: StripGeometry) -> froz
 
 
 _BOX_DOUBLES = 1 << 16  # bounding-box doubles per slice when a region fills part of its box
+_COPY_SAMPLES = 64  # samples per transposed copy: a whole chunk at once is 3x slower at a 512-byte sample stride
 
 
 def _diagonal(a: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -416,20 +420,32 @@ def _column_blocks(
 
 
 def _column_entries(potentials, u_law, u_band, energy: float, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
-    """``_column_blocks`` of W = 2 rows of (m, N, W) draws, samples last: entries (0, 0), (0, 1), (1, 0), (1, 1).
+    """``_draw_entries`` of one (m, N, W) draw array and its (m, N, d+1, W) band entries."""
+    return _draw_entries([(potentials, u_band)], len(potentials), u_law, energy, cols, rows)
 
-    Each is (n, m), by the same operations in the same order; off the diagonal
-    (n, 1) where the coupling law gives every sample the same U.
+
+def _draw_entries(draws, m: int, u_law: str, energy: float, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
+    """``_column_blocks`` of W = 2 rows of m samples, samples last: entries (0, 0), (0, 1), (1, 0), (1, 1).
+
+    ``draws`` yields the (potentials, u_band) chunks of the m samples in order;
+    each is copied into its slice of the batch, _COPY_SAMPLES samples at a
+    time, and let go.  Each entry is (n, m), by the same operations in the same
+    order; off the diagonal (n, 1) where the coupling law gives every sample the same U.
     """
     (c0, c1), (r0, r1) = cols, rows
-    if c1 > potentials.shape[-2] or r1 > potentials.shape[-1]:
-        raise ConfigurationError("sites outside the sampled extent")
-    if u_law == "random_band":
-        u = np.moveaxis(_couplings(potentials.shape[:1], u_law, u_band, cols, rows), 0, -1)
-    else:  # one U for every sample
-        u = _couplings((), u_law, None, cols, rows)[..., None]
-    s = np.subtract(0.0, u, order="C")  # (n, 2, 2, m or 1)
-    diag = potentials[:, c0:c1, r0:r1].transpose(1, 2, 0).copy()
+    band = u_law == "random_band"
+    diag, u, lo = np.empty((c1 - c0, 2, m)), np.empty((c1 - c0, 2, 2, m)) if band else None, 0
+    for pot, u_band in draws:
+        if c1 > pot.shape[-2] or r1 > pot.shape[-1]:
+            raise ConfigurationError("sites outside the sampled extent")
+        for at in range(0, len(pot), _COPY_SAMPLES):
+            part, into = slice(at, at + _COPY_SAMPLES), slice(lo + at, lo + min(at + _COPY_SAMPLES, len(pot)))
+            diag[..., into] = pot[part, c0:c1, r0:r1].transpose(1, 2, 0)
+            if band:
+                u[..., into] = np.moveaxis(_couplings(pot[part].shape[:1], u_law, u_band[part], cols, rows), 0, -1)
+        lo += len(pot)
+        del pot, u_band  # before the next chunk is drawn
+    s = np.subtract(0.0, u, out=u) if band else np.subtract(0.0, _couplings((), u_law, None, cols, rows)[..., None])
     diag += s[:, (0, 1), (0, 1)]
     diag -= energy
     return diag[:, 0], s[:, 0, 1], s[:, 1, 0], diag[:, 1]

@@ -4,15 +4,16 @@ Draws come in chunks: chunk k of an ensemble is a pure function of (spec,
 geometry, seed, k), with a chunk size set by the dense memory budget of the
 region.  A kernel batch is a run of consecutive whole chunks, and workers
 only schedule whole batches, so every sampler here returns the same arrays
-for any worker count.  Rectangles in ``sample_logdets`` go through the
-batched Schur sweep (route c), in batches of up to DEFAULT_CHUNK samples: at
-W = 2 on entries built from the draws samples last, elementwise numpy over
-the batch, so a second worker speeds it up, and on (m, n, W, W) column blocks
-at other widths.  Only a sample the sweep marks bad gets a dense H - E, for
-slogdet.  Every other kernel factors the dense stack of H_region - E that
-``model.build_hamiltonians`` stacks from the same column blocks, one chunk
-per batch; ``sample_site_shifts`` reads the coupling row of the peeled site
-off its row of that stack.
+for any worker count.  A batch draws its chunks as it reads them and keeps no
+chunk past its copy into the batch.  Rectangles in ``sample_logdets`` go
+through the batched Schur sweep (route c), in batches of up to DEFAULT_CHUNK
+samples: at W = 2 on samples-last entries, elementwise numpy over the batch,
+so a second worker speeds it up, and on one (m, n, W, W) array of column
+blocks at other widths.  A sample the sweep marks bad goes to route (a), one
+banded LU on its own blocks.  Every other kernel factors the dense stack of
+H_region - E that ``model.build_hamiltonians`` stacks from the same column
+blocks, one chunk per batch; ``sample_site_shifts`` reads the coupling row of
+the peeled site off its row of that stack.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .determinants import _closed_form_sweep, _schur_sweep
+from .determinants import _band_logdet, _block_band, _closed_form_sweep, _schur_sweep
 from .model import (
     _DOMAIN_BOOT_CI,
     ConfigurationError,
@@ -29,9 +30,8 @@ from .model import (
     Region,
     StripGeometry,
     _column_blocks,
-    _column_entries,
     _couplings,
-    _stack_columns,
+    _draw_entries,
     build_hamiltonians,
     draw_chunk,
     split_stream,
@@ -55,13 +55,14 @@ def _effective_chunk(matrix_dim: int) -> int:
 
 
 def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, workers: int, sample_doubles: int) -> list[np.ndarray]:
-    """Run ``batch(pot, u_band)`` over the ensemble batch by batch and join its results.
+    """Run ``batch(draws, m)`` over the ensemble batch by batch and join its results.
 
     The draws are cut into chunks of ``_effective_chunk(sites)`` samples.  A
     batch is a run of consecutive whole chunks of at most DEFAULT_CHUNK samples
     whose working set, at ``sample_doubles`` per sample, fits in _CHUNK_BUDGET
-    doubles, and always at least one chunk.  ``batch`` returns a tuple of
-    arrays with one value per sample of the batch.
+    doubles, and always at least one chunk.  ``batch`` gets the batch's m
+    samples as ``draws``, which draws its chunks in order as it is iterated,
+    and returns a tuple of arrays with one value per sample of the batch.
     """
     if n_samples < 1:
         raise ConfigurationError("need at least one sample")
@@ -70,14 +71,9 @@ def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, wor
     per_batch = max(1, min(DEFAULT_CHUNK, _CHUNK_BUDGET // sample_doubles) // chunk)
 
     def task(first: int) -> tuple:
-        draws = [
-            draw_chunk(spec, geometry, idx, min(chunk, n_samples - idx * chunk), seed)
-            for idx in range(first, min(first + per_batch, n_chunks))
-        ]
-        if len(draws) > 1:  # a batch of one chunk takes its draws as they are
-            pots, bands = zip(*draws)
-            draws = [(np.concatenate(pots), None if bands[0] is None else np.concatenate(bands))]
-        return batch(*draws[0])
+        last = min(first + per_batch, n_chunks)
+        draws = (draw_chunk(spec, geometry, idx, min(chunk, n_samples - idx * chunk), seed) for idx in range(first, last))
+        return batch(draws, min(last * chunk, n_samples) - first * chunk)
 
     batches = range(0, n_chunks, per_batch)
     if workers <= 1:
@@ -90,10 +86,12 @@ def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, wor
 
 def _map_chunks(batch, spec, geometry, region, shift: float, n_samples: int, seed: int, workers: int) -> list[np.ndarray]:
     """Run ``batch(h)`` on the dense stack h of H_region - shift, one chunk at a time."""
-    return _map_draws(
-        lambda pot, u_band: batch(build_hamiltonians(region, pot, spec.u_law, u_band, shift)),
-        spec, geometry, region.size, n_samples, seed, workers, region.size**2,
-    )
+
+    def dense(draws, m):
+        ((pot, u_band),) = draws  # the chunk is the batch: its length fits the stack's budget
+        return batch(build_hamiltonians(region, pot, spec.u_law, u_band, shift))
+
+    return _map_draws(dense, spec, geometry, region.size, n_samples, seed, workers, region.size**2)
 
 
 def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -121,42 +119,39 @@ def sample_logdets(
 ) -> tuple[np.ndarray, int]:
     """log|det(H_region - E)| over independent realizations.
 
-    A rectangle goes through the batched Schur sweep; a sample the sweep marks
-    bad is factored densely by slogdet, on H - E stacked from the same column
-    blocks, and so is every sample of any other region.  Either way a sample
-    is the same realization, so the kernel moves a value only by roundoff.
-    Exactly singular samples are returned as -inf; the count is reported so
-    callers can exclude them explicitly.
+    A rectangle goes through the batched Schur sweep, and a sample the sweep
+    marks bad through route (a), one banded LU on the sample's own column
+    blocks, bit for bit ``logdet_direct`` on its rectangle.  Any other region
+    is factored densely by slogdet.  Samples found singular, by route (a)'s
+    pivot floor or by an exact zero pivot of slogdet, are returned as -inf;
+    the count is reported so callers can exclude them explicitly.
     """
-
-    def dense(h):
-        sign, log_abs = np.linalg.slogdet(h)
-        return np.where(sign == 0.0, -np.inf, log_abs)
-
     if region.is_rectangle:
         n0, n1, w0, w1 = region.bounds()
-        cols, rows, chunk = (n0 - 1, n1), (w0 - 1, w1), _effective_chunk(region.size)
+        cols, rows, w = (n0 - 1, n1), (w0 - 1, w1), w1 - w0 + 1
 
-        def batch(pot, u_band):
-            if w1 - w0 == 1:
-                _, log_abs, bad = _closed_form_sweep(*_column_entries(pot, spec.u_law, u_band, energy, cols, rows))
+        def batch(draws, m):
+            if w == 2:
+                entries = _draw_entries(draws, m, spec.u_law, energy, cols, rows)
+                _, log_abs, bad = _closed_form_sweep(*entries)
+                # sample i's (n, 2, 2) blocks, gathered from the entries
+                blocks_of = lambda i: np.stack([x[:, i if x.shape[1] > 1 else 0] for x in entries], axis=-1).reshape(-1, 2, 2)
             else:
-                _, log_abs, bad = _schur_sweep(_column_blocks(pot, spec.u_law, u_band, energy, cols, rows))
-            idx = np.flatnonzero(bad)
-            for lo in range(0, len(idx), chunk):  # dense stacks keep to the chunk's memory budget
-                sel = idx[lo : lo + chunk]
-                blocks = _column_blocks(pot[sel], spec.u_law, None if u_band is None else u_band[sel], energy, cols, rows)
-                log_abs[sel] = dense(_stack_columns(blocks))
+                blocks, lo = np.empty((m, n1 - n0 + 1, w, w)), 0
+                for pot, u_band in draws:
+                    blocks[lo : lo + len(pot)] = _column_blocks(pot, spec.u_law, u_band, energy, cols, rows)
+                    lo += len(pot)
+                    del pot, u_band  # before the next chunk is drawn
+                _, log_abs, bad = _schur_sweep(blocks)
+                blocks_of = blocks.__getitem__
+            for i in np.flatnonzero(bad):  # route (a) on the sample's own blocks, -inf where its pivot floor finds H - E singular
+                log_abs[i] = _band_logdet(_block_band(blocks_of(i)), 0.0)[0].log_abs
             return (log_abs,)
 
-        doubles = (n1 - n0 + 1) * (w1 - w0 + 1) ** 2
+        out = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, (n1 - n0 + 1) * w * w)[0]
     else:
-
-        def batch(pot, u_band):
-            return (dense(build_hamiltonians(region, pot, spec.u_law, u_band, energy)),)
-
-        doubles = region.size**2
-    out = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, doubles)[0]
+        sign, log_abs = _map_chunks(np.linalg.slogdet, spec, geometry, region, energy, n_samples, seed, workers)
+        out = np.where(sign == 0.0, -np.inf, log_abs)
     return out, int(np.sum(np.isneginf(out)))
 
 
@@ -207,7 +202,8 @@ def sample_site_shifts(
     i = region.sites.index(k)
     rest = np.flatnonzero(np.arange(region.size) != i)
 
-    def batch(pot, u_band):
+    def batch(draws, m):
+        ((pot, u_band),) = draws
         h = build_hamiltonians(region, pot, spec.u_law, u_band, energy)
         u_kk = _couplings(pot.shape[:1], spec.u_law, u_band, (n0 - 1, n0), (w0 - 1, w0))[:, 0, 0, 0]
         g = h[:, i, rest]

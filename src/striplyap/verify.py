@@ -107,20 +107,21 @@ def verify_wedge(seed: int = 1, trials: int = 20) -> dict:
 def verify_interlacing(seed: int = 1, trials: int = 2000) -> dict:
     """Weyl chains and the rank-perturbation log-det bound on random instances."""
     rng = split_stream(seed, _DOMAIN_VERIFY, 1)
-    stacks = {}  # dimension -> (H1, H2, E) of its trials, all drawn before any is evaluated
+    stacks = {}  # (dimension, rank) -> the raw draws (A, X, scales, E) of its trials, all drawn before any is evaluated
     for _ in range(trials):
         dim = int(rng.integers(4, 25))
         a = rng.normal(size=(dim, dim))
-        h1 = (a + a.T) / 2.0
         r = int(rng.integers(1, 4))
         x = rng.normal(size=(dim, r))
         scales = rng.uniform(-2.0, 2.0, size=r)
-        h2 = h1 + (x * scales) @ x.T
-        stacks.setdefault(dim, []).append((h1, h2, float(rng.uniform(-1.0, 1.0))))
+        stacks.setdefault((dim, r), []).append((a, x, scales, float(rng.uniform(-1.0, 1.0))))
     weyl_violations = bound_violations = 0
     worst_slack = math.inf
-    for trials_of_dim in stacks.values():
-        h1, h2, energy = (np.stack(part) for part in zip(*trials_of_dim))
+    for trials_of_shape in stacks.values():
+        a, x, scales, energy = (np.stack(part) for part in zip(*trials_of_shape))
+        h1 = (a + np.swapaxes(a, 1, 2)) / 2.0
+        # a stacked matmul makes the gemm call of each matrix, so H2 is bit for bit its one-matrix product
+        h2 = h1 + (x * scales[:, None]) @ np.swapaxes(x, 1, 2)
         for rep in interlacing_checks(h1, h2, energy):
             weyl_violations += not rep.weyl
             bound_violations += not rep.holds

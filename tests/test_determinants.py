@@ -524,8 +524,10 @@ class TestExactIntegerOracle:
     for odd N, point mass 0 at E = 1 on an adjacency strip of width 2 is
     singular (its spectrum is -2 cos(pi j / (N + 1)) +- 1).  Elsewhere the
     three routes must give the exact sign and ``sample_logdets`` the exact
-    log|det|, within 1e-12.  Routes (b) and (c) and the sampler are not held
-    to sign 0 on the singular strips.
+    log|det|, within 1e-12.  Routes (b) and (c) are not held to sign 0 on
+    the singular strips.  The sampler is held to -inf on those that the
+    Schur sweep flags, which it factors by route (a), and at 500 and 1,000
+    columns on all of them.
     """
 
     LENGTHS = (1, 2, 3, 5, 8, 11, 50, 301)
@@ -549,13 +551,28 @@ class TestExactIntegerOracle:
             for n in self.LENGTHS:
                 det, e = exact[n], float(energy)
                 direct = [logdet_direct(sample, e, n_steps=n), logdet_direct(_dense(sample, n), e)]
+                (sampled,), excluded = sample_logdets(spec, geo, Region.rectangle(1, n, 1, width), e, 1, 1)
                 if det == 0:
                     singular += 1
                     assert [r.sign for r in direct] == [0, 0], (width, energy, n)
+                    if logdet_via_schur(sample, e, n, return_info=True)[1]:
+                        assert sampled == -math.inf and excluded == 1, (width, energy, n)
                     continue
                 sign, log_abs = (1 if det > 0 else -1), math.log(abs(det))
                 for r in direct + [logdet_via_transfer(sample, e, n), logdet_via_schur(sample, e, n)]:
                     assert r.sign == sign and r.log_abs == pytest.approx(log_abs, rel=1e-12, abs=1e-12), (width, energy, n)
-                (sampled,), excluded = sample_logdets(spec, geo, Region.rectangle(1, n, 1, width), e, 1, 1)
                 assert excluded == 0 and sampled == pytest.approx(log_abs, rel=1e-12, abs=1e-12), (width, energy, n)
+        assert singular
+
+    def test_sampler_gives_the_exact_determinant_on_long_strips(self):
+        singular = 0
+        for (value, u_law), (width, energy) in itertools.product(POINT_MASS_LAWS, WIDTHS_AND_ENERGIES):
+            spec = DisorderSpec.point(float(value), u_law=u_law)
+            for n, det in _exact_dets(value, u_law, width, energy, (500, 1000)).items():
+                (sampled,), excluded = sample_logdets(spec, StripGeometry(width, 1, n), Region.rectangle(1, n, 1, width), float(energy), 1, 1)
+                if det == 0:
+                    singular += 1
+                    assert sampled == -math.inf and excluded == 1, (value, u_law, width, energy, n)
+                else:
+                    assert excluded == 0 and sampled == pytest.approx(math.log(abs(det)), rel=1e-12, abs=1e-12), (value, u_law, width, energy, n)
         assert singular

@@ -70,6 +70,16 @@ def test_chunk_draws_are_the_public_inverse_cdf(spec):
         assert np.array_equal(pot, -1.5 + (2.5 - -1.5) * u)
 
 
+@pytest.mark.parametrize("shape", [(4096, 32, 2), (1, 2000, 2), (7, 5, 3)])
+def test_cauchy_map_in_place_is_the_closed_form(shape):
+    # the chunk draw applies s tan((2u - 1) arctan(t / s)) in place on its uniform array, without temporaries
+    spec = DisorderSpec.cauchy(0.7, cutoff=1e6)
+    u = split_stream(4, _DOMAIN_CHUNK, 0, 0).random(shape)
+    pot = spec.potentials_from_uniform(u)
+    assert np.array_equal(pot, 0.7 * np.tan((2.0 * u - 1.0) * np.arctan(1e6 / 0.7)))
+    assert np.array_equal(pot, draw_chunk(spec, StripGeometry(shape[2], 1, shape[1]), 0, shape[0], 4)[0])
+
+
 def test_neighbouring_seeds_differ():
     # oracle: count collisions over 100 seed pairs
     geo = StripGeometry(2, 1, 4)
@@ -146,12 +156,13 @@ def test_assembly_exactly_symmetric():
 @pytest.mark.parametrize("n_steps", [50, 33, 2, 1])
 def test_sample_band_is_the_dense_band(n_steps):
     # route (a) writes the band storage from the column blocks; one column keeps its coupling bandwidth
-    from striplyap.determinants import _matrix_band, _sample_band
+    from striplyap.determinants import _block_band, _matrix_band
+    from striplyap.model import _column_blocks
 
     geo = StripGeometry(4, 3, 50)
     s = sample_disorder(geo, DisorderSpec.uniform(-1, 1, u_law="random_band"), seed=8)
     h = assemble_hamiltonian(s, Region.rectangle(1, n_steps, 1, 4))
-    band = _sample_band(s, n_steps)
+    band = _block_band(_column_blocks(s.potentials, s.u_law, s.u_band, 0.0, (0, n_steps)))
     assert band.shape == (3 * (4 if n_steps > 1 else 3) + 1, 4 * n_steps) and band.flags.f_contiguous
     assert np.array_equal(band, _matrix_band(h))
 

@@ -6,7 +6,7 @@ import pytest
 import striplyap.sampling as sampling
 from striplyap import determinants
 from striplyap.determinants import SignedLogDet, _closed_form_sweep, _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
-from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, _column_entries, _stack_columns, assemble_hamiltonian, draw_chunk, sample_disorder
+from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, _column_entries, _stack_columns, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder
 from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets, sample_spectral
 from striplyap.transfer import NumericError
 
@@ -222,22 +222,40 @@ def test_samples_last_sweep_masks_bad_samples_and_the_sampler_recomputes_them(mo
     assert bad.tolist() == [False, True, False, True, False]
     monkeypatch.setattr(sampling, "draw_chunk", lambda spec, geometry, idx, m, seed: (pot[:m].copy(), None))
     got, n_singular = sample_logdets(LAWS[1], StripGeometry(2, 1, 7), Region.rectangle(1, 7, 1, 2), 0.0, 5, seed=1)
-    sign, ref = np.linalg.slogdet(_stack_columns(_column_blocks(pot, "zero", None, 0.0, (0, 7))))
-    assert n_singular == np.count_nonzero(sign == 0.0)
-    assert np.array_equal(got[bad], np.where(sign == 0.0, -np.inf, ref)[bad])
+    h = _stack_columns(_column_blocks(pot, "zero", None, 0.0, (0, 7)))
+    routed = [logdet_direct(h[i], 0.0) for i in range(5)]
+    sign, ref = np.linalg.slogdet(h)
+    # a bad sample is route (a) on its dense rectangle, bit for bit; sample 3's 1e17 entry sinks the other pivots under its floor
+    assert [got[i] for i in np.flatnonzero(bad)] == [routed[i].log_abs for i in np.flatnonzero(bad)]
+    assert n_singular == [r.sign for r in routed].count(0) == 1 and np.isneginf(got[3])
+    # where route (a) finds H - E nonsingular it is slogdet to roundoff, with slogdet's sign
+    assert routed[1].sign == sign[1] and got[1] == pytest.approx(ref[1], rel=1e-12, abs=0.0)
     assert np.array_equal(got[~bad], _schur_sweep(_column_blocks(pot, "zero", None, 0.0, (0, 7)))[1][~bad])
 
 
-@pytest.mark.parametrize("spec, width, columns", [(UNIFORM, 2, 40), (BAND, 2, 23), (LAWS[1], 4, 40)], ids=["adjacency 40x2", "band 23x2", "zero rows 3-4 of 40x4"])
-def test_sampler_matches_the_stacked_sweep_across_chunks_and_workers(spec, width, columns):
-    # 80 sites: draw chunks of 1,310 samples in batches of three; 46 sites: batches of one 3,964-sample chunk
-    geometry, region = StripGeometry(width, 1, columns), Region.rectangle(1, columns, width - 1, width)
+def _concatenated_draws(spec, geometry, chunk, n_samples, seed):
+    draws = [draw_chunk(spec, geometry, i, min(chunk, n_samples - i * chunk), seed) for i in range(-(-n_samples // chunk))]
+    return np.concatenate([p for p, _ in draws]), None if draws[0][1] is None else np.concatenate([u for _, u in draws])
+
+
+STREAMED = [
+    # (name, spec, geometry, region, chunks per batch): 80 sites draw chunks of 1,310 samples, 46 sites one chunk of 3,964
+    ("adjacency 40x2", UNIFORM, StripGeometry(2, 1, 40), Region.rectangle(1, 40, 1, 2), 3),
+    ("band 23x2", BAND, StripGeometry(2, 1, 23), Region.rectangle(1, 23, 1, 2), 1),
+    ("zero rows 3-4 of 40x4", LAWS[1], StripGeometry(4, 1, 40), Region.rectangle(1, 40, 3, 4), 3),
+    ("band d=2 rows 2-3, columns 5-44 of 48x4", BAND, StripGeometry(4, 2, 48), Region.rectangle(5, 44, 2, 3), 3),
+    ("band d=2 columns 3-22 of 24x4", BAND, StripGeometry(4, 2, 24), Region.rectangle(3, 22, 1, 4), 3),
+    ("adjacency columns 2-28 of 30x3", UNIFORM, StripGeometry(3, 1, 30), Region.rectangle(2, 28, 1, 3), 3),
+]
+
+
+@pytest.mark.parametrize("spec, geometry, region, per_batch", [c[1:] for c in STREAMED], ids=[c[0] for c in STREAMED])
+def test_sampler_matches_the_stacked_sweep_across_chunks_and_workers(spec, geometry, region, per_batch):
+    n0, n1, w0, w1 = region.bounds()
     chunk = _effective_chunk(region.size)
-    assert chunk < DEFAULT_CHUNK
-    draws = [draw_chunk(spec, geometry, i, min(chunk, 5000 - i * chunk), 17) for i in range(-(-5000 // chunk))]
-    pot = np.concatenate([p for p, _ in draws])
-    u_band = None if draws[0][1] is None else np.concatenate([u for _, u in draws])
-    _, ref, bad = _schur_sweep(_column_blocks(pot, spec.u_law, u_band, 0.2, (0, columns), (width - 2, width)))
+    assert chunk < DEFAULT_CHUNK and min(DEFAULT_CHUNK, sampling._CHUNK_BUDGET // (region.size * (w1 - w0 + 1))) // chunk == per_batch
+    pot, u_band = _concatenated_draws(spec, geometry, chunk, 5000, 17)
+    _, ref, bad = _schur_sweep(_column_blocks(pot, spec.u_law, u_band, 0.2, (n0 - 1, n1), (w0 - 1, w1)))
     assert not bad.any()
     for workers in (1, 2):
         got, _ = sample_logdets(spec, geometry, region, 0.2, 5000, seed=17, workers=workers)
@@ -288,24 +306,64 @@ def test_rectangle_batches_are_deterministic():
     assert np.array_equal(long[:1000], short)
 
 
-def test_dense_recompute_keeps_to_the_chunk_budget(monkeypatch):
+def test_fallback_factors_each_bad_sample_from_its_own_blocks(monkeypatch):
     # odd chains at E = 0 are singular: every sample of a 33 x 2 strip without
-    # vertical coupling goes back to the dense route, in one two-chunk batch
+    # vertical coupling goes back to route (a), one sample's blocks at a time, in one two-chunk batch
     geo = StripGeometry(2, 1, 33)
     region = Region.rectangle(1, 33, 1, 2)
     chunk = _effective_chunk(region.size)
-    sizes = []
-    stack = sampling._stack_columns
+    shapes = []
+    band = sampling._block_band
 
     def recording(blocks):
-        sizes.append(len(blocks))
-        return stack(blocks)
+        shapes.append(blocks.shape)
+        return band(blocks)
 
-    monkeypatch.setattr(sampling, "_stack_columns", recording)
+    monkeypatch.setattr(sampling, "_block_band", recording)
     got, n_singular = sample_logdets(DisorderSpec.point(0.0), geo, region, 0.0, 3000, seed=3)
     assert 2 * chunk <= DEFAULT_CHUNK and chunk < 3000
-    assert sizes and max(sizes) <= chunk and sum(sizes) == 3000
+    assert shapes == [(33, 2, 2)] * 3000
     assert np.all(np.isneginf(got)) and n_singular == 3000
+
+
+BAD_ENSEMBLES = [
+    # every sample is Schur-bad at its first column, where S - E is singular
+    ("point 0 adjacency E=1 columns 3-12 of 14x2", DisorderSpec.point(0.0, u_law="adjacency"), StripGeometry(2, 1, 14), Region.rectangle(3, 12, 1, 2)),
+    ("point 1 zero E=1 rows 2-4, columns 2-9 of 10x4", DisorderSpec.point(1.0), StripGeometry(4, 1, 10), Region.rectangle(2, 9, 2, 4)),
+    ("point 1 zero E=1 rows 2-4, columns 2-8 of 10x4", DisorderSpec.point(1.0), StripGeometry(4, 1, 10), Region.rectangle(2, 8, 2, 4)),
+]
+
+
+@pytest.mark.parametrize("spec, geometry, region", [c[1:] for c in BAD_ENSEMBLES], ids=[c[0] for c in BAD_ENSEMBLES])
+def test_bad_samples_are_route_a_on_their_dense_rectangle(spec, geometry, region):
+    got, n_singular = sample_logdets(spec, geometry, region, 1.0, 40, seed=7)
+    pot, u_band = draw_chunk(spec, geometry, 0, 40, 7)
+    ref = [logdet_direct(h, 1.0) for h in build_hamiltonians(region, pot, spec.u_law, u_band, 0.0)]
+    assert got.tolist() == [r.log_abs for r in ref] and n_singular == [r.sign for r in ref].count(0)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_batches_hold_one_chunk_of_draws():
+    # ldt's 32 x 2 rectangle: batches of two 2,048-sample chunks, 7.6 MB traced when a batch joined its chunks
+    spec, geo = DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency"), StripGeometry(2, 1, 32)
+    assert _traced_peak(lambda: sample_logdets(spec, geo, Region.rectangle(1, 32, 1, 2), 0.0, 16_384, seed=5)) < 5e6
+
+
+def test_route_a_fallback_keeps_to_one_sample():
+    # point mass 0 at E = 1 is Schur-bad at the first column; a dense stack of the 4 samples would take 128 MB
+    spec, geo = DisorderSpec.point(0.0, u_law="adjacency"), StripGeometry(2, 1, 1000)
+    out = []
+    peak = _traced_peak(lambda: out.extend(sample_logdets(spec, geo, Region.rectangle(1, 1000, 1, 2), 1.0, 4, seed=5)))
+    assert peak < 16e6
+    assert out[1] == 0 and out[0].tolist() == [logdet_direct(sample_disorder(geo, spec, seed=5), 1.0).log_abs] * 4
 
 
 @pytest.mark.parametrize("region", [Region.rectangle(1, 5, 1, 2), Region.rectangle(1, 4, 2, 3), Region.from_sites([(1, 1), (5, 2)])])
