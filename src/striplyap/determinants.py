@@ -8,17 +8,16 @@ linearly in N on a strip instead of as (N W)^3, (b) the stabilized transfer
 product and (c) the Schur sweep over column blocks.  Route (a) reads the band
 off a dense matrix, or writes it from column blocks, so that a strip's dense
 matrix is never built; it takes ``dgbtrf`` from ``transfer._FLAPACK``
-(SciPy's ``_flapack`` alone), nearly halving start-up.  The blocks come from
-a disorder sample, or from route (c): a sample it marks bad, in
-``logdet_via_schur`` or in ``sampling.sample_logdets``, is factored by route
-(a) from the blocks route (c) already holds, one fallback with one singular
-rule.  Route (c) runs every rectangle of a ``sampling.sample_logdets``
-ensemble as a stack: at W = 2 it inverts the 2 x 2 blocks in closed form,
-elementwise over the samples, on samples-last entries (one contiguous vector
-over the samples per entry and column), which an (m, n, 2, 2) stack is
-transposed to; every other width calls LAPACK on the stack once per column.
-One sample, all ``logdet_via_schur`` passes, runs as a loop over its columns
-with the operations the stacked kernels make on it, bit for bit.
+(SciPy's ``_flapack`` alone), nearly halving start-up.  A sample route (c)
+marks bad, in ``logdet_via_schur`` or ``sampling.sample_logdets``, goes to
+route (a) on the blocks route (c) already holds.  Route (c) runs every
+rectangle of a ``sampling.sample_logdets`` ensemble as a stack: at W = 2 it
+inverts the 2 x 2 blocks in closed form, elementwise over the samples, on
+samples-last entries (one contiguous vector over the samples per entry and
+column), which an (m, n, 2, 2) stack is transposed to; every other width
+calls LAPACK on the stack once per column.  One sample, all
+``logdet_via_schur`` passes, runs as a loop over its columns with the
+operations the stacked kernels make on it, bit for bit.
 """
 
 from __future__ import annotations
@@ -228,10 +227,8 @@ def logdet_direct(
         raise ConfigurationError("n_steps applies to a DisorderSample only")
     else:
         ab = _matrix_band(hamiltonian)
-    result, cond = _band_logdet(ab, energy)
-    if with_condition:
-        return result, cond
-    return result
+    result = _band_logdet(ab, energy)
+    return result if with_condition else result[0]
 
 
 def logdet_via_transfer(sample: DisorderSample, energy: float, n_steps: int | None = None) -> SignedLogDet:

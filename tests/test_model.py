@@ -58,9 +58,9 @@ def test_sampling_determinism():
     assert np.array_equal(a.u_band, b.u_band)
 
 
-@pytest.mark.parametrize("spec", [DisorderSpec.uniform(-1.5, 2.5), DisorderSpec.cauchy(1.0, cutoff=1e6)])
+@pytest.mark.parametrize("spec", [DisorderSpec.uniform(-1.5, 2.5), DisorderSpec.cauchy(0.7, cutoff=1e6)])
 def test_chunk_draws_are_the_public_inverse_cdf(spec):
-    # the chunk draw maps its own uniform array, in place for the uniform law; the public map copies
+    # the chunk draw maps its own uniform array in place; the public map copies
     u = split_stream(9, _DOMAIN_CHUNK, 3, 0).random((7, 5, 2))
     kept = u.copy()
     pot = spec.potentials_from_uniform(u)
@@ -68,16 +68,8 @@ def test_chunk_draws_are_the_public_inverse_cdf(spec):
     assert np.array_equal(pot, draw_chunk(spec, StripGeometry(2, 1, 5), 3, 7, 9)[0])
     if spec.density == "uniform":
         assert np.array_equal(pot, -1.5 + (2.5 - -1.5) * u)
-
-
-@pytest.mark.parametrize("shape", [(4096, 32, 2), (1, 2000, 2), (7, 5, 3)])
-def test_cauchy_map_in_place_is_the_closed_form(shape):
-    # the chunk draw applies s tan((2u - 1) arctan(t / s)) in place on its uniform array, without temporaries
-    spec = DisorderSpec.cauchy(0.7, cutoff=1e6)
-    u = split_stream(4, _DOMAIN_CHUNK, 0, 0).random(shape)
-    pot = spec.potentials_from_uniform(u)
-    assert np.array_equal(pot, 0.7 * np.tan((2.0 * u - 1.0) * np.arctan(1e6 / 0.7)))
-    assert np.array_equal(pot, draw_chunk(spec, StripGeometry(shape[2], 1, shape[1]), 0, shape[0], 4)[0])
+    else:
+        assert np.array_equal(pot, 0.7 * np.tan((2.0 * u - 1.0) * np.arctan(1e6 / 0.7)))
 
 
 def test_neighbouring_seeds_differ():
