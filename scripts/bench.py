@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the stabilized transfer products, the log-determinant sampler, routes (a) and (c), dense assembly, the verify suites or CLI start-up.
+"""Time the stabilized transfer products, the log-determinant and spectral samplers, routes (a) and (c), dense assembly, the verify suites or CLI start-up.
 
 Suite ``cocycle``: `lyapunov_spectrum` on uniform [-1.5, 1.5] adjacency
 strips of width 2 and 4 at 50k and 600k steps (E = 0, seed 31, criterion
@@ -18,6 +18,14 @@ a control off the closed-form W = 2 sweep, a random band (uniform
 (adjacency, W = 2) at E = 1, 17 x 2 over 4,096 samples and 500 x 2 over 16,
 where every sample is Schur-bad at its first column and goes to the
 sampler's fallback.  Unit: samples.
+
+Suite ``spectral``: `cartan_tail_experiment` over 16,384 samples with one
+worker and the K grid of the benchmark's `tails-small` workload (0.5-3 in
+steps of 0.5, then 4, 6, 8), seed 907, on full rectangles: the workload's
+cartan run (uniform [-2, 2], adjacency, 4 x 2, E = 0), Cauchy (scale 1,
+cutoff 1e6, adjacency) 4 x 2 at E = 0.5, both on the W = 2 Schur sweep and
+its inertia counts, and, as a control that keeps one ``eigvalsh`` per
+sample, uniform [-2, 2] adjacency 4 x 3 at E = 0.  Unit: samples.
 
 Suite ``direct``: `logdet_direct`, route (a)'s one banded LU (`dgbtrf`, with
 its condition estimate), on the two strips of the `routes` workload (Cauchy
@@ -63,7 +71,7 @@ that two checkouts can be recorded in alternation, one round at a time:
 medians of three runs in one process mostly record the host's drift.
 
 Run from the repository root:
-    python3 scripts/bench.py {assemble,cocycle,direct,logdets,schur,startup,verify} [--out PATH] [--append]
+    python3 scripts/bench.py {assemble,cocycle,direct,logdets,schur,spectral,startup,verify} [--out PATH] [--append]
 The default output is BENCH_<suite>.json in the repository root.
 """
 
@@ -93,6 +101,7 @@ from striplyap.determinants import logdet_direct, logdet_via_schur, logdet_via_t
 from striplyap.exterior import frame_det_gap
 from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder, split_stream
 from striplyap.sampling import sample_logdets
+from striplyap.statistics import cartan_tail_experiment
 from striplyap.transfer import lyapunov_spectrum
 from striplyap.verify import verify_determinants, verify_interlacing, verify_wedge
 
@@ -102,6 +111,8 @@ CAUCHY = DisorderSpec.cauchy(1.0, cutoff=1e6, u_law="adjacency")
 BAND = DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0)
 RESONANT = DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency")
 POINT0 = DisorderSpec.point(0.0, u_law="adjacency")
+UNIFORM_2 = DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency")
+K_GRID = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
 
 
 def lyapunov_case(width, n_steps):
@@ -128,6 +139,15 @@ def logdets_case(name, spec, columns, energy, n_samples, width=2, bandwidth=1):
         sample_logdets(spec, geometry, region, energy, n_samples, seed=32)
 
     return f"sample_logdets {name} {columns}x{width} E={energy} n={n_samples}", n_samples, run
+
+
+def spectral_case(name, spec, columns, width, energy, n_samples=16_384):
+    geometry, region = StripGeometry(width, 1, columns), Region.rectangle(1, columns, 1, width)
+
+    def run():
+        cartan_tail_experiment(spec, geometry, region, energy, K_GRID, n_samples, seed=907)
+
+    return f"cartan_tail_experiment {name} {columns}x{width} E={energy} n={n_samples}", n_samples, run
 
 
 def direct_case(name, spec, width, bandwidth, columns, energy, form):
@@ -220,6 +240,11 @@ SUITES = {
         logdets_case("point 0", POINT0, 500, 1.0, 16),
     ],
     "schur": lambda: [*(schur_case(*strip) for strip in DIRECT_STRIPS), verify_case(verify_determinants, 50)],
+    "spectral": lambda: [
+        spectral_case("uniform +-2 adjacency", UNIFORM_2, 4, 2, 0.0),
+        spectral_case("cauchy", CAUCHY, 4, 2, 0.5),
+        spectral_case("uniform +-2 adjacency", UNIFORM_2, 4, 3, 0.0),
+    ],
     "verify": lambda: [
         verify_case(verify_wedge, 25),
         verify_case(verify_interlacing, 1000),
@@ -308,7 +333,7 @@ def main() -> int:
             parser.error("--append applies to the timed suites, not startup")
         out.write_text(json.dumps({"host": host(), "results": [startup()]}, indent=2) + "\n")
         return 0
-    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples", "schur": "columns", "verify": "trials"}[args.suite]
+    unit = {"assemble": "samples", "cocycle": "steps", "direct": "sites", "logdets": "samples", "schur": "columns", "spectral": "samples", "verify": "trials"}[args.suite]
     earlier, rounds = {}, 1
     if args.append and out.exists():
         previous = json.loads(out.read_text())

@@ -8,11 +8,13 @@ The matrix:
 * the ``routes`` workload's ``verify all`` at seeds 8, 21 and 21000, and its
   two ``dets --route all`` strips (Cauchy 2000 x 2, random band 500 x 4) at
   seeds 8, 21 and 901;
-* ``experiment negtail`` and ``experiment ldt`` on the adversarial laws, all
-  adjacency, W = 2: point mass 0 at E = 0 and at E = 1, the resonant
-  +-2.5e-9 strip at E = 0 and Cauchy (scale 1, cutoff 1e6) at E = 0.5.
-  negtail runs 17 columns, where the point-mass strips are exactly
-  singular, and ldt the 16 x 2 and 18 x 2 rectangles, where they are not;
+* ``experiment negtail``, ``experiment ldt`` and ``experiment cartan`` on
+  the adversarial laws, all adjacency, W = 2: point mass 0 at E = 0 and at
+  E = 1, the resonant +-2.5e-9 strip at E = 0 and Cauchy (scale 1, cutoff
+  1e6) at E = 0.5.  negtail runs 17 columns, where the point-mass strips
+  are exactly singular, ldt the 16 x 2 and 18 x 2 rectangles, where they
+  are not, and cartan 5 columns with K from 0, where the point-mass strips
+  are singular and have eigenvalues at the shifts E +- 1 and +-1 of K = 0;
 * ``dets --route all`` on point mass 0 at E = 1 over 5, 11 and 301 columns,
   all exactly singular, and on the resonant strip at E = 0 over 400 columns.
 
@@ -55,6 +57,7 @@ SEEDS = (1, 5, 907)
 # more seeds of the routes workload: its verify and dets commands, by label
 ROUTES_SEEDS = {8: ("dets_cauchy", "dets_band", "verify"), 21: ("dets_cauchy", "dets_band", "verify"), 901: ("dets_cauchy", "dets_band"), 21000: ("verify",)}
 SKIPPED = ("manifest.json", "traceback.txt")
+CARTAN_K = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
 ADVERSARIAL = {
     "point0 E=0": ({"density": "point", "params": {"value": 0.0}}, 0.0),
     "point0 E=1": ({"density": "point", "params": {"value": 0.0}}, 1.0),
@@ -85,7 +88,7 @@ def matrix() -> list:
     for seed, labels in ROUTES_SEEDS.items():
         out += [(f"routes@{seed}/{c.label}", list(c.argv), c.config) for c in WORKLOADS["routes"].commands(seed) if c.label in labels]
     for name, (law, energy) in ADVERSARIAL.items():
-        for kind, columns, params in (("negtail", 17, {}), ("ldt", 18, {"columns": [16, 18]})):
+        for kind, columns, params in (("negtail", 17, {}), ("ldt", 18, {"columns": [16, 18]}), ("cartan", 5, {"k_grid": CARTAN_K})):
             out.append((f"{kind} {name}", ["experiment", kind], _adversarial(law, columns, energy, params)))
     for name, columns in (("point0 E=1", 5), ("point0 E=1", 11), ("point0 E=1", 301), ("resonant E=0", 400)):
         law, energy = ADVERSARIAL[name]

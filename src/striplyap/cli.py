@@ -294,7 +294,7 @@ def _ldt(spec, geo, energy, p, mc):
     k_grid = p.get("k_grid", [1.0, 2.0, 3.0, 4.0, 6.0, 8.0])
     res = ldt_experiment(spec, geo, rectangles, energy, float(p.get("epsilon", 0.25)), k_grid, *mc)
     rows = [SimpleNamespace(label=t.label, **vars(r)) for t in res.tables for r in t.rows]
-    summary = {"var_points": res.var_points, "var_exponent": res.var_exponent, "var_r2": res.var_r2}
+    summary = {"var_points": res.var_points, "var_exponent": res.var_exponent, "var_r2": res.var_r2, "degenerate": res.degenerate}
     return rows, {**summary, "onsets": {t.label: t.onset() for t in res.tables}}
 
 

@@ -15,7 +15,9 @@ rectangle of a ``sampling.sample_logdets`` ensemble as a stack: at W = 2 it
 inverts the 2 x 2 blocks in closed form, elementwise over the samples, on
 samples-last entries (one contiguous vector over the samples per entry and
 column), which an (m, n, 2, 2) stack is transposed to; every other width
-calls LAPACK on the stack once per column.  One sample, all
+calls LAPACK on the stack once per column.  The W = 2 kernel can also count
+the negative eigenvalues of H - E (Sylvester's law of inertia), which
+``sampling.sample_spectral`` reads at shifted energies.  One sample, all
 ``logdet_via_schur`` passes, runs as a loop over its columns with the
 operations the stacked kernels make on it, bit for bit.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
 
 COND_LIMIT = 1e14  # Schur blocks worse conditioned than this go to the dense route
 _SWEEP_COLUMNS = 4096  # columns the one-sample W = 2 loop holds as Python floats at a time
+_DET_ROWS = 8  # columns of det(B_k) the stacked W = 2 sweep holds before it reduces them
 _GBTRF = _FLAPACK.dgbtrf
 
 
@@ -158,6 +161,16 @@ def _rectangle_steps(sample: DisorderSample, n_steps: int | None) -> int:
     return n
 
 
+@lru_cache
+def _band_index(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where ``_block_band`` writes entry (p, q) of a W x W block: band column q (within the block), band row 2W + p - q."""
+    p, q = np.indices((w, w))
+    index = q, 2 * w + p - q
+    for x in index:
+        x.setflags(write=False)  # shared by every call
+    return index
+
+
 def _block_band(blocks: np.ndarray) -> np.ndarray:
     """``_matrix_band`` of the block tridiagonal matrix of (n, W, W) column blocks, -I beside them, written from the blocks.
 
@@ -172,8 +185,7 @@ def _block_band(blocks: np.ndarray) -> np.ndarray:
         raise ValueError("Hamiltonian has non-finite entries")
     ab = np.zeros((3 * w + 1, n * w), order="F")
     columns = ab.T  # C order: row j holds column j of the band
-    p, q = np.indices((w, w))
-    columns.reshape(n, w, 3 * w + 1)[:, q, 2 * w + p - q] = blocks  # H[kW + p, kW + q] = S_k[p, q]
+    columns.reshape(n, w, 3 * w + 1)[(slice(None), *_band_index(w))] = blocks  # H[kW + p, kW + q] = S_k[p, q]
     columns[w:, w] = columns[:-w, 3 * w] = -1.0  # the hops, H[j - W, j] and H[j + W, j]
     return ab
 
@@ -255,19 +267,11 @@ def _norm1(m: np.ndarray) -> np.ndarray:
 
 
 def _lapack_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Route (c) at any width: one ``inv`` and one ``slogdet`` per column on (m, W, W) stacks."""
+    """Route (c) at any width: one ``slogdet`` and one ``inv`` per column on (m, W, W) stacks."""
     m, n, w, _ = blocks.shape
     eye, sign, log_abs, bad = np.eye(w), np.ones(m), np.zeros(m), np.zeros(m, dtype=bool)
-    b = blocks[:, 0].copy()
     for k in range(n):
-        if k:
-            binv = np.linalg.inv(b)
-            with np.errstate(over="ignore", invalid="ignore"):
-                hit = ~(_norm1(b) * _norm1(binv) <= COND_LIMIT)
-            b = blocks[:, k] - binv
-            if hit.any():
-                bad |= hit
-                b[hit] = eye
+        b = blocks[:, k] - binv if k else blocks[:, 0].copy()
         s, la = np.linalg.slogdet(b)
         hit = s == 0.0
         if hit.any():
@@ -275,44 +279,80 @@ def _lapack_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
             b[hit] = eye
         sign *= s
         log_abs += la
+        binv = np.linalg.inv(b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hit = ~(_norm1(b) * _norm1(binv) <= COND_LIMIT)
+        if hit.any():
+            bad |= hit
+            binv[hit] = eye
     return sign, log_abs, bad
 
 
-def _closed_form_sweep(sa, sb, sc, sd) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _norm1_into(a, b, c, d, out, t1, t2) -> np.ndarray:
+    """max(|a| + |c|, |b| + |d|), the 1-norm of [[a, b], [c, d]] elementwise, into ``out``, with scratch rows t1 and t2."""
+    np.add(np.abs(a, out=out), np.abs(c, out=t1), out=out)
+    np.add(np.abs(b, out=t1), np.abs(d, out=t2), out=t1)
+    return np.maximum(out, t1, out=out)
+
+
+def _closed_form_sweep(sa, sb, sc, sd, inertia: bool = False) -> tuple:
     """Route (c) at W = 2 on samples-last entries: ``_schur_sweep``'s sign, log|det| and bad mask.
 
     ``sa``, ``sb``, ``sc`` and ``sd`` are the entries (0, 0), (0, 1), (1, 0)
     and (1, 1) of the column blocks S_k - E as (n, m) arrays, one contiguous
     length-m vector per column, or (n, 1) for an entry every sample shares.
-    Each B_k is inverted by its adjugate, elementwise over the samples, with
-    the checks and the identity swap of ``_lapack_sweep``; the det(B_k) go
-    into one (n, m) array that is reduced to sign and log|det| at the end.
+    Each B_k is inverted by its adjugate, elementwise over the samples, and
+    tested as in ``_lapack_sweep``; the det(B_k) go into an (_DET_ROWS, m)
+    array that is reduced to the sign and log|det| sums every _DET_ROWS
+    columns, in column order.  A bad sample's later blocks run on, with
+    whatever infinities or NaNs its inverse left.
+
+    The sweep is a block LDL^t of H - E, so by Sylvester's law of inertia
+    (with Haynsworth's additivity) H - E has as many negative eigenvalues as
+    the B_k together: one where det B_k < 0, two where det B_k > 0 and its
+    (0, 0) entry is negative.  With ``inertia=True`` the sweep returns that
+    count and the bad mask instead, and takes no logarithms.
     """
     if not all(np.all(np.isfinite(x)) for x in (sa, sb, sc, sd)):
         raise NumericError("non-finite transfer matrix entries")
     n, m = len(sa), max(x.shape[1] for x in (sa, sb, sc, sd))
-    dets = np.empty((n, m))
-    bad = np.zeros(m, dtype=bool)
-    a, b, c, d = (np.broadcast_to(x[0], m).copy() for x in (sa, sb, sc, sd))
-    ill = False
-    with np.errstate(over="ignore", invalid="ignore"):
+    rows = min(n, _DET_ROWS)
+    dets = np.empty((rows, m))
+    lower = np.empty((rows, m), dtype=bool) if inertia else None
+    negative, log_abs, bad = 0, 0.0, np.zeros(m, dtype=bool)  # the sums become arrays at the first reduction
+    # every column reuses these rows, so that the loop allocates nothing: B_k, its inverse and scratch
+    a, b, c, d, ia, qb, qc, id_, x, y, z, w = np.empty((12, m))
+    ok = np.empty(m, dtype=bool)
+    for row, entry in zip((a, b, c, d), (sa, sb, sc, sd)):
+        row[:] = entry[0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n):
-            det = dets[k]
-            if k:
-                prev = dets[k - 1]
-                # B^-1 = [[d, -b], [-c, a]] / det, with the two negations folded into S_k - B^-1
-                ia, qb, qc, id_ = d / prev, b / prev, c / prev, a / prev
-                norm = np.maximum(abs(a) + abs(c), abs(b) + abs(d))
-                ill = ~(norm * np.maximum(abs(ia) + abs(qc), abs(qb) + abs(id_)) <= COND_LIMIT)
-                a, b, c, d = sa[k] - ia, sb[k] + qb, sc[k] + qc, sd[k] - id_
-            np.subtract(np.multiply(a, d, out=det), b * c, out=det)
-            hit = ill | (det == 0.0)
-            if hit.any():
-                bad |= hit
-                a[hit], b[hit], c[hit], d[hit], det[hit] = 1.0, 0.0, 0.0, 1.0, 1.0
-    sign = 1.0 - 2.0 * (np.count_nonzero(dets < 0.0, axis=0) % 2)
-    # in place, and rows summed in order, so a sample's log|det| never depends on m
-    log_abs = reduce(np.add, np.log(np.abs(dets, out=dets), out=dets))
+            if k:  # S_k - E - B_{k-1}^-1, with the two negations of the adjugate folded in
+                np.subtract(sa[k], ia, out=a)
+                np.add(sb[k], qb, out=b)
+                np.add(sc[k], qc, out=c)
+                np.subtract(sd[k], id_, out=d)
+            det = dets[k % rows]
+            np.subtract(np.multiply(a, d, out=det), np.multiply(b, c, out=x), out=det)
+            # B_k^-1 = [[d, -b], [-c, a]] / det; an exact zero det leaves an infinite or NaN norm, which fails the test
+            for inv, entry in zip((ia, qb, qc, id_), (d, b, c, a)):
+                np.divide(entry, det, out=inv)
+            np.multiply(_norm1_into(a, b, c, d, x, y, z), _norm1_into(ia, qb, qc, id_, y, z, w), out=x)
+            bad |= np.logical_not(np.less_equal(x, COND_LIMIT, out=ok), out=ok)
+            if inertia:
+                np.less(a, 0.0, out=lower[k % rows])
+            if k % rows == rows - 1 or k == n - 1:
+                held = dets[: k % rows + 1]
+                negative += np.count_nonzero(held < 0.0, axis=0)
+                if inertia:
+                    both = np.logical_and(held > 0.0, lower[: len(held)], out=lower[: len(held)])
+                    negative += 2 * np.count_nonzero(both, axis=0)
+                else:  # rows added in column order, so a sample's log|det| never depends on m
+                    for row in np.log(np.abs(held, out=held), out=held):
+                        log_abs += row
+    if inertia:
+        return negative, bad
+    sign = 1.0 - 2.0 * (negative % 2)
     sign[bad] = 0.0
     log_abs[bad] = np.nan
     return sign, log_abs, bad
@@ -322,20 +362,22 @@ def _closed_form_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
     """``_closed_form_sweep`` on one sample's (n, 2, 2) blocks, on Python floats: its operations in its order.
 
     -b / det there is -(b / det) and s - (-q) is s + q, exactly, as IEEE rounding is symmetric in sign.
-    ``max`` keeps a NaN as ``np.maximum`` does: B_{k-1} is finite when tested, its inverse all NaN or none.
+    ``max`` keeps a NaN as ``np.maximum`` does: B_k is finite when tested, its inverse all NaN or none.
+    An exact zero det is tested before the division, which would raise.
     """
-    dets, a, ill = np.empty(len(blocks)), None, False
+    dets, det = np.empty(len(blocks)), None
     for start in range(0, len(blocks), _SWEEP_COLUMNS):
         window = []
         for p, q, r, t in blocks[start : start + _SWEEP_COLUMNS].reshape(-1, 4).tolist():
-            if a is None:  # B_1 = S_1 - E
+            if det is None:  # B_1 = S_1 - E
                 a, b, c, d = p, q, r, t
             else:
-                ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
-                ill = not max(abs(a) + abs(c), abs(b) + abs(d)) * max(abs(ia) + abs(ic), abs(ib) + abs(id_)) <= COND_LIMIT
                 a, b, c, d = p - ia, q - ib, r - ic, t - id_
             det = a * d - b * c
-            if ill or det == 0.0:
+            if det == 0.0:
+                return 0.0, math.nan, True
+            ia, ib, ic, id_ = d / det, -b / det, -c / det, a / det
+            if not max(abs(a) + abs(c), abs(b) + abs(d)) * max(abs(ia) + abs(ic), abs(ib) + abs(id_)) <= COND_LIMIT:
                 return 0.0, math.nan, True
             window.append(det)
         dets[start : start + len(window)] = window
@@ -344,17 +386,16 @@ def _closed_form_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
 
 
 def _lapack_loop(blocks: np.ndarray) -> tuple[float, float, bool]:
-    """``_lapack_sweep`` on one sample's (n, W, W) blocks: one ``inv`` and one ``slogdet`` per column."""
-    sign, log_abs, b = 1.0, 0.0, blocks[0]
+    """``_lapack_sweep`` on one sample's (n, W, W) blocks: one ``slogdet`` and one ``inv`` per column."""
+    sign, log_abs = 1.0, 0.0
     for k in range(len(blocks)):
-        if k:
-            binv = np.linalg.inv(b)
-            norm, inv_norm = _norm1(np.array((b, binv))).tolist()  # Python floats overflow without a warning
-            if not norm * inv_norm <= COND_LIMIT:
-                return 0.0, math.nan, True
-            b = blocks[k] - binv
+        b = blocks[k] - binv if k else blocks[0]
         s, la = np.linalg.slogdet(b)
         if s == 0.0:
+            return 0.0, math.nan, True
+        binv = np.linalg.inv(b)
+        norm, inv_norm = _norm1(np.array((b, binv))).tolist()  # Python floats overflow without a warning
+        if not norm * inv_norm <= COND_LIMIT:
             return 0.0, math.nan, True
         sign, log_abs = sign * s, log_abs + la
     return sign, log_abs, False
@@ -367,13 +408,15 @@ def _schur_sweep(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     sweep runs B_k = S_k - E - B_{k-1}^{-1} for the whole stack, and
     det(H_N - E) is the product of the det(B_k).  At W = 2 the stack is
     transposed to samples last for ``_closed_form_sweep``; every other width
-    calls one ``inv`` and one ``slogdet`` per column on the stack.  A stack of
-    one runs the same operations as a loop over its columns.  A sample is bad on an exactly singular B_k, or when a
-    block to be inverted has |B|_1 |B^-1|_1 > COND_LIMIT (a NaN counts), read
-    off the inverse already computed.  The offending block is swapped for the
-    identity, so one singular sample never fails the stack; a bad sample comes
-    back as sign 0 and log|det| nan, for the caller to recompute.  No sample's
-    arithmetic depends on the rest of the stack.
+    calls one ``slogdet`` and one ``inv`` per column on the stack.  A stack of
+    one runs the same operations as a loop over its columns.  A sample is bad
+    on an exactly singular B_k, or when any B_k, the last one included, has
+    |B|_1 |B^-1|_1 > COND_LIMIT (a NaN counts), read off the inverse that the
+    next column needs anyway.  LAPACK is never handed a singular block: the
+    stacked kernel swaps it, or the inverse of an ill-conditioned one, for the
+    identity.  A bad sample comes back as sign 0 and log|det| nan, for the
+    caller to recompute.  No sample's arithmetic depends on the rest of the
+    stack.
     """
     m, n, w, _ = blocks.shape
     if w == 2 and m > 1:  # samples last, a copy: a contiguous length-m vector per entry and column

@@ -10,7 +10,11 @@ through the batched Schur sweep (route c), in batches of up to DEFAULT_CHUNK
 samples: at W = 2 on samples-last entries, elementwise numpy over the batch,
 so a second worker speeds it up, and on one (m, n, W, W) array of column
 blocks at other widths.  A sample the sweep marks bad goes to route (a), one
-banded LU on its own blocks.  Every other kernel factors the dense stack of
+banded LU on its own blocks.  ``sample_spectral`` on W = 2 rectangles takes
+log|det(H - E)| from the same sweep, and the distance and norm tests of the
+Cartan estimate from inertia counts of the sweep of H - t at shifted
+energies t (Sylvester's law of inertia), so no eigenvalue is computed unless
+a sample is bad at a shift.  Every other kernel factors the dense stack of
 H_region - E that ``model.build_hamiltonians`` stacks from the same column
 blocks, one chunk per batch; ``sample_site_shifts`` reads the coupling row of
 the peeled site off its row of that stack.
@@ -19,6 +23,7 @@ the peeled site off its row of that stack.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .model import (
     _column_blocks,
     _couplings,
     _draw_entries,
+    _stack_columns,
     build_hamiltonians,
     draw_chunk,
     split_stream,
@@ -48,6 +54,7 @@ __all__ = [
 
 DEFAULT_CHUNK = 4096
 _CHUNK_BUDGET = 1 << 23  # doubles per batch of stacked Hamiltonians or column blocks (~64 MB)
+_SHIFT_DOUBLES = 1 << 15  # entries of one (n, shifts * m) diagonal in an inertia sweep over shifted copies of a batch
 
 
 def _effective_chunk(matrix_dim: int) -> int:
@@ -108,6 +115,21 @@ def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         return x
 
 
+def _entry_blocks(entries, idx) -> np.ndarray:
+    """The (n, 2, 2) column blocks of sample ``idx``, or (len(idx), n, 2, 2) of an index array, gathered from samples-last W = 2 entries."""
+    x = np.stack([e[:, idx if e.shape[1] > 1 else idx * 0].T for e in entries], axis=-1)
+    return x.reshape(*x.shape[:-1], 2, 2)
+
+
+def _reroute(log_abs: np.ndarray, bad: np.ndarray, blocks_of, energy: float) -> None:
+    """Route (a) in place on the samples the Schur sweep marked bad, each on its own blocks ``blocks_of(i)`` of H - E + ``energy``.
+
+    One banded LU per sample; -inf where its pivot floor finds H - E singular.
+    """
+    for i in np.flatnonzero(bad):
+        log_abs[i] = _band_logdet(_block_band(blocks_of(i)), energy)[0].log_abs
+
+
 def sample_logdets(
     spec: DisorderSpec,
     geometry: StripGeometry,
@@ -134,8 +156,7 @@ def sample_logdets(
             if w == 2:
                 entries = _draw_entries(draws, m, spec.u_law, energy, cols, rows)
                 _, log_abs, bad = _closed_form_sweep(*entries)
-                # sample i's (n, 2, 2) blocks, gathered from the entries
-                blocks_of = lambda i: np.stack([x[:, i if x.shape[1] > 1 else 0] for x in entries], axis=-1).reshape(-1, 2, 2)
+                blocks_of = partial(_entry_blocks, entries)
             else:
                 blocks, lo = np.empty((m, n1 - n0 + 1, w, w)), 0
                 for pot, u_band in draws:
@@ -144,8 +165,7 @@ def sample_logdets(
                     del pot, u_band  # before the next chunk is drawn
                 _, log_abs, bad = _schur_sweep(blocks)
                 blocks_of = blocks.__getitem__
-            for i in np.flatnonzero(bad):  # route (a) on the sample's own blocks, -inf where its pivot floor finds H - E singular
-                log_abs[i] = _band_logdet(_block_band(blocks_of(i)), 0.0)[0].log_abs
+            _reroute(log_abs, bad, blocks_of, 0.0)
             return (log_abs,)
 
         out = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, (n1 - n0 + 1) * w * w)[0]
@@ -155,31 +175,107 @@ def sample_logdets(
     return out, int(np.sum(np.isneginf(out)))
 
 
+def _spectral_masks(eigs: np.ndarray, energy: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (m, K) masks log dist(E, spec H) < -K and log(|E| + ||H||) > K of (m, s) spectra of H."""
+    with np.errstate(divide="ignore"):
+        dist = np.log(np.min(np.abs(eigs - energy), axis=1))
+    norm = np.log(abs(energy) + np.max(np.abs(eigs), axis=1))
+    return dist[:, None] < -k, norm[:, None] > k
+
+
+def _inertia_masks(entries, energy: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_spectral_masks`` of a W = 2 batch from negative-eigenvalue counts, plus the mask of samples they fail on.
+
+    ``entries`` are the samples-last blocks of H itself.  ``_closed_form_sweep``
+    on H - t counts the eigenvalues below t, so two sweeps count those in an
+    interval [lo, hi): dist(E, spec H) < e^-K iff one lies in
+    [E - e^-K, E + e^-K), and ||H|| > e^K - |E| iff one lies outside
+    [|E| - e^K, e^K - |E|).  An eigenvalue exactly at an end, where these
+    tests and the strict ones part, makes H - t singular and the sample bad.
+    No interval reaching past the batch's Gershgorin bound on ||H|| is swept.
+    The sweeps run a few shifts at a time, side by side along the sample
+    axis, so that no slice holds more than _SHIFT_DOUBLES entries.  A sample
+    bad at any shift is in the returned mask, and its rows are left for the
+    caller.
+    """
+    sa, sb, sc, sd = entries
+    n, m = sa.shape
+    bound = max(np.max(abs(sa) + abs(sb)), np.max(abs(sc) + abs(sd))) + 2.0  # row sums of |H|, the two hops included
+    delta, reach = np.exp(-k), np.exp(k) - abs(energy)
+    dist_k = np.flatnonzero((energy - delta < bound) & (energy + delta > -bound))
+    norm_k = np.flatnonzero((reach >= 0.0) & (reach < bound))
+    lo, hi = np.concatenate([energy - delta[dist_k], -reach[norm_k]]), np.concatenate([energy + delta[dist_k], reach[norm_k]])
+    within, bad = np.empty((len(lo), m), dtype=np.int32), np.zeros(m, dtype=bool)
+    step = max(1, _SHIFT_DOUBLES // (2 * n * m))
+    for at in range(0, len(lo), step):
+        t = np.concatenate([lo[at : at + step], hi[at : at + step]])[:, None]
+        side = lambda x: np.broadcast_to(x[:, None], (n, len(t), m)).reshape(n, -1) if x.shape[1] > 1 else x
+        count, hit = _closed_form_sweep((sa[:, None] - t).reshape(n, -1), side(sb), side(sc), (sd[:, None] - t).reshape(n, -1), inertia=True)
+        below, above = count.reshape(2, -1, m)
+        within[at : at + len(below)] = above - below
+        bad |= hit.reshape(-1, m).any(axis=0)
+    dist_hits, norm_hits = np.zeros((m, len(k)), dtype=bool), np.zeros((m, len(k)), dtype=bool)
+    dist_hits[:, dist_k] = (within[: len(dist_k)] > 0).T
+    norm_hits[:, reach < 0.0] = True
+    norm_hits[:, norm_k] = (within[len(dist_k) :] < 2 * n).T
+    return dist_hits, norm_hits, bad
+
+
 def sample_spectral(
     spec: DisorderSpec,
     geometry: StripGeometry,
     region: Region,
     energy: float,
+    k_grid,
     n_samples: int,
     seed: int,
     workers: int = 1,
 ) -> dict:
-    """Joint samples of log|det(H - E)|, dist(E, spec H), and ||H||.
+    """Joint samples of log|det(H - E)| and, for each K of ``k_grid``, of the causes of a large one.
 
-    One eigendecomposition per sample feeds all three, which keeps the
-    pointwise relations between them exact.
+    Returns ``log_abs``, the (len(k_grid), n_samples) boolean masks
+    ``dist_hits`` (log dist(E, spec H) < -K) and ``norm_hits``
+    (log(|E| + ||H||) > K), and ``eigvalsh``, the number of samples whose
+    masks came from an eigendecomposition.  On W = 2 rectangles log|det|
+    is ``sample_logdets``'s, bit for bit: the closed-form Schur sweep, and
+    route (a) where it marks a sample bad.  The masks come from inertia
+    counts of the same sweep at shifted energies (``_inertia_masks``), so
+    they are computed independently of log|det|; a sample the sweep marks
+    bad at any shift takes them from ``eigvalsh``.  Any other region takes
+    all three from one ``eigvalsh`` per sample.
     """
+    k = np.asarray(k_grid, dtype=float)
+    n0, n1, w0, w1 = region.bounds()
+    if region.is_rectangle and w1 - w0 == 1:
+        cols, rows, chunk = (n0 - 1, n1), (w0 - 1, w1), _effective_chunk(region.size)
 
-    def batch(h):
-        eigs = np.linalg.eigvalsh(h)
-        gaps = np.abs(eigs - energy)
-        with np.errstate(divide="ignore"):
-            log_abs = np.sum(np.log(gaps), axis=1)
-        return log_abs, np.min(gaps, axis=1), np.max(np.abs(eigs), axis=1)
+        def batch(draws, m):
+            entries = _draw_entries(draws, m, spec.u_law, 0.0, cols, rows)  # the blocks of H itself
+            sa, sb, sc, sd = entries
+            _, log_abs, bad = _closed_form_sweep(sa - energy, sb, sc, sd - energy)
+            blocks_of = partial(_entry_blocks, entries)
+            _reroute(log_abs, bad, blocks_of, energy)
+            dist_hits, norm_hits, bad = _inertia_masks(entries, energy, k)
+            redo = np.flatnonzero(bad)
+            for lo in range(0, len(redo), chunk):
+                idx = redo[lo : lo + chunk]
+                dist_hits[idx], norm_hits[idx] = _spectral_masks(np.linalg.eigvalsh(_stack_columns(blocks_of(idx))), energy, k)
+            return log_abs, dist_hits, norm_hits, bad
 
-    # the spectrum of H itself is factored, so the stack is not shifted
-    log_abs, dist, norm = _map_chunks(batch, spec, geometry, region, 0.0, n_samples, seed, workers)
-    return {"log_abs": log_abs, "dist": dist, "norm": norm}
+        log_abs, dist_hits, norm_hits, redone = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, (n1 - n0 + 1) * 4)
+        n_eig = int(np.count_nonzero(redone))
+    else:
+
+        def batch(h):
+            eigs = np.linalg.eigvalsh(h)
+            with np.errstate(divide="ignore"):
+                log_abs = np.sum(np.log(np.abs(eigs - energy)), axis=1)
+            return (log_abs, *_spectral_masks(eigs, energy, k))
+
+        # the spectrum of H itself is factored, so the stack is not shifted
+        log_abs, dist_hits, norm_hits = _map_chunks(batch, spec, geometry, region, 0.0, n_samples, seed, workers)
+        n_eig = n_samples
+    return {"log_abs": log_abs, "dist_hits": dist_hits.T, "norm_hits": norm_hits.T, "eigvalsh": n_eig}
 
 
 def sample_site_shifts(

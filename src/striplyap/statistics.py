@@ -209,18 +209,19 @@ def cartan_tail_experiment(
     Each sample also records whether log(|E| + ||H||) > K or
     log dist(E, spec H) < -K; exceedance of the determinant tail without one
     of those two causes is a pointwise violation and is counted (it must be
-    zero up to roundoff).
+    zero up to roundoff).  On W = 2 rectangles log|det| comes from the Schur
+    sweep (route (a) where it marks a sample bad) and the two causes from
+    inertia counts of the same sweep at shifted energies, so the count
+    compares two independent computations; elsewhere all three come from one
+    ``eigvalsh`` per sample (``sample_spectral``).
     """
-    data = sample_spectral(spec, geometry, region, energy, n_samples, seed, workers)
+    data = sample_spectral(spec, geometry, region, energy, k_grid, n_samples, seed, workers)
     x = np.abs(data["log_abs"])
     size = region.size
     rows = []
-    for k in k_grid:
+    for k, dist_hits, norm_hits in zip(k_grid, data["dist_hits"], data["norm_hits"]):
         thr = size * k
         hits = x > thr
-        norm_hits = np.log(abs(energy) + data["norm"]) > k
-        with np.errstate(divide="ignore"):
-            dist_hits = np.log(data["dist"]) < -k
         violations = int(np.sum(hits & ~(norm_hits | dist_hits)))
         rows.append(
             CartanRow(
@@ -239,6 +240,7 @@ class LdtResult:
     var_points: list
     var_exponent: float
     var_r2: float
+    degenerate: int
 
 
 def ldt_experiment(
@@ -255,13 +257,18 @@ def ldt_experiment(
     """Centered large-deviation tails at scale |region|^(1/2+eps) K vs exp(-K/2).
 
     Also fits Var(log|det|) against |region| across the rectangles, whose
-    exponent should sit near one.
+    exponent should sit near one.  A rectangle whose m samples have a
+    standard deviation of at most m eps max(1, max|log|det||) holds no
+    spread but roundoff, and is counted as degenerate: (m - 1) eps max|x|
+    bounds the summation error of a mean, and the 1 covers log-determinants
+    that cancel to near zero from O(1) column terms, such as the resonant
+    strip at E = 0.  Any degenerate rectangle leaves the exponent and its
+    R^2 undefined (NaN).
     """
     for rect in rectangles:
         if not rect.is_rectangle:
             raise ConfigurationError("large deviation tails are stated for rectangles")
-    tables = []
-    var_points = []
+    tables, var_points, degenerate = [], [], 0
     for i, rect in enumerate(rectangles):
         values, _ = sample_logdets(spec, geometry, rect, energy, n_samples, seed + i, workers)
         kept = _nonsingular(values)
@@ -269,14 +276,16 @@ def ldt_experiment(
         scale = rect.size ** (0.5 + epsilon)
         rows = [TailRow(**_tail_fields(k, scale * k, centered > scale * k, 2.0)) for k in k_grid]
         tables.append(TailTable(label=f"ldt_{rect.size}", n=len(kept), rows=rows))
-        var_points.append((rect.size, float(np.var(kept, ddof=1))))
+        var = float(np.var(kept, ddof=1))
+        degenerate += bool(math.sqrt(var) <= len(kept) * np.finfo(float).eps * max(1.0, -float(kept.min()), float(kept.max())))
+        var_points.append((rect.size, var))
     sizes = [p[0] for p in var_points]
     variances = [max(p[1], 1e-300) for p in var_points]
-    if len(set(sizes)) > 1:
+    if len(set(sizes)) > 1 and not degenerate:
         exponent, _, r2 = linear_fit(np.log(sizes), np.log(variances))
     else:
         exponent, r2 = math.nan, math.nan
-    return LdtResult(tables=tables, var_points=var_points, var_exponent=exponent, var_r2=r2)
+    return LdtResult(tables=tables, var_points=var_points, var_exponent=exponent, var_r2=r2, degenerate=degenerate)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from striplyap.perturbation import (
     partition_boundary,
     partition_defect,
 )
-from striplyap.sampling import sample_logdets
+from striplyap.sampling import _map_chunks, sample_logdets
 from striplyap.statistics import (
     cartan_tail_experiment,
     delta_schedule,
@@ -219,15 +219,34 @@ def test_criterion_09_variance_growth():
     _report(9, f"Var(log|det|) vs region size: slope {slope:.3f}, R^2 {r2:.4f}, exponent {exponent:.3f}")
 
 
+def _eigvalsh_cartan_counts(spec, geometry, region, energy, k_grid, n, seed):
+    """Per K, the cartan row's count, norm, dist and violation counts with all three quantities from one ``eigvalsh`` per sample."""
+
+    def batch(h):
+        eigs = np.linalg.eigvalsh(h)
+        with np.errstate(divide="ignore"):
+            gaps = np.log(np.abs(eigs - energy))
+        return np.sum(gaps, axis=1), np.min(gaps, axis=1), np.log(abs(energy) + np.max(np.abs(eigs), axis=1))
+
+    log_abs, log_dist, log_norm = _map_chunks(batch, spec, geometry, region, 0.0, n, seed, 1)
+    rows = []
+    for k in k_grid:
+        hits, dist, norm = np.abs(log_abs) > region.size * k, log_dist < -k, log_norm > k
+        rows.append((int(hits.sum()), int(norm.sum()), int(dist.sum()), int(np.sum(hits & ~(norm | dist)))))
+    return rows
+
+
 def test_criterion_10_tail_suites():
     n = 100_000
     k_grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
-    cartan = cartan_tail_experiment(
-        UNIFORM, StripGeometry(2, 1, 4), Region.rectangle(1, 4, 1, 2), 0.0, k_grid, n, seed=21, workers=2
-    )
+    cartan_args = (UNIFORM, StripGeometry(2, 1, 4), Region.rectangle(1, 4, 1, 2), 0.0, k_grid, n)
+    cartan = cartan_tail_experiment(*cartan_args, seed=21, workers=2)
     assert cartan.onset() is not None and cartan.onset() < k_grid[-1]
     for row in cartan.rows:
         assert row.implication_violations == 0
+    # the Schur sweep's log|det| and inertia masks give the table of one eigendecomposition per sample
+    got = [(r.count, r.norm_count, r.dist_count, r.implication_violations) for r in cartan.rows]
+    assert got == _eigvalsh_cartan_counts(*cartan_args, seed=21)
     ldt = ldt_experiment(
         UNIFORM,
         StripGeometry(2, 1, 32),

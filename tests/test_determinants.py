@@ -520,17 +520,17 @@ WIDTHS_AND_ENERGIES = [(w, e) for w in range(1, 5) for e in range(-2, 3)]
 class TestExactIntegerOracle:
     """Point-mass strips at an integer value and E have an integer H - E, whose determinant is exact.
 
-    Route (a), both forms, must give sign 0 exactly where det(H_N - E) = 0:
-    for odd N, point mass 0 at E = 1 on an adjacency strip of width 2 is
-    singular (its spectrum is -2 cos(pi j / (N + 1)) +- 1).  Elsewhere the
-    three routes must give the exact sign and ``sample_logdets`` the exact
-    log|det|, within 1e-12.  Routes (b) and (c) are not held to sign 0 on
-    the singular strips.  The sampler is held to -inf on those that the
-    Schur sweep flags, which it factors by route (a), and at 500 and 1,000
-    columns on all of them.
+    Route (a), both forms, route (c) and ``sample_logdets`` must give sign 0
+    (-inf) exactly where det(H_N - E) = 0: for odd N, point mass 0 at E = 1
+    on an adjacency strip of width 2 is singular (its spectrum is
+    -2 cos(pi j / (N + 1)) +- 1), and so are the N = W adjacency strips whose
+    last Schur block is singular only to roundoff.  Elsewhere the three
+    routes must give the exact sign and ``sample_logdets`` the exact
+    log|det|, within 1e-12.  Route (b) is not held to sign 0 on the
+    singular strips.
     """
 
-    LENGTHS = (1, 2, 3, 5, 8, 11, 50, 301)
+    LENGTHS = (1, 2, 3, 4, 5, 8, 11, 50, 301)
 
     def test_transfer_oracle_matches_bareiss(self):
         for (value, u_law), (width, energy) in itertools.product(POINT_MASS_LAWS, WIDTHS_AND_ENERGIES):
@@ -554,9 +554,8 @@ class TestExactIntegerOracle:
                 (sampled,), excluded = sample_logdets(spec, geo, Region.rectangle(1, n, 1, width), e, 1, 1)
                 if det == 0:
                     singular += 1
-                    assert [r.sign for r in direct] == [0, 0], (width, energy, n)
-                    if logdet_via_schur(sample, e, n, return_info=True)[1]:
-                        assert sampled == -math.inf and excluded == 1, (width, energy, n)
+                    assert [r.sign for r in direct] + [logdet_via_schur(sample, e, n).sign] == [0, 0, 0], (width, energy, n)
+                    assert sampled == -math.inf and excluded == 1, (width, energy, n)
                     continue
                 sign, log_abs = (1 if det > 0 else -1), math.log(abs(det))
                 for r in direct + [logdet_via_transfer(sample, e, n), logdet_via_schur(sample, e, n)]:

@@ -372,7 +372,7 @@ def test_samplers_reject_sites_outside_the_geometry(region):
     with pytest.raises(ConfigurationError):
         sample_logdets(UNIFORM, geo, region, 0.0, 8, seed=1)
     with pytest.raises(ConfigurationError):
-        sample_spectral(UNIFORM, geo, region, 0.0, 8, seed=1)
+        sample_spectral(UNIFORM, geo, region, 0.0, [1.0], 8, seed=1)
 
 
 def test_samplers_reject_sites_outside_the_region():
@@ -392,10 +392,96 @@ def test_sparse_region_assembles_in_small_slices():
     region = Region.from_sites([(1, 1), (300, 1)])
     tracemalloc.start()
     try:
-        got = sample_spectral(UNIFORM, geo, region, 0.0, 64, seed=3)
+        got = sample_spectral(UNIFORM, geo, region, 0.0, [1.0], 64, seed=3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8e6
     pot, _ = draw_chunk(UNIFORM, geo, 0, 64, 3)  # no bond joins the two sites: H = diag(V_1, V_300)
     assert np.allclose(got["log_abs"], np.log(np.abs(pot[:, 0, 0])) + np.log(np.abs(pot[:, 299, 0])), rtol=1e-12, atol=0)
+
+
+POINT0 = DisorderSpec.point(0.0, u_law="adjacency")
+UNIFORM_2 = DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency")
+# -2 cos(pi j / 6) +- 1 with the point value added: the 5 x 2 point-mass strips have eigenvalues at every integer v - 2 .. v + 2
+INERTIA_CASES = [
+    ("point 0 5x2", POINT0, 5, (-2.5, -2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0)),
+    ("point 1 5x2", DisorderSpec.point(1.0, u_law="adjacency"), 5, (-1.0, 0.0, 0.25, 1.0, 2.0, 2.5, 3.0)),
+    ("resonant 17x2", RESONANT, 17, (-1.0, -np.exp(-3.0), -1e-8, 1e-8, np.exp(-3.0), 1.0, 2.5)),
+    ("cauchy 32x2", CAUCHY, 32, (-30.0, -np.exp(1.0), 0.5 - np.exp(-2.0), 0.5, 0.5 + np.exp(-2.0), 4.0, 1e4)),
+    ("uniform 4x2", UNIFORM_2, 4, tuple(np.concatenate([s * np.exp(-np.arange(0.0, 8.5, 0.5)) for s in (-1.0, 1.0)]))),
+]
+
+
+@pytest.mark.parametrize("name, spec, columns, shifts", INERTIA_CASES, ids=[c[0] for c in INERTIA_CASES])
+def test_inertia_counts_match_eigvalsh(name, spec, columns, shifts):
+    # count(t) = #{eigenvalues of H below t}, from the signs of the Schur blocks of H - t (Sylvester's law of inertia)
+    pot, u_band = draw_chunk(spec, StripGeometry(2, 1, columns), 0, 300, seed=19)
+    sa, sb, sc, sd = _column_entries(pot, spec.u_law, u_band, 0.0, (0, columns), (0, 2))
+    eigs = np.linalg.eigvalsh(build_hamiltonians(Region.rectangle(1, columns, 1, 2), pot, spec.u_law, u_band, 0.0))
+    for t in shifts:
+        count, bad = _closed_form_sweep(sa - t, sb, sc, sd - t, inertia=True)
+        ref = np.count_nonzero(eigs < t, axis=1)
+        if spec.density == "point":  # every sample is the clean strip: bad exactly where t is one of its eigenvalues
+            assert bad.all() == (float(t).is_integer() and -2.0 <= t - spec.params["value"] <= 2.0) and (bad.all() or not bad.any()), t
+        else:
+            assert not bad.any(), t
+        assert np.array_equal(count[~bad], ref[~bad]), t
+
+
+def _eigvalsh_spectral(spec, geometry, region, energy, k_grid, n, seed):
+    """``sample_spectral``'s three results from ``eigvalsh`` of the dense H on one chunk of its draws."""
+    assert n <= _effective_chunk(region.size)
+    pot, u_band = draw_chunk(spec, geometry, 0, n, seed)
+    eigs = np.linalg.eigvalsh(build_hamiltonians(region, pot, spec.u_law, u_band, 0.0))
+    k = np.asarray(k_grid)[:, None]
+    with np.errstate(divide="ignore"):
+        gaps = np.log(np.abs(eigs - energy))
+    return np.sum(gaps, axis=1), np.min(gaps, axis=1) < -k, np.log(abs(energy) + np.max(np.abs(eigs), axis=1)) > k
+
+
+K_SPECTRAL = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]
+SPECTRAL_CASES = [
+    # (name, spec, geometry, region, energy, masks from eigvalsh: "all", "none" or a count)
+    ("point 0 5x2 E=0, singular, eigenvalues at +-1", POINT0, StripGeometry(2, 1, 5), Region.rectangle(1, 5, 1, 2), 0.0, "all"),
+    ("point 0 5x2 E=1, singular, eigenvalues at 0 and 2", POINT0, StripGeometry(2, 1, 5), Region.rectangle(1, 5, 1, 2), 1.0, "all"),
+    ("point 0 4x2 E=0, B_1 singular at +-1", POINT0, StripGeometry(2, 1, 4), Region.rectangle(1, 4, 1, 2), 0.0, "all"),
+    ("resonant 17x2 E=0", RESONANT, StripGeometry(2, 1, 17), Region.rectangle(1, 17, 1, 2), 0.0, "none"),
+    ("cauchy 32x2 E=0.5", CAUCHY, StripGeometry(2, 1, 32), Region.rectangle(1, 32, 1, 2), 0.5, "none"),
+    ("uniform 4x2 E=0", UNIFORM_2, StripGeometry(2, 1, 4), Region.rectangle(1, 4, 1, 2), 0.0, "none"),
+    ("uniform 4x2 E=3, norm test true below K = log 3", UNIFORM_2, StripGeometry(2, 1, 4), Region.rectangle(1, 4, 1, 2), 3.0, "none"),
+    ("band rows 2-3, columns 3-10 of 12x4", BAND, StripGeometry(4, 2, 12), Region.rectangle(3, 10, 2, 3), 0.3, "none"),
+    ("W=3 8x3", UNIFORM, StripGeometry(3, 1, 8), Region.rectangle(1, 8, 1, 3), 0.2, "all"),
+    ("6x2 minus (3, 1)", UNIFORM, StripGeometry(2, 1, 6), Region.rectangle(1, 6, 1, 2).without_site((3, 1)), 0.2, "all"),
+]
+
+
+@pytest.mark.parametrize("spec, geometry, region, energy, redone", [c[1:] for c in SPECTRAL_CASES], ids=[c[0] for c in SPECTRAL_CASES])
+def test_spectral_masks_match_eigvalsh(spec, geometry, region, energy, redone):
+    got = sample_spectral(spec, geometry, region, energy, K_SPECTRAL, 500, seed=13)
+    log_abs, dist_hits, norm_hits = _eigvalsh_spectral(spec, geometry, region, energy, K_SPECTRAL, 500, 13)
+    assert got["dist_hits"].shape == got["norm_hits"].shape == (len(K_SPECTRAL), 500)
+    assert np.array_equal(got["dist_hits"], dist_hits) and np.array_equal(got["norm_hits"], norm_hits)
+    assert got["eigvalsh"] == {"all": 500, "none": 0}[redone]
+    n0, n1, w0, w1 = region.bounds()
+    if region.is_rectangle and w1 - w0 == 1:  # log|det| is the sampler's, bit for bit
+        assert np.array_equal(got["log_abs"], sample_logdets(spec, geometry, region, energy, 500, seed=13)[0])
+    else:
+        assert np.array_equal(got["log_abs"], log_abs)
+
+
+def test_spectral_masks_are_the_same_across_batches_and_workers():
+    # 3 x 2 = 6 sites: chunks of 4,096 samples, so 9,000 samples make three batches with their own Gershgorin bounds
+    geometry, region = StripGeometry(2, 1, 3), Region.rectangle(1, 3, 1, 2)
+    one = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 9000, seed=8)
+    two = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 9000, seed=8, workers=2)
+    short = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 4096, seed=8)
+    for key in ("log_abs", "dist_hits", "norm_hits"):
+        assert np.array_equal(one[key], two[key]) and np.array_equal(one[key][..., :4096], short[key])
+
+
+def test_spectral_masks_hold_a_few_shifts_at_a_time():
+    # the cartan run of the tails benchmark: 4 x 2, 16,384 samples; its eigvalsh pass peaked at 3.5 MB traced
+    geometry, region = StripGeometry(2, 1, 4), Region.rectangle(1, 4, 1, 2)
+    k_grid = [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 4.0, 6.0, 8.0]
+    assert _traced_peak(lambda: sample_spectral(UNIFORM_2, geometry, region, 0.0, k_grid, 16_384, seed=907)) < 3.5e6

@@ -81,7 +81,24 @@ def test_ldt_experiment_shapes():
     assert len(res.tables) == 2
     for table in res.tables:
         assert table.onset() is not None
-    assert 0.3 <= res.var_exponent <= 1.7
+    assert 0.3 <= res.var_exponent <= 1.7 and res.degenerate == 0
+
+
+@pytest.mark.parametrize(
+    "spec, energy",
+    [(DisorderSpec.point(0.0, u_law="adjacency"), 1.0), (DisorderSpec.uniform(-2.5e-9, 2.5e-9, u_law="adjacency"), 0.0)],
+    ids=["point 0 E=1", "resonant E=0"],
+)
+def test_ldt_reports_a_roundoff_variance_as_degenerate(spec, energy):
+    # every point-mass sample has one log|det|, and the resonant strip's spread is second order in 2.5e-9;
+    # np.var returns 1e-31 to 1e-29 from roundoff alone, and a fit through it moves from 1.6e-13 to 11.8 on a one-ulp change
+    geo = StripGeometry(2, 1, 18)
+    res = ldt_experiment(spec, geo, [Region.rectangle(1, 16, 1, 2), Region.rectangle(1, 18, 1, 2)], energy, 0.25, [1.0], 2048, seed=11)
+    assert res.degenerate == 2 and all(v < 1e-28 for _, v in res.var_points)
+    assert math.isnan(res.var_exponent) and math.isnan(res.var_r2)
+    # 0.3 off E = 0 the resonant spread is first order, a standard deviation near 3e-9, and is fitted
+    shifted = ldt_experiment(spec, geo, [Region.rectangle(1, 16, 1, 2), Region.rectangle(1, 18, 1, 2)], energy + 0.3, 0.25, [1.0], 2048, seed=11)
+    assert shifted.degenerate == (spec.density == "point") * 2
 
 
 def test_negative_tail_counts_nested():
