@@ -54,7 +54,7 @@ __all__ = [
 
 DEFAULT_CHUNK = 4096
 _CHUNK_BUDGET = 1 << 23  # doubles per batch of stacked Hamiltonians or column blocks (~64 MB)
-_SHIFT_DOUBLES = 1 << 15  # entries of one (n, shifts * m) diagonal in an inertia sweep over shifted copies of a batch
+_SHIFT_DOUBLES = 1 << 15  # entries of one (n, 2 * samples) diagonal in an inertia sweep of shifted samples
 
 
 def _effective_chunk(matrix_dim: int) -> int:
@@ -183,41 +183,64 @@ def _spectral_masks(eigs: np.ndarray, energy: float, k: np.ndarray) -> tuple[np.
     return dist[:, None] < -k, norm[:, None] > k
 
 
+def _interval_counts(entries, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many eigenvalues of H lie in [lo_i, hi_i), for the samples ``idx`` of a W = 2 batch, and which of them are bad at either end.
+
+    ``entries`` are the samples-last blocks of H itself.  ``_closed_form_sweep``
+    on H - t counts the eigenvalues below t; the two ends go through one
+    sweep, side by side along the sample axis.
+    """
+    sa, sb, sc, sd = entries
+    t = np.stack([lo, hi])
+    take = lambda x: np.take(x, idx, axis=1) if x.shape[1] > 1 else x  # C order, unlike x[:, idx]
+    diagonal = lambda x: (take(x)[:, None] - t).reshape(len(x), -1)
+    side = lambda x: np.tile(take(x), 2) if x.shape[1] > 1 else x
+    count, bad = _closed_form_sweep(diagonal(sa), side(sb), side(sc), diagonal(sd), inertia=True)
+    below, above = count.reshape(2, -1)
+    return above - below, bad.reshape(2, -1).any(axis=0)
+
+
 def _inertia_masks(entries, energy: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_spectral_masks`` of a W = 2 batch from negative-eigenvalue counts, plus the mask of samples they fail on.
 
-    ``entries`` are the samples-last blocks of H itself.  ``_closed_form_sweep``
-    on H - t counts the eigenvalues below t, so two sweeps count those in an
-    interval [lo, hi): dist(E, spec H) < e^-K iff one lies in
-    [E - e^-K, E + e^-K), and ||H|| > e^K - |E| iff one lies outside
-    [|E| - e^K, e^K - |E|).  An eigenvalue exactly at an end, where these
-    tests and the strict ones part, makes H - t singular and the sample bad.
-    No interval reaching past the batch's Gershgorin bound on ||H|| is swept.
-    The sweeps run a few shifts at a time, side by side along the sample
-    axis, so that no slice holds more than _SHIFT_DOUBLES entries.  A sample
-    bad at any shift is in the returned mask, and its rows are left for the
-    caller.
+    ``entries`` are the samples-last blocks of H itself.  dist(E, spec H) < e^-K
+    iff an eigenvalue lies in [E - e^-K, E + e^-K), and ||H|| > e^K - |E| iff
+    one lies outside [|E| - e^K, e^K - |E|) (``_interval_counts``).  An
+    eigenvalue exactly at an end, where these tests and the strict ones
+    part, makes H - t singular and the sample bad.  The K run in increasing
+    order, and a sample that misses either test at K misses it at every
+    larger K, so it is swept for that test only while it hit at the previous
+    K.  Nor is it swept where its own bounds on ||H|| settle the test:
+    Gershgorin's max row sum of |H| from above, max_i ||H e_i|| from below.
+    Every sweep holds at most _SHIFT_DOUBLES entries per diagonal.  A sample bad at any shift is in the returned
+    mask, and its rows are left for the caller.
     """
     sa, sb, sc, sd = entries
     n, m = sa.shape
-    bound = max(np.max(abs(sa) + abs(sb)), np.max(abs(sc) + abs(sd))) + 2.0  # row sums of |H|, the two hops included
+    col = np.arange(n)[:, None]
+    hops = np.minimum(col, 1) + np.minimum(n - 1 - col, 1)  # the -1 to each neighbouring column
+    upper = np.max(np.maximum(abs(sa) + abs(sb), abs(sc) + abs(sd)) + hops, axis=0)
+    lower = np.sqrt(np.max(np.maximum(sa * sa + sc * sc, sb * sb + sd * sd) + hops, axis=0))
     delta, reach = np.exp(-k), np.exp(k) - abs(energy)
-    dist_k = np.flatnonzero((energy - delta < bound) & (energy + delta > -bound))
-    norm_k = np.flatnonzero((reach >= 0.0) & (reach < bound))
-    lo, hi = np.concatenate([energy - delta[dist_k], -reach[norm_k]]), np.concatenate([energy + delta[dist_k], reach[norm_k]])
-    within, bad = np.empty((len(lo), m), dtype=np.int32), np.zeros(m, dtype=bool)
-    step = max(1, _SHIFT_DOUBLES // (2 * n * m))
-    for at in range(0, len(lo), step):
-        t = np.concatenate([lo[at : at + step], hi[at : at + step]])[:, None]
-        side = lambda x: np.broadcast_to(x[:, None], (n, len(t), m)).reshape(n, -1) if x.shape[1] > 1 else x
-        count, hit = _closed_form_sweep((sa[:, None] - t).reshape(n, -1), side(sb), side(sc), (sd[:, None] - t).reshape(n, -1), inertia=True)
-        below, above = count.reshape(2, -1, m)
-        within[at : at + len(below)] = above - below
-        bad |= hit.reshape(-1, m).any(axis=0)
     dist_hits, norm_hits = np.zeros((m, len(k)), dtype=bool), np.zeros((m, len(k)), dtype=bool)
-    dist_hits[:, dist_k] = (within[: len(dist_k)] > 0).T
-    norm_hits[:, reach < 0.0] = True
-    norm_hits[:, norm_k] = (within[len(dist_k) :] < 2 * n).T
+    dist, norm, bad = np.ones(m, dtype=bool), np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
+    span = max(1, _SHIFT_DOUBLES // (2 * n))
+    for j in np.argsort(k, kind="stable"):
+        lo, hi, r = energy - delta[j], energy + delta[j], reach[j]
+        dist &= (lo < upper) & (hi > -upper)
+        norm &= upper > r
+        sure = norm & (lower > r)
+        d, s = np.flatnonzero(dist), np.flatnonzero(norm & ~sure)
+        idx, ends = np.concatenate([d, s]), [np.repeat(x, (len(d), len(s))) for x in ((lo, -r), (hi, r))]
+        within, hit = np.empty(len(idx), dtype=np.intp), np.empty(len(idx), dtype=bool)
+        for at in range(0, len(idx), span):
+            piece = slice(at, at + span)
+            within[piece], hit[piece] = _interval_counts(entries, idx[piece], ends[0][piece], ends[1][piece])
+        bad[idx[hit]] = True
+        dist[d], norm[s] = within[: len(d)] > 0, within[len(d) :] < 2 * n
+        dist &= ~bad
+        norm &= ~bad
+        dist_hits[:, j], norm_hits[:, j] = dist, norm
     return dist_hits, norm_hits, bad
 
 

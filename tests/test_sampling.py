@@ -440,7 +440,8 @@ def _eigvalsh_spectral(spec, geometry, region, energy, k_grid, n, seed):
     return np.sum(gaps, axis=1), np.min(gaps, axis=1) < -k, np.log(abs(energy) + np.max(np.abs(eigs), axis=1)) > k
 
 
-K_SPECTRAL = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0]
+# out of order: the inertia masks run the K in increasing order and skip the samples a smaller K already missed
+K_SPECTRAL = [3.0, 0.0, 8.0, 1.0, 0.5, 6.0, 1.5, 4.0, 2.0]
 SPECTRAL_CASES = [
     # (name, spec, geometry, region, energy, masks from eigvalsh: "all", "none" or a count)
     ("point 0 5x2 E=0, singular, eigenvalues at +-1", POINT0, StripGeometry(2, 1, 5), Region.rectangle(1, 5, 1, 2), 0.0, "all"),
@@ -471,7 +472,7 @@ def test_spectral_masks_match_eigvalsh(spec, geometry, region, energy, redone):
 
 
 def test_spectral_masks_are_the_same_across_batches_and_workers():
-    # 3 x 2 = 6 sites: chunks of 4,096 samples, so 9,000 samples make three batches with their own Gershgorin bounds
+    # 3 x 2 = 6 sites: chunks of 4,096 samples, so 9,000 samples make three batches
     geometry, region = StripGeometry(2, 1, 3), Region.rectangle(1, 3, 1, 2)
     one = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 9000, seed=8)
     two = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 9000, seed=8, workers=2)
