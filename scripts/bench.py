@@ -35,10 +35,10 @@ the dense matrix, assembled outside the timer, and the disorder sample, as
 `striplyap dets` calls it.  Unit: sites.
 
 Suite ``assemble``: `build_hamiltonians`, the dense stack of H_region - E
-that every non-Schur sampler factors, on one draw chunk of the uniform
+that every non-Schur sampler factors, on one `draw_chunk` of the uniform
 [-1.5, 1.5] adjacency law at E = 0: the 4 x 2 rectangle of the `tails-small`
-cartan run (4096 samples), a 40 x 2 rectangle (1310 samples, the chunk of an
-80-site region) and a 16 x 2 rectangle minus the site (8, 1) (4096 samples);
+cartan run (4096 samples), a 40 x 2 rectangle (1310 samples, the dense batch
+of an 80-site region) and a 16 x 2 rectangle minus the site (8, 1) (4096 samples);
 plus `logdet_direct` on the Cauchy 2000 x 2 `routes` strip given as the
 sample, whose band storage is written from its column blocks.  Unit:
 samples (the route-(a) case counts its one sample).

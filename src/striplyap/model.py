@@ -12,7 +12,7 @@ between neighbouring columns, and keeps the principal submatrix on the
 region's sites, which is its Dirichlet restriction.  The transfer sweep, the
 Schur route and the band storage of the direct route read the same blocks;
 the W = 2 ensemble sweep forms their entries by the same operations, samples
-last, copying a batch's draws in chunk by chunk.
+last, copying a batch's draws in piece by piece.
 """
 
 from __future__ import annotations
@@ -45,10 +45,13 @@ U_LAWS = ("zero", "adjacency", "random_band")
 
 # stream domains: every split_stream path in the package starts with one of these
 _DOMAIN_SAMPLE = 0  # sample_disorder, then (sample index, field)
-_DOMAIN_CHUNK = 1  # draw_chunk, then (chunk index, field)
+_DOMAIN_CHUNK = 1  # draw_chunk, then (block index, field), entered at the sample's offset in its block
 _DOMAIN_BOOT = 2  # block bootstrap of lyapunov_spectrum
 _DOMAIN_VERIFY = 7  # verify suites, then the suite number
 _DOMAIN_BOOT_CI = 9  # bootstrap_ci resampling
+
+_DRAW_BLOCK = 4096  # samples per (seed, _DOMAIN_CHUNK, block) stream
+_PIECE_DOUBLES = 1 << 14  # raw doubles per piece of draw_pieces: 128 KB, copied whole into a batch
 
 
 class ConfigurationError(ValueError):
@@ -324,7 +327,7 @@ def sample_disorder(
     geometry: StripGeometry, spec: DisorderSpec, seed: int, index: int = 0
 ) -> DisorderSample:
     """Draw one disorder realization, a pure function of (geometry, spec, seed, index)."""
-    pot, u_band = _draw(spec, geometry, seed, (_DOMAIN_SAMPLE, index), 1)
+    pot, u_band = _draw(spec, geometry, _streams(spec, geometry, seed, _DOMAIN_SAMPLE, index), 1)
     return DisorderSample(
         geometry=geometry, u_law=spec.u_law, potentials=pot[0], u_band=None if u_band is None else u_band[0]
     )
@@ -362,7 +365,6 @@ def boundary(region: Region, subregion: Region, geometry: StripGeometry) -> froz
 
 
 _BOX_DOUBLES = 1 << 16  # bounding-box doubles per slice when a region fills part of its box
-_COPY_SAMPLES = 64  # samples per transposed copy: a whole chunk at once is 3x slower at a 512-byte sample stride
 
 
 def _diagonal(a: np.ndarray, offset: int = 0) -> np.ndarray:
@@ -419,18 +421,13 @@ def _column_blocks(
     return s
 
 
-def _column_entries(potentials, u_law, u_band, energy: float, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
-    """``_draw_entries`` of one (m, N, W) draw array and its (m, N, d+1, W) band entries."""
-    return _draw_entries([(potentials, u_band)], len(potentials), u_law, energy, cols, rows)
-
-
 def _draw_entries(draws, m: int, u_law: str, energy: float, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
     """``_column_blocks`` of W = 2 rows of m samples, samples last: entries (0, 0), (0, 1), (1, 0), (1, 1).
 
-    ``draws`` yields the (potentials, u_band) chunks of the m samples in order;
-    each is copied into its slice of the batch, _COPY_SAMPLES samples at a
-    time, and let go.  Each entry is (n, m), by the same operations in the same
-    order; off the diagonal (n, 1) where the coupling law gives every sample the same U.
+    ``draws`` yields the (potentials, u_band) pieces of the m samples in order,
+    each small enough to copy whole into its slice of the batch, and let go.
+    Each entry is (n, m), by the same operations in the same order; off the
+    diagonal (n, 1) where the coupling law gives every sample the same U.
     """
     (c0, c1), (r0, r1) = cols, rows
     band = u_law == "random_band"
@@ -438,13 +435,11 @@ def _draw_entries(draws, m: int, u_law: str, energy: float, cols: tuple[int, int
     for pot, u_band in draws:
         if c1 > pot.shape[-2] or r1 > pot.shape[-1]:
             raise ConfigurationError("sites outside the sampled extent")
-        for at in range(0, len(pot), _COPY_SAMPLES):
-            part, into = slice(at, at + _COPY_SAMPLES), slice(lo + at, lo + min(at + _COPY_SAMPLES, len(pot)))
-            diag[..., into] = pot[part, c0:c1, r0:r1].transpose(1, 2, 0)
-            if band:
-                u[..., into] = np.moveaxis(_couplings(pot[part].shape[:1], u_law, u_band[part], cols, rows), 0, -1)
-        lo += len(pot)
-        del pot, u_band  # before the next chunk is drawn
+        into, lo = slice(lo, lo + len(pot)), lo + len(pot)
+        diag[..., into] = pot[:, c0:c1, r0:r1].transpose(1, 2, 0)
+        if band:
+            u[..., into] = np.moveaxis(_couplings(pot.shape[:1], u_law, u_band, cols, rows), 0, -1)
+        del pot, u_band  # before the next piece is drawn
     s = np.subtract(0.0, u, out=u) if band else np.subtract(0.0, _couplings((), u_law, None, cols, rows)[..., None])
     diag += s[:, (0, 1), (0, 1)]
     diag -= energy
@@ -514,21 +509,48 @@ def assemble_hamiltonian(sample: DisorderSample, region: Region) -> np.ndarray:
     return h
 
 
-def draw_chunk(
-    spec: DisorderSpec, geometry: StripGeometry, chunk_idx: int, m: int, seed: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Batched draw of m realizations; depends only on (spec, geometry, seed, chunk_idx)."""
-    return _draw(spec, geometry, seed, (_DOMAIN_CHUNK, chunk_idx), m)
+def draw_chunk(spec: DisorderSpec, geometry: StripGeometry, first: int, m: int, seed: int, *, streams: list | None = None) -> tuple:
+    """Draws of samples first .. first + m - 1 of one block, a pure function of (spec, geometry, seed, first, m).
+
+    Sample i is draw i % _DRAW_BLOCK of the streams of block i // _DRAW_BLOCK;
+    ``streams`` are that block's, already at ``first``, continued rather than opened again.
+    """
+    if first % _DRAW_BLOCK + m > _DRAW_BLOCK:
+        raise ConfigurationError("a draw must lie in one block of samples")
+    return _draw(spec, geometry, streams or _streams(spec, geometry, seed, _DOMAIN_CHUNK, first), m)
 
 
-def _draw(
-    spec: DisorderSpec, geometry: StripGeometry, seed: int, path: tuple[int, int], m: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """(m, N, W) potentials and (m, N, d+1, W) band entries from the streams (seed, *path, field)."""
+def draw_pieces(spec: DisorderSpec, geometry: StripGeometry, first: int, m: int, seed: int):
+    """Yield the draws of samples first .. first + m - 1 in ``draw_chunk`` pieces of at most _PIECE_DOUBLES raw doubles (one sample at least), opening each block's streams once."""
+    piece, end = max(1, _PIECE_DOUBLES // sum(_field_doubles(spec, geometry))), first + m
+    while first < end:
+        stop, streams = min(end, (first // _DRAW_BLOCK + 1) * _DRAW_BLOCK), _streams(spec, geometry, seed, _DOMAIN_CHUNK, first)
+        for lo in range(first, stop, piece):
+            yield draw_chunk(spec, geometry, lo, min(piece, stop - lo), seed, streams=streams)
+        first = stop
+
+
+def _field_doubles(spec: DisorderSpec, geometry: StripGeometry) -> tuple[int, ...]:
+    """Raw doubles per sample of each stream: potentials, then band entries under the random band law."""
     n, w, d = geometry.columns, geometry.width, geometry.bandwidth
-    pot = spec._from_uniform(split_stream(seed, *path, 0).random((m, n, w)))
+    return (n * w, n * (d + 1) * w) if spec.u_law == "random_band" else (n * w,)
+
+
+def _streams(spec: DisorderSpec, geometry: StripGeometry, seed: int, domain: int, index: int) -> list:
+    """The streams (seed, domain, index, field); under _DOMAIN_CHUNK, those of sample ``index``'s block, advanced to it."""
+    block, skip = divmod(index, _DRAW_BLOCK) if domain == _DOMAIN_CHUNK else (index, 0)
+    streams = [split_stream(seed, domain, block, f) for f in range(len(_field_doubles(spec, geometry)))]
+    for rng, size in zip(streams, _field_doubles(spec, geometry)):
+        rng.bit_generator.advance(skip * size)  # one 64-bit output per double
+    return streams
+
+
+def _draw(spec: DisorderSpec, geometry: StripGeometry, streams: list, m: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """The next m realizations off ``streams``: (m, N, W) potentials and (m, N, d+1, W) band entries."""
+    n, w, d = geometry.columns, geometry.width, geometry.bandwidth
+    pot = spec._from_uniform(streams[0].random((m, n, w)))
     u_band = None
     if spec.u_law == "random_band":
         c = spec.u_params.get("coupling", 1.0)
-        u_band = c * (2.0 * split_stream(seed, *path, 1).random((m, n, d + 1, w)) - 1.0)
+        u_band = c * (2.0 * streams[1].random((m, n, d + 1, w)) - 1.0)
     return pot, u_band

@@ -1,23 +1,15 @@
-"""Chunked, worker-parallel Monte Carlo kernels over disorder ensembles.
+"""Batched, worker-parallel Monte Carlo kernels over disorder ensembles.
 
-Draws come in chunks: chunk k of an ensemble is a pure function of (spec,
-geometry, seed, k), with a chunk size set by the dense memory budget of the
-region.  A kernel batch is a run of consecutive whole chunks, and workers
-only schedule whole batches, so every sampler here returns the same arrays
-for any worker count.  A batch draws its chunks as it reads them and keeps no
-chunk past its copy into the batch.  Rectangles in ``sample_logdets`` go
-through the batched Schur sweep (route c), in batches of up to DEFAULT_CHUNK
-samples: at W = 2 on samples-last entries, elementwise numpy over the batch,
-so a second worker speeds it up, and on one (m, n, W, W) array of column
-blocks at other widths.  A sample the sweep marks bad goes to route (a), one
-banded LU on its own blocks.  ``sample_spectral`` on W = 2 rectangles takes
-log|det(H - E)| from the same sweep, and the distance and norm tests of the
-Cartan estimate from inertia counts of the sweep of H - t at shifted
-energies t (Sylvester's law of inertia), so no eigenvalue is computed unless
-a sample is bad at a shift.  Every other kernel factors the dense stack of
-H_region - E that ``model.build_hamiltonians`` stacks from the same column
-blocks, one chunk per batch; ``sample_site_shifts`` reads the coupling row of
-the peeled site off its row of that stack.
+Sample i's draws depend on (spec, geometry, seed, i) alone, as ``model`` lays
+them out.  A batch is a run of consecutive samples sized by the memory budget
+and drawn in pieces, and each sample's arithmetic is independent of its batch,
+so a sampler returns the same arrays for any worker count or budget, and a
+shorter run is a prefix of a longer one.  Rectangles go through the batched
+Schur sweep (route c), elementwise over the batch at W = 2, with route (a) for
+the samples it marks bad; on W = 2 rectangles ``sample_spectral`` takes the
+Cartan distance and norm tests from inertia counts of the same sweep.  Every
+other kernel factors the dense stack of H_region - E from
+``model.build_hamiltonians``.
 """
 
 from __future__ import annotations
@@ -39,7 +31,7 @@ from .model import (
     _draw_entries,
     _stack_columns,
     build_hamiltonians,
-    draw_chunk,
+    draw_pieces,
     split_stream,
 )
 
@@ -57,32 +49,24 @@ _CHUNK_BUDGET = 1 << 23  # doubles per batch of stacked Hamiltonians or column b
 _SHIFT_DOUBLES = 1 << 15  # entries of one (n, 2 * samples) diagonal in an inertia sweep of shifted samples
 
 
-def _effective_chunk(matrix_dim: int) -> int:
-    return max(16, min(DEFAULT_CHUNK, _CHUNK_BUDGET // max(matrix_dim * matrix_dim, 1)))
-
-
-def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, workers: int, sample_doubles: int) -> list[np.ndarray]:
+def _map_draws(batch, spec, geometry, n_samples: int, seed: int, workers: int, sample_doubles: int) -> list[np.ndarray]:
     """Run ``batch(draws, m)`` over the ensemble batch by batch and join its results.
 
-    The draws are cut into chunks of ``_effective_chunk(sites)`` samples.  A
-    batch is a run of consecutive whole chunks of at most DEFAULT_CHUNK samples
-    whose working set, at ``sample_doubles`` per sample, fits in _CHUNK_BUDGET
-    doubles, and always at least one chunk.  ``batch`` gets the batch's m
-    samples as ``draws``, which draws its chunks in order as it is iterated,
-    and returns a tuple of arrays with one value per sample of the batch.
+    A batch is a run of at most DEFAULT_CHUNK consecutive samples whose
+    working set, at ``sample_doubles`` per sample, fits in _CHUNK_BUDGET
+    doubles, and at least one.  ``batch`` gets the batch's m samples as
+    ``draws``, which yields them piece by piece (``model.draw_pieces``), and
+    returns a tuple of arrays with one value per sample of the batch.
     """
     if n_samples < 1:
         raise ConfigurationError("need at least one sample")
-    chunk = _effective_chunk(sites)
-    n_chunks = -(-n_samples // chunk)
-    per_batch = max(1, min(DEFAULT_CHUNK, _CHUNK_BUDGET // sample_doubles) // chunk)
+    per_batch = max(1, min(DEFAULT_CHUNK, _CHUNK_BUDGET // sample_doubles))
 
     def task(first: int) -> tuple:
-        last = min(first + per_batch, n_chunks)
-        draws = (draw_chunk(spec, geometry, idx, min(chunk, n_samples - idx * chunk), seed) for idx in range(first, last))
-        return batch(draws, min(last * chunk, n_samples) - first * chunk)
+        m = min(per_batch, n_samples - first)
+        return batch(draw_pieces(spec, geometry, first, m, seed), m)
 
-    batches = range(0, n_chunks, per_batch)
+    batches = range(0, n_samples, per_batch)
     if workers <= 1:
         results = list(map(task, batches))
     else:
@@ -91,18 +75,24 @@ def _map_draws(batch, spec, geometry, sites: int, n_samples: int, seed: int, wor
     return [np.concatenate(parts) for parts in zip(*results)]
 
 
+def _joined(draws) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (potentials, u_band) arrays of a batch, joined from its pieces."""
+    pots, bands = zip(*draws)
+    return np.concatenate(pots), None if bands[0] is None else np.concatenate(bands)
+
+
 def _map_chunks(batch, spec, geometry, region, shift: float, n_samples: int, seed: int, workers: int) -> list[np.ndarray]:
-    """Run ``batch(h)`` on the dense stack h of H_region - shift, one chunk at a time."""
+    """Run ``batch(h)`` on the dense stack h of H_region - shift, one batch at a time."""
 
     def dense(draws, m):
-        ((pot, u_band),) = draws  # the chunk is the batch: its length fits the stack's budget
+        pot, u_band = _joined(draws)
         return batch(build_hamiltonians(region, pot, spec.u_law, u_band, shift))
 
-    return _map_draws(dense, spec, geometry, region.size, n_samples, seed, workers, region.size**2)
+    return _map_draws(dense, spec, geometry, n_samples, seed, workers, region.size**2)
 
 
 def _solve(h: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Batched solve of h x = rhs; a singular sample gives a nan row, not a failed chunk."""
+    """Batched solve of h x = rhs; a singular sample gives a nan row, not a failed batch."""
     try:
         return np.linalg.solve(h, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
@@ -162,13 +152,13 @@ def sample_logdets(
                 for pot, u_band in draws:
                     blocks[lo : lo + len(pot)] = _column_blocks(pot, spec.u_law, u_band, energy, cols, rows)
                     lo += len(pot)
-                    del pot, u_band  # before the next chunk is drawn
+                    del pot, u_band  # before the next piece is drawn
                 _, log_abs, bad = _schur_sweep(blocks)
                 blocks_of = blocks.__getitem__
             _reroute(log_abs, bad, blocks_of, 0.0)
             return (log_abs,)
 
-        out = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, (n1 - n0 + 1) * w * w)[0]
+        out = _map_draws(batch, spec, geometry, n_samples, seed, workers, (n1 - n0 + 1) * w * w)[0]
     else:
         sign, log_abs = _map_chunks(np.linalg.slogdet, spec, geometry, region, energy, n_samples, seed, workers)
         out = np.where(sign == 0.0, -np.inf, log_abs)
@@ -270,7 +260,7 @@ def sample_spectral(
     k = np.asarray(k_grid, dtype=float)
     n0, n1, w0, w1 = region.bounds()
     if region.is_rectangle and w1 - w0 == 1:
-        cols, rows, chunk = (n0 - 1, n1), (w0 - 1, w1), _effective_chunk(region.size)
+        cols, rows, redo_batch = (n0 - 1, n1), (w0 - 1, w1), max(1, _CHUNK_BUDGET // region.size**2)
 
         def batch(draws, m):
             entries = _draw_entries(draws, m, spec.u_law, 0.0, cols, rows)  # the blocks of H itself
@@ -280,12 +270,12 @@ def sample_spectral(
             _reroute(log_abs, bad, blocks_of, energy)
             dist_hits, norm_hits, bad = _inertia_masks(entries, energy, k)
             redo = np.flatnonzero(bad)
-            for lo in range(0, len(redo), chunk):
-                idx = redo[lo : lo + chunk]
+            for lo in range(0, len(redo), redo_batch):
+                idx = redo[lo : lo + redo_batch]
                 dist_hits[idx], norm_hits[idx] = _spectral_masks(np.linalg.eigvalsh(_stack_columns(blocks_of(idx))), energy, k)
             return log_abs, dist_hits, norm_hits, bad
 
-        log_abs, dist_hits, norm_hits, redone = _map_draws(batch, spec, geometry, region.size, n_samples, seed, workers, (n1 - n0 + 1) * 4)
+        log_abs, dist_hits, norm_hits, redone = _map_draws(batch, spec, geometry, n_samples, seed, workers, (n1 - n0 + 1) * 4)
         n_eig = int(np.count_nonzero(redone))
     else:
 
@@ -322,14 +312,13 @@ def sample_site_shifts(
     rest = np.flatnonzero(np.arange(region.size) != i)
 
     def batch(draws, m):
-        ((pot, u_band),) = draws
+        pot, u_band = _joined(draws)
         h = build_hamiltonians(region, pot, spec.u_law, u_band, energy)
         u_kk = _couplings(pot.shape[:1], spec.u_law, u_band, (n0 - 1, n0), (w0 - 1, w0))[:, 0, 0, 0]
         g = h[:, i, rest]
         return (u_kk + energy + np.sum(g * _solve(h[:, rest[:, None], rest], g), axis=1),)
 
-    # the chunk length fixes the draws, and stays keyed to the punctured region
-    out = _map_draws(batch, spec, geometry, region.size - 1, n_samples, seed, workers, region.size**2)[0]
+    out = _map_draws(batch, spec, geometry, n_samples, seed, workers, region.size**2)[0]
     return out, int(np.sum(~np.isfinite(out)))
 
 

@@ -1,7 +1,7 @@
 """Monte Carlo engine and experiment harness for the probabilistic estimates.
 
 Every experiment is a pure function of (config, seed): sampling goes through
-counter-keyed chunk streams and bootstraps are seeded, so reruns with any
+streams keyed by sample index and bootstraps are seeded, so reruns with any
 worker count reproduce the same tables byte for byte.
 """
 

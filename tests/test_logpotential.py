@@ -130,14 +130,18 @@ def test_site_shift_samples_two_site_formula():
 PEEL_CASES = [
     (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), StripGeometry(2, 1, 20), (9, 2)),
     (DisorderSpec.cauchy(1.0, u_law="random_band", coupling=0.8), StripGeometry(4, 2, 10), (5, 2)),
+    # past 45 sites, where the draws once depended on the region's size
+    (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), StripGeometry(2, 1, 23), (12, 1)),
+    (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), StripGeometry(2, 1, 40), (12, 1)),
+    (DisorderSpec.cauchy(1.0, u_law="random_band", coupling=0.8), StripGeometry(4, 2, 12), (6, 2)),
 ]
 
 
 @pytest.mark.parametrize("spec, geo, k", PEEL_CASES)
 def test_site_shift_peel_across_kernels(spec, geo, k):
     # det(H - E) = (V_k - xi) det(H without k - E) pointwise, so the kernels
-    # must see the same realization for every (seed, sample index); at <= 40
-    # sites all 4096 samples sit in chunk 0, which draw_chunk reproduces
+    # must see the same realization for every (seed, sample index), whatever
+    # the region's size; draw_chunk reproduces the 4096 samples
     n, seed, energy = 4096, 17, 0.3
     region = Region.rectangle(1, geo.columns, 1, geo.width)
     full, _ = sample_logdets(spec, geo, region, energy, n, seed)

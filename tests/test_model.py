@@ -14,6 +14,7 @@ from striplyap.model import (
     assemble_hamiltonian,
     boundary,
     draw_chunk,
+    draw_pieces,
     s_matrix,
     sample_disorder,
     split_stream,
@@ -60,16 +61,48 @@ def test_sampling_determinism():
 
 @pytest.mark.parametrize("spec", [DisorderSpec.uniform(-1.5, 2.5), DisorderSpec.cauchy(0.7, cutoff=1e6)])
 def test_chunk_draws_are_the_public_inverse_cdf(spec):
-    # the chunk draw maps its own uniform array in place; the public map copies
-    u = split_stream(9, _DOMAIN_CHUNK, 3, 0).random((7, 5, 2))
+    # the chunk draw maps its own uniform array in place; the public map copies.
+    # Sample 3 * 4096 + 5 is draw 5 of block 3's stream, 10 doubles per sample
+    u = split_stream(9, _DOMAIN_CHUNK, 3, 0).random((12, 5, 2))[5:]
     kept = u.copy()
     pot = spec.potentials_from_uniform(u)
     assert np.array_equal(u, kept)
-    assert np.array_equal(pot, draw_chunk(spec, StripGeometry(2, 1, 5), 3, 7, 9)[0])
+    assert np.array_equal(pot, draw_chunk(spec, StripGeometry(2, 1, 5), 3 * 4096 + 5, 7, 9)[0])
     if spec.density == "uniform":
         assert np.array_equal(pot, -1.5 + (2.5 - -1.5) * u)
     else:
         assert np.array_equal(pot, 0.7 * np.tan((2.0 * u - 1.0) * np.arctan(1e6 / 0.7)))
+
+
+DRAW_LAWS = [
+    DisorderSpec.uniform(-1.5, 2.5, u_law="adjacency"),
+    DisorderSpec.cauchy(0.7, cutoff=1e6),
+    DisorderSpec("table", {"edges": [-1.0, 0.0, 2.0], "masses": [0.25, 0.75]}),
+    DisorderSpec.uniform(-1.0, 1.0, u_law="random_band", coupling=0.5),
+]
+
+
+@pytest.mark.parametrize("spec", DRAW_LAWS, ids=["uniform", "cauchy", "table", "random band"])
+def test_draws_at_an_offset_are_the_slice_of_the_block(spec):
+    # sample i depends on (seed, i) alone: any run of a block, drawn alone or in pieces, is its slice of the whole block
+    geo = StripGeometry(3, 2, 7)
+    blocks = [draw_chunk(spec, geo, first, 4096, seed=4) for first in (0, 4096)]
+    for first, (pot, u_band) in zip((0, 4096), blocks):
+        for lo, m in ((0, 1), (1, 5), (333, 700), (4095, 1)):
+            part, band = draw_chunk(spec, geo, first + lo, m, seed=4)
+            assert np.array_equal(part, pot[lo : lo + m])
+            assert band is None if u_band is None else np.array_equal(band, u_band[lo : lo + m])
+    # 21 or 84 raw doubles per sample: pieces of 780 or 195 samples, which continue their block's streams
+    pieces = list(draw_pieces(spec, geo, 3000, 2000, seed=4))
+    assert len(pieces) >= 4 and sum(len(p) for p, _ in pieces) == 2000
+    for field in (0, 1) if spec.u_law == "random_band" else (0,):
+        ref = np.concatenate([blocks[0][field][3000:], blocks[1][field][:904]])
+        assert np.array_equal(np.concatenate([piece[field] for piece in pieces]), ref)
+
+
+def test_draws_keep_to_one_block():
+    with pytest.raises(ConfigurationError, match="one block"):
+        draw_chunk(DisorderSpec.uniform(-1.0, 1.0), StripGeometry(2, 1, 3), 4000, 97, seed=1)
 
 
 def test_neighbouring_seeds_differ():

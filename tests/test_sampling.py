@@ -3,11 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import striplyap.model as model
 import striplyap.sampling as sampling
 from striplyap import determinants
 from striplyap.determinants import SignedLogDet, _closed_form_sweep, _lapack_sweep, _schur_sweep, logdet_direct, logdet_via_schur
-from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, _column_entries, _stack_columns, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder
-from striplyap.sampling import DEFAULT_CHUNK, _effective_chunk, _map_chunks, sample_logdets, sample_spectral
+from striplyap.model import ConfigurationError, DisorderSpec, Region, StripGeometry, _column_blocks, _draw_entries, _stack_columns, assemble_hamiltonian, build_hamiltonians, draw_chunk, sample_disorder
+from striplyap.sampling import _map_chunks, sample_logdets, sample_resolvent_entries, sample_site_shifts, sample_spectral
 from striplyap.transfer import NumericError
 
 UNIFORM = DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency")
@@ -179,7 +180,7 @@ def test_one_sample_sweep_rejects_non_finite_blocks(w, value):
 
 def _assert_samples_last_is_the_stack(pot, u_law, u_band, energy, cols, rows):
     """The sweep on entries built from the draws against ``_schur_sweep`` on the (m, n, 2, 2) stack, bit for bit."""
-    got = _closed_form_sweep(*_column_entries(pot, u_law, u_band, energy, cols, rows))
+    got = _closed_form_sweep(*_draw_entries([(pot, u_band)], len(pot), u_law, energy, cols, rows))
     ref = _schur_sweep(_column_blocks(pot, u_law, u_band, energy, cols, rows))
     for x, y in zip(got, ref):
         assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
@@ -220,7 +221,7 @@ def test_samples_last_sweep_masks_bad_samples_and_the_sampler_recomputes_them(mo
     pot = _masked_draws()
     bad = _assert_samples_last_is_the_stack(pot, "zero", None, 0.0, (0, 7), (0, 2))
     assert bad.tolist() == [False, True, False, True, False]
-    monkeypatch.setattr(sampling, "draw_chunk", lambda spec, geometry, idx, m, seed: (pot[:m].copy(), None))
+    monkeypatch.setattr(sampling, "draw_pieces", lambda spec, geometry, first, m, seed: [(pot[first : first + m].copy(), None)])
     got, n_singular = sample_logdets(LAWS[1], StripGeometry(2, 1, 7), Region.rectangle(1, 7, 1, 2), 0.0, 5, seed=1)
     h = _stack_columns(_column_blocks(pot, "zero", None, 0.0, (0, 7)))
     routed = [logdet_direct(h[i], 0.0) for i in range(5)]
@@ -233,33 +234,64 @@ def test_samples_last_sweep_masks_bad_samples_and_the_sampler_recomputes_them(mo
     assert np.array_equal(got[~bad], _schur_sweep(_column_blocks(pot, "zero", None, 0.0, (0, 7)))[1][~bad])
 
 
-def _concatenated_draws(spec, geometry, chunk, n_samples, seed):
-    draws = [draw_chunk(spec, geometry, i, min(chunk, n_samples - i * chunk), seed) for i in range(-(-n_samples // chunk))]
+def _block_draws(spec, geometry, n_samples, seed):
+    """Samples 0 .. n_samples - 1 as whole-block ``draw_chunk`` calls, joined: the reference the samplers' pieces must reproduce."""
+    block = model._DRAW_BLOCK
+    draws = [draw_chunk(spec, geometry, lo, min(block, n_samples - lo), seed) for lo in range(0, n_samples, block)]
     return np.concatenate([p for p, _ in draws]), None if draws[0][1] is None else np.concatenate([u for _, u in draws])
 
 
 STREAMED = [
-    # (name, spec, geometry, region, chunks per batch): 80 sites draw chunks of 1,310 samples, 46 sites one chunk of 3,964
-    ("adjacency 40x2", UNIFORM, StripGeometry(2, 1, 40), Region.rectangle(1, 40, 1, 2), 3),
-    ("band 23x2", BAND, StripGeometry(2, 1, 23), Region.rectangle(1, 23, 1, 2), 1),
-    ("zero rows 3-4 of 40x4", LAWS[1], StripGeometry(4, 1, 40), Region.rectangle(1, 40, 3, 4), 3),
-    ("band d=2 rows 2-3, columns 5-44 of 48x4", BAND, StripGeometry(4, 2, 48), Region.rectangle(5, 44, 2, 3), 3),
-    ("band d=2 columns 3-22 of 24x4", BAND, StripGeometry(4, 2, 24), Region.rectangle(3, 22, 1, 4), 3),
-    ("adjacency columns 2-28 of 30x3", UNIFORM, StripGeometry(3, 1, 30), Region.rectangle(2, 28, 1, 3), 3),
+    # (name, spec, geometry, region): rectangles of more than 45 sites, which a layout sized by the region would draw differently
+    ("adjacency 40x2", UNIFORM, StripGeometry(2, 1, 40), Region.rectangle(1, 40, 1, 2)),
+    ("band 23x2", BAND, StripGeometry(2, 1, 23), Region.rectangle(1, 23, 1, 2)),
+    ("zero rows 3-4 of 40x4", LAWS[1], StripGeometry(4, 1, 40), Region.rectangle(1, 40, 3, 4)),
+    ("band d=2 rows 2-3, columns 5-44 of 48x4", BAND, StripGeometry(4, 2, 48), Region.rectangle(5, 44, 2, 3)),
+    ("band d=2 columns 3-22 of 24x4", BAND, StripGeometry(4, 2, 24), Region.rectangle(3, 22, 1, 4)),
+    ("adjacency columns 2-28 of 30x3", UNIFORM, StripGeometry(3, 1, 30), Region.rectangle(2, 28, 1, 3)),
 ]
 
 
-@pytest.mark.parametrize("spec, geometry, region, per_batch", [c[1:] for c in STREAMED], ids=[c[0] for c in STREAMED])
-def test_sampler_matches_the_stacked_sweep_across_chunks_and_workers(spec, geometry, region, per_batch):
+@pytest.mark.parametrize("spec, geometry, region", [c[1:] for c in STREAMED], ids=[c[0] for c in STREAMED])
+def test_sampler_matches_the_stacked_sweep_across_chunks_and_workers(monkeypatch, spec, geometry, region):
+    # 5,000 samples cross the first block of draws; the sweep on whole-block draws is the reference
     n0, n1, w0, w1 = region.bounds()
-    chunk = _effective_chunk(region.size)
-    assert chunk < DEFAULT_CHUNK and min(DEFAULT_CHUNK, sampling._CHUNK_BUDGET // (region.size * (w1 - w0 + 1))) // chunk == per_batch
-    pot, u_band = _concatenated_draws(spec, geometry, chunk, 5000, 17)
+    pot, u_band = _block_draws(spec, geometry, 5000, 17)
     _, ref, bad = _schur_sweep(_column_blocks(pot, spec.u_law, u_band, 0.2, (n0 - 1, n1), (w0 - 1, w1)))
     assert not bad.any()
     for workers in (1, 2):
         got, _ = sample_logdets(spec, geometry, region, 0.2, 5000, seed=17, workers=workers)
         assert np.array_equal(got, ref)
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 1 << 14)  # batches of 51-178 samples
+    got, _ = sample_logdets(spec, geometry, region, 0.2, 5000, seed=17, workers=2)
+    assert np.array_equal(got, ref)
+
+
+KEYED = [
+    # (name, spec, geometry, region, site): more than 45 sites, where a layout sized by the region would show; dense and Schur paths
+    ("adjacency 23x2", UNIFORM, StripGeometry(2, 1, 23), Region.rectangle(1, 23, 1, 2), (12, 1)),
+    ("adjacency 24x2 minus (5, 2)", UNIFORM, StripGeometry(2, 1, 24), Region.rectangle(1, 24, 1, 2).without_site((5, 2)), (12, 1)),
+    ("band d=2 12x4", BAND, StripGeometry(4, 2, 12), Region.rectangle(1, 12, 1, 4), (6, 3)),
+]
+
+
+@pytest.mark.parametrize("spec, geometry, region, site", [c[1:] for c in KEYED], ids=[c[0] for c in KEYED])
+def test_every_kernel_keys_its_draws_by_sample_index(monkeypatch, spec, geometry, region, site):
+    # the same arrays under any batch budget and worker count, and a shorter run is a prefix; 4,160 samples cross sample 4,096
+    def kernels(n, workers):
+        spectral = sample_spectral(spec, geometry, region, 0.3, [0.5, 2.0], n, seed=11, workers=workers)
+        return (
+            sample_logdets(spec, geometry, region, 0.3, n, seed=11, workers=workers)[0],
+            *(spectral[key] for key in ("log_abs", "dist_hits", "norm_hits")),
+            sample_site_shifts(spec, geometry, region, site, 0.3, n, seed=11, workers=workers)[0],
+            sample_resolvent_entries(spec, geometry, region, site, region.sites[-1], 0.3, n, seed=11, workers=workers),
+        )
+
+    ref = kernels(4160, 1)
+    for budget, n, workers in ((1 << 20, 4160, 2), (1 << 16, 4160, 1), (1 << 16, 100, 2)):
+        monkeypatch.setattr(sampling, "_CHUNK_BUDGET", budget)
+        for x, y in zip(kernels(n, workers), ref):
+            assert np.array_equal(x, y[..., :n], equal_nan=True)
 
 
 @pytest.mark.parametrize(
@@ -293,25 +325,24 @@ def _block_tridiagonal(diag_blocks):
     return h
 
 
-def test_rectangle_batches_are_deterministic():
+def test_rectangle_batches_are_deterministic(monkeypatch):
     geo = StripGeometry(2, 1, 40)
     region = Region.rectangle(1, 40, 1, 2)
-    # 80 sites: draw chunks of 1310 samples, kernel batches of three whole chunks
-    assert 2 * _effective_chunk(region.size) <= DEFAULT_CHUNK
     one, _ = sample_logdets(UNIFORM, geo, region, 0.0, 9000, seed=17, workers=1)
     two, _ = sample_logdets(UNIFORM, geo, region, 0.0, 9000, seed=17, workers=2)
     assert np.array_equal(one, two)
     long, _ = sample_logdets(UNIFORM, geo, region, 0.0, 3000, seed=17)
     short, _ = sample_logdets(UNIFORM, geo, region, 0.0, 1000, seed=17)
-    assert np.array_equal(long[:1000], short)
+    assert np.array_equal(long[:1000], short) and np.array_equal(one[:3000], long)
+    monkeypatch.setattr(sampling, "_CHUNK_BUDGET", 160 * 1000)  # batches of 1,000 samples, two of them across samples 4,096 and 8,192
+    assert np.array_equal(sample_logdets(UNIFORM, geo, region, 0.0, 9000, seed=17)[0], one)
 
 
 def test_fallback_factors_each_bad_sample_from_its_own_blocks(monkeypatch):
     # odd chains at E = 0 are singular: every sample of a 33 x 2 strip without
-    # vertical coupling goes back to route (a), one sample's blocks at a time, in one two-chunk batch
+    # vertical coupling goes back to route (a), one sample's blocks at a time, in one batch of many pieces
     geo = StripGeometry(2, 1, 33)
     region = Region.rectangle(1, 33, 1, 2)
-    chunk = _effective_chunk(region.size)
     shapes = []
     band = sampling._block_band
 
@@ -321,7 +352,6 @@ def test_fallback_factors_each_bad_sample_from_its_own_blocks(monkeypatch):
 
     monkeypatch.setattr(sampling, "_block_band", recording)
     got, n_singular = sample_logdets(DisorderSpec.point(0.0), geo, region, 0.0, 3000, seed=3)
-    assert 2 * chunk <= DEFAULT_CHUNK and chunk < 3000
     assert shapes == [(33, 2, 2)] * 3000
     assert np.all(np.isneginf(got)) and n_singular == 3000
 
@@ -352,7 +382,7 @@ def _traced_peak(run) -> int:
 
 
 def test_streamed_batches_hold_one_chunk_of_draws():
-    # ldt's 32 x 2 rectangle: batches of two 2,048-sample chunks, 7.6 MB traced when a batch joined its chunks
+    # ldt's 32 x 2 rectangle in batches of 4,096 samples: 7.6 MB traced when a batch joined its draws
     spec, geo = DisorderSpec.uniform(-2.0, 2.0, u_law="adjacency"), StripGeometry(2, 1, 32)
     assert _traced_peak(lambda: sample_logdets(spec, geo, Region.rectangle(1, 32, 1, 2), 0.0, 16_384, seed=5)) < 5e6
 
@@ -417,7 +447,7 @@ INERTIA_CASES = [
 def test_inertia_counts_match_eigvalsh(name, spec, columns, shifts):
     # count(t) = #{eigenvalues of H below t}, from the signs of the Schur blocks of H - t (Sylvester's law of inertia)
     pot, u_band = draw_chunk(spec, StripGeometry(2, 1, columns), 0, 300, seed=19)
-    sa, sb, sc, sd = _column_entries(pot, spec.u_law, u_band, 0.0, (0, columns), (0, 2))
+    sa, sb, sc, sd = _draw_entries([(pot, u_band)], len(pot), spec.u_law, 0.0, (0, columns), (0, 2))
     eigs = np.linalg.eigvalsh(build_hamiltonians(Region.rectangle(1, columns, 1, 2), pot, spec.u_law, u_band, 0.0))
     for t in shifts:
         count, bad = _closed_form_sweep(sa - t, sb, sc, sd - t, inertia=True)
@@ -430,8 +460,7 @@ def test_inertia_counts_match_eigvalsh(name, spec, columns, shifts):
 
 
 def _eigvalsh_spectral(spec, geometry, region, energy, k_grid, n, seed):
-    """``sample_spectral``'s three results from ``eigvalsh`` of the dense H on one chunk of its draws."""
-    assert n <= _effective_chunk(region.size)
+    """``sample_spectral``'s three results from ``eigvalsh`` of the dense H on the same draws."""
     pot, u_band = draw_chunk(spec, geometry, 0, n, seed)
     eigs = np.linalg.eigvalsh(build_hamiltonians(region, pot, spec.u_law, u_band, 0.0))
     k = np.asarray(k_grid)[:, None]
@@ -472,7 +501,7 @@ def test_spectral_masks_match_eigvalsh(spec, geometry, region, energy, redone):
 
 
 def test_spectral_masks_are_the_same_across_batches_and_workers():
-    # 3 x 2 = 6 sites: chunks of 4,096 samples, so 9,000 samples make three batches
+    # 3 x 2 = 6 sites: batches of 4,096 samples, so 9,000 samples make three
     geometry, region = StripGeometry(2, 1, 3), Region.rectangle(1, 3, 1, 2)
     one = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 9000, seed=8)
     two = sample_spectral(CAUCHY, geometry, region, 0.5, K_SPECTRAL, 9000, seed=8, workers=2)
