@@ -34,6 +34,7 @@ from .model import (
     StripGeometry,
     sample_disorder,
 )
+from .sampling import _linear_quantile
 from .statistics import (
     BernsteinRow,
     MultiscaleRow,
@@ -317,7 +318,7 @@ def _bernstein(spec, geo, energy, p, mc):
     summands, cells = block_logdet_summands(spec, geo, region, cell, energy, *mc)
     x_grid = p.get("x_grid")
     if x_grid is None:
-        top = float(np.quantile(np.abs(summands.sum(axis=1)), 0.999)) * 1.5
+        top = _linear_quantile(np.abs(summands.sum(axis=1)), 0.999) * 1.5
         x_grid = list(np.linspace(0.0, max(top, 1.0), 9)[1:])
     return bernstein_check(summands, x_grid), {"n_cells": len(cells), "cell": cell}
 

@@ -47,6 +47,7 @@ COND_LIMIT = 1e14  # Schur blocks worse conditioned than this go to the dense ro
 _SWEEP_COLUMNS = 4096  # columns the one-sample W = 2 loop holds as Python floats at a time
 _DET_ROWS = 8  # columns of det(B_k) the stacked W = 2 sweep holds before it reduces them
 _GBTRF = _FLAPACK.dgbtrf
+_FRAME_FLOOR = 16.0  # route (b) calls det(H - E) zero where |det Q[:W, :W]| < this x N W eps
 
 
 class NearSingularError(ArithmeticError):
@@ -250,11 +251,20 @@ def logdet_via_transfer(sample: DisorderSample, energy: float, n_steps: int | No
     det(H_N - E).  The block is recovered from the stabilized factorization
     P = Q R with log diag R = r: R is upper triangular, so
     det(P[:W, :W]) = det(Q[:W, :W]) * exp(r_1 + .. + r_W).
+
+    Q is orthogonal, so det(Q[:W, :W]) is O(1) unless P[:W, :W] is singular,
+    and then it is roundoff: the sign is 0 where |det(Q[:W, :W])| falls below
+    _FRAME_FLOOR N W eps.  On the exactly singular integer strips it stays
+    below 3 N W eps; on the nonsingular strips of the determinant checks it
+    is above 1e9 N W eps.
     """
     n = _rectangle_steps(sample, n_steps)
     w = sample.geometry.width
     acc = accumulate(sample, energy, n)
-    return signed_logdet(acc.frame[:w, :w]) * SignedLogDet(1, float(np.sum(acc.log_radii[:w])))
+    frame = signed_logdet(acc.frame[:w, :w])
+    if frame.log_abs < math.log(_FRAME_FLOOR * n * w * np.finfo(float).eps):
+        return SignedLogDet.zero()
+    return frame * SignedLogDet(1, float(np.sum(acc.log_radii[:w])))
 
 
 def _norm1(m: np.ndarray) -> np.ndarray:
@@ -295,7 +305,13 @@ def _norm1_into(a, b, c, d, out, t1, t2) -> np.ndarray:
     return np.maximum(out, t1, out=out)
 
 
-def _closed_form_sweep(sa, sb, sc, sd, inertia: bool = False) -> tuple:
+def _sweep_scratch(n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat float and bool work space of ``_closed_form_sweep`` on n columns of up to m samples."""
+    rows = min(n, _DET_ROWS)
+    return np.empty((12 + rows) * m), np.empty((1 + rows) * m, dtype=bool)
+
+
+def _closed_form_sweep(sa, sb, sc, sd, inertia: bool = False, scratch: tuple | None = None) -> tuple:
     """Route (c) at W = 2 on samples-last entries: ``_schur_sweep``'s sign, log|det| and bad mask.
 
     ``sa``, ``sb``, ``sc`` and ``sd`` are the entries (0, 0), (0, 1), (1, 0)
@@ -311,18 +327,19 @@ def _closed_form_sweep(sa, sb, sc, sd, inertia: bool = False) -> tuple:
     (with Haynsworth's additivity) H - E has as many negative eigenvalues as
     the B_k together: one where det B_k < 0, two where det B_k > 0 and its
     (0, 0) entry is negative.  With ``inertia=True`` the sweep returns that
-    count and the bad mask instead, and takes no logarithms.
+    count and the bad mask instead, and takes no logarithms.  Sweeps that pass
+    one ``scratch`` from ``_sweep_scratch`` (with the same n and at least
+    their m) share its rows rather than map and unmap their own.
     """
     if not all(np.all(np.isfinite(x)) for x in (sa, sb, sc, sd)):
         raise NumericError("non-finite transfer matrix entries")
     n, m = len(sa), max(x.shape[1] for x in (sa, sb, sc, sd))
     rows = min(n, _DET_ROWS)
-    dets = np.empty((rows, m))
-    lower = np.empty((rows, m), dtype=bool) if inertia else None
+    floats, flags = scratch or _sweep_scratch(n, m)
+    # every column reuses these rows, so that the loop allocates nothing: B_k, its inverse, scratch and the det(B_k)
+    work, flag = floats[: (12 + rows) * m].reshape(12 + rows, m), flags[: (1 + rows) * m].reshape(1 + rows, m)
+    (a, b, c, d, ia, qb, qc, id_, x, y, z, w), dets, ok, lower = work[:12], work[12:], flag[0], flag[1:]
     negative, log_abs, bad = 0, 0.0, np.zeros(m, dtype=bool)  # the sums become arrays at the first reduction
-    # every column reuses these rows, so that the loop allocates nothing: B_k, its inverse and scratch
-    a, b, c, d, ia, qb, qc, id_, x, y, z, w = np.empty((12, m))
-    ok = np.empty(m, dtype=bool)
     for row, entry in zip((a, b, c, d), (sa, sb, sc, sd)):
         row[:] = entry[0]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -23,8 +23,7 @@ from functools import cached_property
 from typing import Iterable
 
 import numpy as np
-import numpy.ma  # noqa: F401 - numpy 2 loads ma (np.unique, np.quantile) and random on first use;
-import numpy.random  # loaded here, at import, rather than inside the first command
+import numpy.random  # noqa: F401 - numpy 2 loads random on first use; here, at import, rather than inside the first command
 
 __all__ = [
     "ConfigurationError",

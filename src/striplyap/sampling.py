@@ -14,12 +14,11 @@ other kernel factors the dense stack of H_region - E from
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import partial
 
 import numpy as np
 
-from .determinants import _band_logdet, _block_band, _closed_form_sweep, _schur_sweep
+from .determinants import _band_logdet, _block_band, _closed_form_sweep, _schur_sweep, _sweep_scratch
 from .model import (
     _DOMAIN_BOOT_CI,
     ConfigurationError,
@@ -70,6 +69,8 @@ def _map_draws(batch, spec, geometry, n_samples: int, seed: int, workers: int, s
     if workers <= 1:
         results = list(map(task, batches))
     else:
+        from concurrent.futures import ThreadPoolExecutor  # loaded only by a run with workers
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(task, batches))
     return [np.concatenate(parts) for parts in zip(*results)]
@@ -173,19 +174,19 @@ def _spectral_masks(eigs: np.ndarray, energy: float, k: np.ndarray) -> tuple[np.
     return dist[:, None] < -k, norm[:, None] > k
 
 
-def _interval_counts(entries, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _interval_counts(entries, idx: np.ndarray, lo: np.ndarray, hi: np.ndarray, scratch: tuple) -> tuple[np.ndarray, np.ndarray]:
     """How many eigenvalues of H lie in [lo_i, hi_i), for the samples ``idx`` of a W = 2 batch, and which of them are bad at either end.
 
     ``entries`` are the samples-last blocks of H itself.  ``_closed_form_sweep``
     on H - t counts the eigenvalues below t; the two ends go through one
-    sweep, side by side along the sample axis.
+    sweep, side by side along the sample axis, on the batch's ``scratch``.
     """
     sa, sb, sc, sd = entries
     t = np.stack([lo, hi])
     take = lambda x: np.take(x, idx, axis=1) if x.shape[1] > 1 else x  # C order, unlike x[:, idx]
     diagonal = lambda x: (take(x)[:, None] - t).reshape(len(x), -1)
     side = lambda x: np.tile(take(x), 2) if x.shape[1] > 1 else x
-    count, bad = _closed_form_sweep(diagonal(sa), side(sb), side(sc), diagonal(sd), inertia=True)
+    count, bad = _closed_form_sweep(diagonal(sa), side(sb), side(sc), diagonal(sd), inertia=True, scratch=scratch)
     below, above = count.reshape(2, -1)
     return above - below, bad.reshape(2, -1).any(axis=0)
 
@@ -202,8 +203,9 @@ def _inertia_masks(entries, energy: float, k: np.ndarray) -> tuple[np.ndarray, n
     larger K, so it is swept for that test only while it hit at the previous
     K.  Nor is it swept where its own bounds on ||H|| settle the test:
     Gershgorin's max row sum of |H| from above, max_i ||H e_i|| from below.
-    Every sweep holds at most _SHIFT_DOUBLES entries per diagonal.  A sample bad at any shift is in the returned
-    mask, and its rows are left for the caller.
+    Every sweep holds at most _SHIFT_DOUBLES entries per diagonal, and all of
+    them share one scratch, freed on return.  A sample bad at any shift is in
+    the returned mask, and its rows are left for the caller.
     """
     sa, sb, sc, sd = entries
     n, m = sa.shape
@@ -215,6 +217,7 @@ def _inertia_masks(entries, energy: float, k: np.ndarray) -> tuple[np.ndarray, n
     dist_hits, norm_hits = np.zeros((m, len(k)), dtype=bool), np.zeros((m, len(k)), dtype=bool)
     dist, norm, bad = np.ones(m, dtype=bool), np.ones(m, dtype=bool), np.zeros(m, dtype=bool)
     span = max(1, _SHIFT_DOUBLES // (2 * n))
+    scratch = _sweep_scratch(n, 2 * min(span, 2 * m))  # a sweep takes both ends of at most span of the 2 m tests
     for j in np.argsort(k, kind="stable"):
         lo, hi, r = energy - delta[j], energy + delta[j], reach[j]
         dist &= (lo < upper) & (hi > -upper)
@@ -225,7 +228,7 @@ def _inertia_masks(entries, energy: float, k: np.ndarray) -> tuple[np.ndarray, n
         within, hit = np.empty(len(idx), dtype=np.intp), np.empty(len(idx), dtype=bool)
         for at in range(0, len(idx), span):
             piece = slice(at, at + span)
-            within[piece], hit[piece] = _interval_counts(entries, idx[piece], ends[0][piece], ends[1][piece])
+            within[piece], hit[piece] = _interval_counts(entries, idx[piece], ends[0][piece], ends[1][piece], scratch)
         bad[idx[hit]] = True
         dist[d], norm[s] = within[: len(d)] > 0, within[len(d) :] < 2 * n
         dist &= ~bad
@@ -360,4 +363,23 @@ def bootstrap_ci(
     idx = rng.integers(0, len(values), size=(n_boot, len(values)))
     stats = np.array([statistic(values[row]) for row in idx])
     alpha = (1.0 - level) / 2.0
-    return float(np.quantile(stats, alpha)), float(np.quantile(stats, 1.0 - alpha))
+    return _linear_quantile(stats, alpha), _linear_quantile(stats, 1.0 - alpha)
+
+
+def _linear_quantile(values, q: float) -> float:
+    """The q-quantile of a 1-D sample, linearly interpolated (Hyndman and Fan type 7): ``np.quantile``'s default, bit for bit.
+
+    It repeats numpy's virtual index (n - 1) q, its clamped neighbours and its
+    two-sided lerp, on one ``np.sort``; ``np.quantile`` would load
+    ``numpy.ma`` through ``np.unique``.  A NaN in the sample gives NaN.  Only
+    the sign of a zero can differ, where the sample holds both -0.0 and 0.0:
+    ``np.sort`` and numpy's partition may order such ties differently.
+    """
+    x = np.sort(values)
+    if np.isnan(x[-1]):
+        return float(x[-1])
+    n = len(x)
+    v = (n - 1) * q
+    lo, hi = (-1, -1) if v >= n - 1 else (0, 0) if v < 0 else (int(v), int(v) + 1)
+    a, b, t = x[lo], x[hi], v - lo
+    return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -18,6 +18,9 @@ from .model import ConfigurationError, DisorderSpec, Region, StripGeometry
 from .perturbation import grid_partition
 from .sampling import sample_logdets, sample_spectral
 from .transfer import lyapunov_spectrum
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "MonteCarloSummary",
@@ -414,6 +417,8 @@ def block_logdet_summands(
 
 def delta_schedule(n: int) -> list[Fraction]:
     """Exact exponent schedule 1/2, 1/4, 1/6, ...: x_k = x_{k-1} / (1 + 2 x_{k-1})."""
+    from fractions import Fraction  # loaded by this function alone
+
     if n < 0:
         raise ConfigurationError("schedule length must be nonnegative")
     out = [Fraction(1, 2)]

@@ -291,7 +291,8 @@ def lyapunov_spectrum(
     burn_in = int(steps[first])
     span = n_steps - burn_in
     targets = burn_in + np.linspace(0, span, min(_BOOT_BLOCKS, span) + 1).astype(int)
-    rows = np.unique(np.searchsorted(steps, targets, side="right") - 1)
+    rows = np.searchsorted(steps, targets, side="right") - 1
+    rows = rows[np.concatenate(([True], rows[1:] != rows[:-1]))]  # np.unique of a sorted array, without loading numpy.ma
     increments, lengths = np.diff(record[rows], axis=0), np.diff(steps[rows])
     gamma_all = (final - record[first]) / span
     rng = split_stream(seed, _DOMAIN_BOOT, 0)

@@ -520,14 +520,13 @@ WIDTHS_AND_ENERGIES = [(w, e) for w in range(1, 5) for e in range(-2, 3)]
 class TestExactIntegerOracle:
     """Point-mass strips at an integer value and E have an integer H - E, whose determinant is exact.
 
-    Route (a), both forms, route (c) and ``sample_logdets`` must give sign 0
-    (-inf) exactly where det(H_N - E) = 0: for odd N, point mass 0 at E = 1
-    on an adjacency strip of width 2 is singular (its spectrum is
+    Route (a), both forms, routes (b) and (c) and ``sample_logdets`` must
+    give sign 0 (-inf) exactly where det(H_N - E) = 0: for odd N, point mass
+    0 at E = 1 on an adjacency strip of width 2 is singular (its spectrum is
     -2 cos(pi j / (N + 1)) +- 1), and so are the N = W adjacency strips whose
     last Schur block is singular only to roundoff.  Elsewhere the three
     routes must give the exact sign and ``sample_logdets`` the exact
-    log|det|, within 1e-12.  Route (b) is not held to sign 0 on the
-    singular strips.
+    log|det|, within 1e-12.
     """
 
     LENGTHS = (1, 2, 3, 4, 5, 8, 11, 50, 301)
@@ -554,7 +553,8 @@ class TestExactIntegerOracle:
                 (sampled,), excluded = sample_logdets(spec, geo, Region.rectangle(1, n, 1, width), e, 1, 1)
                 if det == 0:
                     singular += 1
-                    assert [r.sign for r in direct] + [logdet_via_schur(sample, e, n).sign] == [0, 0, 0], (width, energy, n)
+                    others = [logdet_via_transfer(sample, e, n), logdet_via_schur(sample, e, n)]
+                    assert [r.sign for r in direct + others] == [0, 0, 0, 0], (width, energy, n)
                     assert sampled == -math.inf and excluded == 1, (width, energy, n)
                     continue
                 sign, log_abs = (1 if det > 0 else -1), math.log(abs(det))

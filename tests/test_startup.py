@@ -1,7 +1,10 @@
 """Start-up of the CLI: which modules ``import striplyap.cli`` loads, and route (a)'s direct LAPACK binding.
 
 The import tests run in a fresh interpreter with ``PYTHONPATH=src``, since the
-test process has loaded modules of its own.
+test process has loaded modules of its own.  ``LAZY`` are modules only some
+code paths need: ``numpy.ma`` (numpy's ``np.unique`` and ``np.quantile``),
+``concurrent.futures`` and its ``logging`` (a run with ``workers`` > 1), and
+``fractions`` and its ``decimal`` (``delta_schedule``).
 """
 
 import json
@@ -18,7 +21,8 @@ from striplyap.model import DisorderSpec, Region, StripGeometry, assemble_hamilt
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 HEAVY = ("scipy.linalg", "numpy.f2py", "numpy.testing", "unittest")
-EAGER = ("numpy.random", "numpy.ma")
+EAGER = ("numpy.random",)
+LAZY = ("numpy.ma", "concurrent.futures", "logging", "fractions", "decimal")
 
 
 def run_fresh(code: str, cwd: Path) -> dict:
@@ -32,10 +36,10 @@ def run_fresh(code: str, cwd: Path) -> dict:
 def test_cli_import_set(tmp_path):
     doc = run_fresh(
         "import json, sys\nimport striplyap.cli\n"
-        f"print(json.dumps({{m: m in sys.modules for m in {HEAVY + EAGER!r}}}))",
+        f"print(json.dumps({{m: m in sys.modules for m in {HEAVY + LAZY + EAGER!r}}}))",
         tmp_path,
     )
-    assert doc == {**{m: False for m in HEAVY}, **{m: True for m in EAGER}}
+    assert doc == {**{m: False for m in HEAVY + LAZY}, **{m: True for m in EAGER}}
 
 
 COMMANDS = r"""
@@ -62,6 +66,7 @@ def config(name, **updates):
 cli.load_config(config("setup"), "sample")
 runs = [["experiment", kind, "--config", config(kind, params=p), "--out", kind] for kind, p in params.items()]
 runs += [
+    ["experiment", "negtail", "--config", config("workers", workers=2), "--out", "workers"],
     ["sample", "--config", config("sample"), "--out", "sample"],
     ["lyapunov", "--config", config("lyapunov"), "--out", "lyapunov"],
     ["dets", "--route", "all", "--config", config("dets"), "--out", "dets"],
@@ -72,15 +77,22 @@ report = {}
 for argv in runs:
     before = set(sys.modules)
     rc = cli.main(argv)
-    report[" ".join(argv[:2])] = [rc, sorted(set(sys.modules) - before)]
+    report[argv[-1]] = [rc, sorted(set(sys.modules) - before)]
 report["heavy"] = sorted(m for m in %r if m in sys.modules)
 print(json.dumps(report))
 """
 
 
 def test_no_command_imports_a_module(tmp_path):
+    """Every command runs on the modules of the import, except that a run with workers loads ``concurrent.futures``."""
+    pool = run_fresh(
+        "import json, sys\nimport striplyap.cli\nbefore = set(sys.modules)\n"
+        "from concurrent.futures import ThreadPoolExecutor\nprint(json.dumps(sorted(set(sys.modules) - before)))",
+        tmp_path,
+    )
     report = run_fresh(COMMANDS % (HEAVY,), tmp_path)
     assert report.pop("heavy") == []
+    assert "concurrent.futures" in pool and report.pop("workers") == [0, pool]
     assert len(report) == 12
     assert report == {name: [0, []] for name in report}
 

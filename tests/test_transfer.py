@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -272,6 +273,25 @@ def test_blocked_transfer_route_matches_dense(name, width):
     transfer = logdet_via_transfer(sample, energy)
     assert transfer.sign == direct.sign != 0
     assert abs(transfer.log_abs - direct.log_abs) <= 1e-9 * max(1.0, abs(direct.log_abs))
+
+
+UNIMODULAR_LAWS = {
+    "point 0": (DisorderSpec.point(0.0, u_law="adjacency"), 1),
+    "point 1": (DisorderSpec.point(1.0, u_law="adjacency"), 1),
+    "uniform": (DisorderSpec.uniform(-1.5, 1.5, u_law="adjacency"), 1),
+    "random_band": (DisorderSpec.uniform(-1.5, 1.5, u_law="random_band", coupling=1.0), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNIMODULAR_LAWS))
+def test_sweep_keeps_the_product_unimodular(name):
+    # sum(log_radii) is log|det T_N| = 0; a block's QR may lose about e^20 eps of it (the doubling budget on |B|_F^2),
+    # so the bound is one budget per started 64-step block.  The worst drift here is 2.9e-7, point 1 at W = 4, N = 1000.
+    spec, bandwidth = UNIMODULAR_LAWS[name]
+    for width, n, energy in itertools.product((1, 2, 4, 8), (10, 64, 300, 1000), (0.0, 0.3, 1.0)):
+        sample = sample_disorder(StripGeometry(width, min(bandwidth, width), n), spec, seed=3)
+        drift = abs(float(np.sum(accumulate(sample, energy, n).log_radii)))
+        assert drift <= -(-n // 64) * transfer._FROB_SQ_BUDGET * np.finfo(float).eps, (width, n, energy, drift)
 
 
 @pytest.mark.parametrize("width, bandwidth, spec", STRIP_CASES)
