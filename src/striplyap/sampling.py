@@ -367,19 +367,20 @@ def bootstrap_ci(
 
 
 def _linear_quantile(values, q: float) -> float:
-    """The q-quantile of a 1-D sample, linearly interpolated (Hyndman and Fan type 7): ``np.quantile``'s default, bit for bit.
+    """The q-quantile, 0 <= q <= 1, of a 1-D sample by linear interpolation (Hyndman and Fan type 7): ``np.quantile``'s default, bit for bit.
 
-    It repeats numpy's virtual index (n - 1) q, its clamped neighbours and its
-    two-sided lerp, on one ``np.sort``; ``np.quantile`` would load
-    ``numpy.ma`` through ``np.unique``.  A NaN in the sample gives NaN.  Only
-    the sign of a zero can differ, where the sample holds both -0.0 and 0.0:
-    ``np.sort`` and numpy's partition may order such ties differently.
+    It repeats numpy's arithmetic on one ``np.sort``: the virtual index
+    (n - 1) q, both neighbours the last value from n - 1 on, and the
+    two-sided lerp; ``np.quantile`` would load ``numpy.ma`` through
+    ``np.unique``.  A NaN in the sample gives NaN.  Where the sample holds
+    both -0.0 and 0.0 the sign of a zero can differ, as ``np.sort`` and
+    numpy's partition may order such ties differently.
     """
     x = np.sort(values)
     if np.isnan(x[-1]):
         return float(x[-1])
     n = len(x)
     v = (n - 1) * q
-    lo, hi = (-1, -1) if v >= n - 1 else (0, 0) if v < 0 else (int(v), int(v) + 1)
+    lo, hi = (-1, -1) if v >= n - 1 else (int(v), int(v) + 1)
     a, b, t = x[lo], x[hi], v - lo
     return float(b - (b - a) * (1 - t) if t >= 0.5 else a + (b - a) * t)

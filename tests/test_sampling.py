@@ -463,7 +463,7 @@ def test_inertia_counts_match_eigvalsh(name, spec, columns, shifts):
 def test_linear_quantile_is_numpy_quantile_bit_for_bit(n):
     rng = np.random.default_rng(n)
     samples = (rng.standard_normal(n), np.round(rng.standard_normal(n), 1) ** 2, np.full(n, 0.7), rng.integers(0, 3, n) * 0.1)
-    for values in samples:  # the last three with ties; squares, so no -0.0 ties with 0.0
+    for values in samples:  # the last three with ties, and none with a -0.0
         for q in (0.0, 0.025, 0.5, 0.975, 0.999, 1.0, *rng.random(5)):
             ours, theirs = sampling._linear_quantile(values, q), np.quantile(values, q)
             assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (values, q)
