@@ -15,6 +15,9 @@ The matrix:
   are exactly singular, ldt the 16 x 2 and 18 x 2 rectangles, where they
   are not, and cartan 5 columns with K from 0, where the point-mass strips
   are singular and have eigenvalues at the shifts E +- 1 and +-1 of K = 0;
+* ``experiment cartan`` off W = 2, at E = 0 on adjacency strips of width
+  3: uniform +-2 over 4 columns, and point mass 0 over 5 columns, which is
+  exactly singular;
 * ``dets --route all`` on point mass 0 at E = 1 over 5, 11 and 301 columns,
   all exactly singular, and on the resonant strip at E = 0 over 400 columns.
 
@@ -66,11 +69,11 @@ ADVERSARIAL = {
 }
 
 
-def _adversarial(law: dict, columns: int, energy: float, params: dict) -> dict:
-    """Run config of a W = 2 adjacency strip under one of the adversarial laws."""
+def _adversarial(law: dict, columns: int, energy: float, params: dict, width: int = 2) -> dict:
+    """Run config of an adjacency strip, W = 2 unless given, under one of the adversarial laws."""
     return {
         "disorder": {**law, "u_law": "adjacency", "u_params": {}},
-        "geometry": {"width": 2, "bandwidth": 1, "columns": columns},
+        "geometry": {"width": width, "bandwidth": 1, "columns": columns},
         "energy": energy,
         "n_samples": 2048,
         "seed": 11,
@@ -90,6 +93,8 @@ def matrix() -> list:
     for name, (law, energy) in ADVERSARIAL.items():
         for kind, columns, params in (("negtail", 17, {}), ("ldt", 18, {"columns": [16, 18]}), ("cartan", 5, {"k_grid": CARTAN_K})):
             out.append((f"{kind} {name}", ["experiment", kind], _adversarial(law, columns, energy, params)))
+    for name, law, columns in (("uniform2", {"density": "uniform", "params": {"lo": -2.0, "hi": 2.0}}, 4), ("point0", ADVERSARIAL["point0 E=0"][0], 5)):
+        out.append((f"cartan {name} E=0 {columns}x3", ["experiment", "cartan"], _adversarial(law, columns, 0.0, {"k_grid": CARTAN_K}, width=3)))
     for name, columns in (("point0 E=1", 5), ("point0 E=1", 11), ("point0 E=1", 301), ("resonant E=0", 400)):
         law, energy = ADVERSARIAL[name]
         out.append((f"dets {name} {columns}x2", ["dets", "--route", "all"], _adversarial(law, columns, energy, {})))
