@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import ConfigurationError, DisorderSpec, Region, StripGeometry
-from .sampling import bootstrap_ci, sample_logdets, sample_site_shifts
+from .sampling import _nonsingular, bootstrap_ci, sample_logdets, sample_site_shifts
 
 __all__ = [
     "EmpiricalMeasure",
@@ -274,7 +274,8 @@ def variance_growth_experiment(
     """Empirical variance of log|det(H - E)| per shape with bootstrap intervals.
 
     The reported ratio is Var / (|region| |I| inf_I rho); for laws without a
-    density (point mass) the ratio is None.
+    density (point mass) the ratio is None.  Singular samples are left out
+    (``n_kept``), and an all-singular shape is a configuration error.
     """
     try:
         grid = np.linspace(interval.lo, interval.hi, 512)
@@ -284,7 +285,7 @@ def variance_growth_experiment(
     rows = []
     for i, shape in enumerate(shapes):
         values, _ = sample_logdets(spec, geometry, shape, energy, n_samples, seed + i, workers)
-        kept = values[np.isfinite(values)]
+        kept = _nonsingular(values)
         var = float(np.var(kept, ddof=1)) if len(kept) > 1 else 0.0
         if len(kept) > 1 and var > 0:
             lo, hi = bootstrap_ci(kept, lambda v: np.var(v, ddof=1), seed=seed + i, n_boot=500)

@@ -11,8 +11,8 @@ stacks the blocks of the region's bounding box block-tridiagonally, -I
 between neighbouring columns, and keeps the principal submatrix on the
 region's sites, which is its Dirichlet restriction.  The transfer sweep, the
 Schur route and the band storage of the direct route read the same blocks;
-the W = 2 ensemble sweep forms their entries by the same operations, samples
-last, copying a batch's draws in piece by piece.
+the W = 2 ensemble sweep forms the entries of S_k by the same operations,
+samples last, copying a batch's draws in piece by piece, and shifts them.
 """
 
 from __future__ import annotations
@@ -420,13 +420,14 @@ def _column_blocks(
     return s
 
 
-def _draw_entries(draws, m: int, u_law: str, energy: float, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
-    """``_column_blocks`` of W = 2 rows of m samples, samples last: entries (0, 0), (0, 1), (1, 0), (1, 1).
+def _draw_entries(draws, m: int, u_law: str, cols: tuple[int, int], rows: tuple[int, int]) -> tuple:
+    """The blocks S_k of H on W = 2 rows of m samples, samples last: entries (0, 0), (0, 1), (1, 0), (1, 1).
 
     ``draws`` yields the (potentials, u_band) pieces of the m samples in order,
     each small enough to copy whole into its slice of the batch, and let go.
-    Each entry is (n, m), by the same operations in the same order; off the
-    diagonal (n, 1) where the coupling law gives every sample the same U.
+    Each entry is (n, m), by the same operations in the same order, so the
+    diagonal less E is S_k - E bit for bit; off the diagonal (n, 1) where the
+    coupling law gives every sample the same U.
     """
     (c0, c1), (r0, r1) = cols, rows
     band = u_law == "random_band"
@@ -441,7 +442,6 @@ def _draw_entries(draws, m: int, u_law: str, energy: float, cols: tuple[int, int
         del pot, u_band  # before the next piece is drawn
     s = np.subtract(0.0, u, out=u) if band else np.subtract(0.0, _couplings((), u_law, None, cols, rows)[..., None])
     diag += s[:, (0, 1), (0, 1)]
-    diag -= energy
     return diag[:, 0], s[:, 0, 1], s[:, 1, 0], diag[:, 1]
 
 

@@ -4,12 +4,13 @@ Sample i's draws depend on (spec, geometry, seed, i) alone, as ``model`` lays
 them out.  A batch is a run of consecutive samples sized by the memory budget
 and drawn in pieces, and each sample's arithmetic is independent of its batch,
 so a sampler returns the same arrays for any worker count or budget, and a
-shorter run is a prefix of a longer one.  Rectangles go through the batched
-Schur sweep (route c), elementwise over the batch at W = 2, with route (a) for
-the samples it marks bad; on W = 2 rectangles ``sample_spectral`` takes the
-Cartan distance and norm tests from inertia counts of the same sweep.  Every
-other kernel factors the dense stack of H_region - E from
-``model.build_hamiltonians``.
+shorter run is a prefix of a longer one.  Both log|det| samplers take it
+from one batch (``_logdet_batch``): rectangles go through the batched Schur
+sweep (route c), elementwise over the batch at W = 2, with route (a) for the
+samples it marks bad, and other regions through slogdet.  ``sample_spectral``
+takes the Cartan distance and norm tests apart from it: from inertia counts
+of the W = 2 sweep, elsewhere from ``eigvalsh``.  The other kernels factor the
+dense stack of H_region - E from ``model.build_hamiltonians``.
 """
 
 from __future__ import annotations
@@ -112,13 +113,49 @@ def _entry_blocks(entries, idx) -> np.ndarray:
     return x.reshape(*x.shape[:-1], 2, 2)
 
 
-def _reroute(log_abs: np.ndarray, bad: np.ndarray, blocks_of, energy: float) -> None:
-    """Route (a) in place on the samples the Schur sweep marked bad, each on its own blocks ``blocks_of(i)`` of H - E + ``energy``.
+def _rerouted(swept, blocks_of) -> np.ndarray:
+    """log|det| of a Schur sweep's (sign, log_abs, bad), with route (a) in place on the samples it marked bad, each on its own blocks ``blocks_of(i)`` of H - E.
 
     One banded LU per sample; -inf where its pivot floor finds H - E singular.
     """
+    _, log_abs, bad = swept
     for i in np.flatnonzero(bad):
-        log_abs[i] = _band_logdet(_block_band(blocks_of(i)), energy)[0].log_abs
+        log_abs[i] = _band_logdet(_block_band(blocks_of(i)), 0.0)[0].log_abs
+    return log_abs
+
+
+def _entries_logdet(entries, energy: float) -> np.ndarray:
+    """log|det(H - E)| of a W = 2 batch by the closed-form sweep (``_rerouted``), from the samples-last entries of H, shifted in place to H - E."""
+    sa, _, _, sd = entries
+    sa -= energy
+    sd -= energy
+    return _rerouted(_closed_form_sweep(*entries), partial(_entry_blocks, entries))
+
+
+def _logdet_batch(spec: DisorderSpec, region: Region, energy: float):
+    """``batch(draws, m)``, giving log|det(H_region - E)| of a batch's m samples, and the doubles a sample holds in it.
+
+    A rectangle goes through the Schur sweep, at W = 2 ``_entries_logdet``,
+    with route (a) for bad samples; any other region through a dense slogdet.
+    """
+    n0, n1, w0, w1 = region.bounds()
+    cols, rows, w = (n0 - 1, n1), (w0 - 1, w1), w1 - w0 + 1
+
+    def batch(draws, m):
+        if not region.is_rectangle:
+            pot, u_band = _joined(draws)
+            sign, log_abs = np.linalg.slogdet(build_hamiltonians(region, pot, spec.u_law, u_band, energy))
+            return np.where(sign == 0.0, -np.inf, log_abs)
+        if w == 2:
+            return _entries_logdet(_draw_entries(draws, m, spec.u_law, cols, rows), energy)
+        blocks, lo = np.empty((m, n1 - n0 + 1, w, w)), 0
+        for pot, u_band in draws:
+            blocks[lo : lo + len(pot)] = _column_blocks(pot, spec.u_law, u_band, energy, cols, rows)
+            lo += len(pot)
+            del pot, u_band  # before the next piece is drawn
+        return _rerouted(_schur_sweep(blocks), blocks.__getitem__)
+
+    return batch, region.size * (w if region.is_rectangle else region.size)
 
 
 def sample_logdets(
@@ -139,31 +176,17 @@ def sample_logdets(
     pivot floor or by an exact zero pivot of slogdet, are returned as -inf;
     the count is reported so callers can exclude them explicitly.
     """
-    if region.is_rectangle:
-        n0, n1, w0, w1 = region.bounds()
-        cols, rows, w = (n0 - 1, n1), (w0 - 1, w1), w1 - w0 + 1
-
-        def batch(draws, m):
-            if w == 2:
-                entries = _draw_entries(draws, m, spec.u_law, energy, cols, rows)
-                _, log_abs, bad = _closed_form_sweep(*entries)
-                blocks_of = partial(_entry_blocks, entries)
-            else:
-                blocks, lo = np.empty((m, n1 - n0 + 1, w, w)), 0
-                for pot, u_band in draws:
-                    blocks[lo : lo + len(pot)] = _column_blocks(pot, spec.u_law, u_band, energy, cols, rows)
-                    lo += len(pot)
-                    del pot, u_band  # before the next piece is drawn
-                _, log_abs, bad = _schur_sweep(blocks)
-                blocks_of = blocks.__getitem__
-            _reroute(log_abs, bad, blocks_of, 0.0)
-            return (log_abs,)
-
-        out = _map_draws(batch, spec, geometry, n_samples, seed, workers, (n1 - n0 + 1) * w * w)[0]
-    else:
-        sign, log_abs = _map_chunks(np.linalg.slogdet, spec, geometry, region, energy, n_samples, seed, workers)
-        out = np.where(sign == 0.0, -np.inf, log_abs)
+    logdet, doubles = _logdet_batch(spec, region, energy)
+    out = _map_draws(lambda draws, m: (logdet(draws, m),), spec, geometry, n_samples, seed, workers, doubles)[0]
     return out, int(np.sum(np.isneginf(out)))
+
+
+def _nonsingular(values: np.ndarray) -> np.ndarray:
+    """The finite samples of a log-determinant ensemble; an all-singular one is a configuration error."""
+    kept = values[np.isfinite(values)]
+    if len(kept) == 0:
+        raise ConfigurationError(f"all {len(values)} samples excluded as singular")
+    return kept
 
 
 def _spectral_masks(eigs: np.ndarray, energy: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,13 +275,13 @@ def sample_spectral(
     Returns ``log_abs``, the (len(k_grid), n_samples) boolean masks
     ``dist_hits`` (log dist(E, spec H) < -K) and ``norm_hits``
     (log(|E| + ||H||) > K), and ``eigvalsh``, the number of samples whose
-    masks came from an eigendecomposition.  On W = 2 rectangles log|det|
-    is ``sample_logdets``'s, bit for bit: the closed-form Schur sweep, and
-    route (a) where it marks a sample bad.  The masks come from inertia
-    counts of the same sweep at shifted energies (``_inertia_masks``), so
-    they are computed independently of log|det|; a sample the sweep marks
-    bad at any shift takes them from ``eigvalsh``.  Any other region takes
-    all three from one ``eigvalsh`` per sample.
+    masks came from an eigendecomposition.  log|det| is always
+    ``sample_logdets``'s, bit for bit, from its batch (``_logdet_batch``) on
+    the same draws, so the masks are computed independently of it.  On
+    W = 2 rectangles they come from inertia counts of the Schur sweep at
+    shifted energies (``_inertia_masks``), and a sample the sweep marks bad
+    at any shift takes them from ``eigvalsh``.  Any other region takes them
+    from one ``eigvalsh`` per sample.
     """
     k = np.asarray(k_grid, dtype=float)
     n0, n1, w0, w1 = region.bounds()
@@ -266,30 +289,26 @@ def sample_spectral(
         cols, rows, redo_batch = (n0 - 1, n1), (w0 - 1, w1), max(1, _CHUNK_BUDGET // region.size**2)
 
         def batch(draws, m):
-            entries = _draw_entries(draws, m, spec.u_law, 0.0, cols, rows)  # the blocks of H itself
-            sa, sb, sc, sd = entries
-            _, log_abs, bad = _closed_form_sweep(sa - energy, sb, sc, sd - energy)
-            blocks_of = partial(_entry_blocks, entries)
-            _reroute(log_abs, bad, blocks_of, energy)
+            entries = _draw_entries(draws, m, spec.u_law, cols, rows)  # the blocks of H itself
             dist_hits, norm_hits, bad = _inertia_masks(entries, energy, k)
             redo = np.flatnonzero(bad)
             for lo in range(0, len(redo), redo_batch):
                 idx = redo[lo : lo + redo_batch]
-                dist_hits[idx], norm_hits[idx] = _spectral_masks(np.linalg.eigvalsh(_stack_columns(blocks_of(idx))), energy, k)
-            return log_abs, dist_hits, norm_hits, bad
+                dist_hits[idx], norm_hits[idx] = _spectral_masks(np.linalg.eigvalsh(_stack_columns(_entry_blocks(entries, idx))), energy, k)
+            return _entries_logdet(entries, energy), dist_hits, norm_hits, bad
 
-        log_abs, dist_hits, norm_hits, redone = _map_draws(batch, spec, geometry, n_samples, seed, workers, (n1 - n0 + 1) * 4)
+        log_abs, dist_hits, norm_hits, redone = _map_draws(batch, spec, geometry, n_samples, seed, workers, region.size * 2)
         n_eig = int(np.count_nonzero(redone))
     else:
+        logdet, _ = _logdet_batch(spec, region, energy)
 
-        def batch(h):
-            eigs = np.linalg.eigvalsh(h)
-            with np.errstate(divide="ignore"):
-                log_abs = np.sum(np.log(np.abs(eigs - energy)), axis=1)
-            return (log_abs, *_spectral_masks(eigs, energy, k))
+        def batch(draws, m):
+            draws = list(draws)  # one pass for log|det|, one for the spectrum of H itself
+            pot, u_band = _joined(draws)
+            eigs = np.linalg.eigvalsh(build_hamiltonians(region, pot, spec.u_law, u_band, 0.0))
+            return (logdet(draws, m), *_spectral_masks(eigs, energy, k))
 
-        # the spectrum of H itself is factored, so the stack is not shifted
-        log_abs, dist_hits, norm_hits = _map_chunks(batch, spec, geometry, region, 0.0, n_samples, seed, workers)
+        log_abs, dist_hits, norm_hits = _map_draws(batch, spec, geometry, n_samples, seed, workers, region.size**2)
         n_eig = n_samples
     return {"log_abs": log_abs, "dist_hits": dist_hits.T, "norm_hits": norm_hits.T, "eigvalsh": n_eig}
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .model import ConfigurationError, DisorderSpec, Region, StripGeometry
 from .perturbation import grid_partition
-from .sampling import sample_logdets, sample_spectral
+from .sampling import _nonsingular, sample_logdets, sample_spectral
 from .transfer import lyapunov_spectrum
 
 if TYPE_CHECKING:
@@ -61,14 +61,6 @@ def _tail_fields(k, threshold, hits: np.ndarray, decay: float) -> dict:
         sigma=_binom_sigma(frac, len(hits)),
         bound=math.exp(-k / decay),
     )
-
-
-def _nonsingular(values: np.ndarray) -> np.ndarray:
-    """The finite samples of a log-determinant ensemble; an all-singular one is a configuration error."""
-    kept = values[np.isfinite(values)]
-    if len(kept) == 0:
-        raise ConfigurationError(f"all {len(values)} samples excluded as singular")
-    return kept
 
 
 def linear_fit(x, y) -> tuple[float, float, float]:
@@ -145,16 +137,14 @@ def mc_logdet(
     """Summary of log|det(H_region - E)| over the disorder ensemble.
 
     Exactly singular draws are excluded from the moments and counted in
-    ``n_excluded``.
+    ``n_excluded``; an all-singular ensemble is a configuration error.
     """
     if n_samples < 2:
         raise ConfigurationError("n_samples must be at least 2")
     t0 = time.perf_counter()
     values, n_singular = sample_logdets(spec, geometry, region, energy, n_samples, seed, workers)
-    kept = values[np.isfinite(values)]
-    return MonteCarloSummary.from_samples(
-        kept, seed=seed, wall_time=time.perf_counter() - t0, n_excluded=n_singular
-    )
+    kept = _nonsingular(values)
+    return MonteCarloSummary.from_samples(kept, seed=seed, wall_time=time.perf_counter() - t0, n_excluded=n_singular)
 
 
 @dataclass(frozen=True)
@@ -212,11 +202,11 @@ def cartan_tail_experiment(
     Each sample also records whether log(|E| + ||H||) > K or
     log dist(E, spec H) < -K; exceedance of the determinant tail without one
     of those two causes is a pointwise violation and is counted (it must be
-    zero up to roundoff).  On W = 2 rectangles log|det| comes from the Schur
-    sweep (route (a) where it marks a sample bad) and the two causes from
-    inertia counts of the same sweep at shifted energies, so the count
-    compares two independent computations; elsewhere all three come from one
-    ``eigvalsh`` per sample (``sample_spectral``).
+    zero up to roundoff).  log|det| is always the sampler's (the Schur sweep
+    with route (a) on rectangles, slogdet elsewhere), and the two causes come
+    from inertia counts of the W = 2 sweep at shifted energies or from one
+    ``eigvalsh`` per sample (``sample_spectral``), so the count compares two
+    independent computations.
     """
     data = sample_spectral(spec, geometry, region, energy, k_grid, n_samples, seed, workers)
     x = np.abs(data["log_abs"])

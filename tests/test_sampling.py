@@ -180,7 +180,8 @@ def test_one_sample_sweep_rejects_non_finite_blocks(w, value):
 
 def _assert_samples_last_is_the_stack(pot, u_law, u_band, energy, cols, rows):
     """The sweep on entries built from the draws against ``_schur_sweep`` on the (m, n, 2, 2) stack, bit for bit."""
-    got = _closed_form_sweep(*_draw_entries([(pot, u_band)], len(pot), u_law, energy, cols, rows))
+    sa, sb, sc, sd = _draw_entries([(pot, u_band)], len(pot), u_law, cols, rows)
+    got = _closed_form_sweep(sa - energy, sb, sc, sd - energy)
     ref = _schur_sweep(_column_blocks(pot, u_law, u_band, energy, cols, rows))
     for x, y in zip(got, ref):
         assert x.dtype == y.dtype and np.array_equal(x, y, equal_nan=True)
@@ -447,7 +448,7 @@ INERTIA_CASES = [
 def test_inertia_counts_match_eigvalsh(name, spec, columns, shifts):
     # count(t) = #{eigenvalues of H below t}, from the signs of the Schur blocks of H - t (Sylvester's law of inertia)
     pot, u_band = draw_chunk(spec, StripGeometry(2, 1, columns), 0, 300, seed=19)
-    sa, sb, sc, sd = _draw_entries([(pot, u_band)], len(pot), spec.u_law, 0.0, (0, columns), (0, 2))
+    sa, sb, sc, sd = _draw_entries([(pot, u_band)], len(pot), spec.u_law, (0, columns), (0, 2))
     eigs = np.linalg.eigvalsh(build_hamiltonians(Region.rectangle(1, columns, 1, 2), pot, spec.u_law, u_band, 0.0))
     for t in shifts:
         count, bad = _closed_form_sweep(sa - t, sb, sc, sd - t, inertia=True)
@@ -469,14 +470,14 @@ def test_linear_quantile_is_numpy_quantile_bit_for_bit(n):
             assert np.float64(ours).tobytes() == np.float64(theirs).tobytes(), (values, q)
 
 
-def _eigvalsh_spectral(spec, geometry, region, energy, k_grid, n, seed):
-    """``sample_spectral``'s three results from ``eigvalsh`` of the dense H on the same draws."""
+def _eigvalsh_masks(spec, geometry, region, energy, k_grid, n, seed):
+    """``sample_spectral``'s two masks from ``eigvalsh`` of the dense H on the same draws."""
     pot, u_band = draw_chunk(spec, geometry, 0, n, seed)
     eigs = np.linalg.eigvalsh(build_hamiltonians(region, pot, spec.u_law, u_band, 0.0))
     k = np.asarray(k_grid)[:, None]
     with np.errstate(divide="ignore"):
         gaps = np.log(np.abs(eigs - energy))
-    return np.sum(gaps, axis=1), np.min(gaps, axis=1) < -k, np.log(abs(energy) + np.max(np.abs(eigs), axis=1)) > k
+    return np.min(gaps, axis=1) < -k, np.log(abs(energy) + np.max(np.abs(eigs), axis=1)) > k
 
 
 # out of order: the inertia masks run the K in increasing order and skip the samples a smaller K already missed
@@ -493,21 +494,19 @@ SPECTRAL_CASES = [
     ("band rows 2-3, columns 3-10 of 12x4", BAND, StripGeometry(4, 2, 12), Region.rectangle(3, 10, 2, 3), 0.3, "none"),
     ("W=3 8x3", UNIFORM, StripGeometry(3, 1, 8), Region.rectangle(1, 8, 1, 3), 0.2, "all"),
     ("6x2 minus (3, 1)", UNIFORM, StripGeometry(2, 1, 6), Region.rectangle(1, 6, 1, 2).without_site((3, 1)), 0.2, "all"),
+    ("point 0 5x3 E=0, singular, an eigenvalue at 0", POINT0, StripGeometry(3, 1, 5), Region.rectangle(1, 5, 1, 3), 0.0, "all"),
 ]
 
 
 @pytest.mark.parametrize("spec, geometry, region, energy, redone", [c[1:] for c in SPECTRAL_CASES], ids=[c[0] for c in SPECTRAL_CASES])
 def test_spectral_masks_match_eigvalsh(spec, geometry, region, energy, redone):
     got = sample_spectral(spec, geometry, region, energy, K_SPECTRAL, 500, seed=13)
-    log_abs, dist_hits, norm_hits = _eigvalsh_spectral(spec, geometry, region, energy, K_SPECTRAL, 500, 13)
+    dist_hits, norm_hits = _eigvalsh_masks(spec, geometry, region, energy, K_SPECTRAL, 500, 13)
     assert got["dist_hits"].shape == got["norm_hits"].shape == (len(K_SPECTRAL), 500)
     assert np.array_equal(got["dist_hits"], dist_hits) and np.array_equal(got["norm_hits"], norm_hits)
     assert got["eigvalsh"] == {"all": 500, "none": 0}[redone]
-    n0, n1, w0, w1 = region.bounds()
-    if region.is_rectangle and w1 - w0 == 1:  # log|det| is the sampler's, bit for bit
-        assert np.array_equal(got["log_abs"], sample_logdets(spec, geometry, region, energy, 500, seed=13)[0])
-    else:
-        assert np.array_equal(got["log_abs"], log_abs)
+    # log|det| is the sampler's, bit for bit, at every region: singular samples stay -inf
+    assert np.array_equal(got["log_abs"], sample_logdets(spec, geometry, region, energy, 500, seed=13)[0])
 
 
 def test_spectral_masks_are_the_same_across_batches_and_workers():

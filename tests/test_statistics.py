@@ -74,6 +74,14 @@ def test_cartan_tail_pointwise_implication():
     assert table.rows[-1].fraction <= table.rows[-1].bound + 3 * table.rows[-1].sigma
 
 
+def test_cartan_counts_every_sample_of_a_singular_strip():
+    # point mass 0 at E = 0: the 5 x 3 adjacency strip has the eigenvalue 0, so log|det(H - E)| is -inf on every sample
+    spec = DisorderSpec.point(0.0, u_law="adjacency")
+    table = cartan_tail_experiment(spec, StripGeometry(3, 1, 5), Region.rectangle(1, 5, 1, 3), 0.0, [1.0, 4.0], 64, seed=11)
+    row = table.row_at(4.0)
+    assert row.count == row.dist_count == 64 and row.implication_violations == 0
+
+
 def test_ldt_experiment_shapes():
     geo = StripGeometry(2, 1, 16)
     rects = [Region.rectangle(1, 8, 1, 2), Region.rectangle(1, 16, 1, 2)]
