@@ -427,22 +427,23 @@ def _draw_entries(draws, m: int, u_law: str, cols: tuple[int, int], rows: tuple[
     each small enough to copy whole into its slice of the batch, and let go.
     Each entry is (n, m), by the same operations in the same order, so the
     diagonal less E is S_k - E bit for bit; off the diagonal (n, 1) where the
-    coupling law gives every sample the same U.
+    coupling law gives every sample the same U.  The diagonal entries are
+    contiguous, so that shifting them in place needs no buffer.
     """
     (c0, c1), (r0, r1) = cols, rows
     band = u_law == "random_band"
-    diag, u, lo = np.empty((c1 - c0, 2, m)), np.empty((c1 - c0, 2, 2, m)) if band else None, 0
+    diag, u, lo = np.empty((2, c1 - c0, m)), np.empty((c1 - c0, 2, 2, m)) if band else None, 0
     for pot, u_band in draws:
         if c1 > pot.shape[-2] or r1 > pot.shape[-1]:
             raise ConfigurationError("sites outside the sampled extent")
         into, lo = slice(lo, lo + len(pot)), lo + len(pot)
-        diag[..., into] = pot[:, c0:c1, r0:r1].transpose(1, 2, 0)
+        diag[..., into] = pot[:, c0:c1, r0:r1].transpose(2, 1, 0)
         if band:
             u[..., into] = np.moveaxis(_couplings(pot.shape[:1], u_law, u_band, cols, rows), 0, -1)
         del pot, u_band  # before the next piece is drawn
     s = np.subtract(0.0, u, out=u) if band else np.subtract(0.0, _couplings((), u_law, None, cols, rows)[..., None])
-    diag += s[:, (0, 1), (0, 1)]
-    return diag[:, 0], s[:, 0, 1], s[:, 1, 0], diag[:, 1]
+    diag += s.transpose(1, 2, 0, 3)[(0, 1), (0, 1)]
+    return diag[0], s[:, 0, 1], s[:, 1, 0], diag[1]
 
 
 def _stack_columns(blocks: np.ndarray) -> np.ndarray:
