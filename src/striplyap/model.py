@@ -425,10 +425,9 @@ def _draw_entries(draws, m: int, u_law: str, cols: tuple[int, int], rows: tuple[
 
     ``draws`` yields the (potentials, u_band) pieces of the m samples in order,
     each small enough to copy whole into its slice of the batch, and let go.
-    Each entry is (n, m), by the same operations in the same order, so the
-    diagonal less E is S_k - E bit for bit; off the diagonal (n, 1) where the
-    coupling law gives every sample the same U.  The diagonal entries are
-    contiguous, so that shifting them in place needs no buffer.
+    Each entry is (n, m), by the same operations in the same order (the
+    diagonal two contiguous, so E comes off in place unbuffered); off the
+    diagonal (n, 1) where the coupling law gives every sample the same U.
     """
     (c0, c1), (r0, r1) = cols, rows
     band = u_law == "random_band"

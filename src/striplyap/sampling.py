@@ -4,13 +4,12 @@ Sample i's draws depend on (spec, geometry, seed, i) alone, as ``model`` lays
 them out.  A batch is a run of consecutive samples sized by the memory budget
 and drawn in pieces, and each sample's arithmetic is independent of its batch,
 so a sampler returns the same arrays for any worker count or budget, and a
-shorter run is a prefix of a longer one.  Both log|det| samplers take it
-from one batch (``_logdet_batch``): rectangles go through the batched Schur
-sweep (route c), elementwise over the batch at W = 2, with route (a) for the
-samples it marks bad, and other regions through slogdet.  ``sample_spectral``
-takes the Cartan distance and norm tests apart from it: from inertia counts
-of the W = 2 sweep, elsewhere from ``eigvalsh``.  The other kernels factor the
-dense stack of H_region - E from ``model.build_hamiltonians``.
+shorter run is a prefix of a longer one.  Both log|det| samplers share one
+batch (``_logdet_batch``): the batched Schur sweep (route c) on rectangles,
+elementwise over the batch at W = 2, with route (a) for the samples it marks
+bad, and slogdet elsewhere.  ``sample_spectral``'s Cartan tests come apart
+from it: from inertia counts of the W = 2 sweep, elsewhere from ``eigvalsh``.
+The other kernels factor the dense H_region - E of ``model.build_hamiltonians``.
 """
 
 from __future__ import annotations
@@ -127,8 +126,8 @@ def _rerouted(swept, blocks_of) -> np.ndarray:
 def _entries_logdet(entries, energy: float) -> np.ndarray:
     """log|det(H - E)| of a W = 2 batch by the closed-form sweep (``_rerouted``), from the samples-last entries of H, shifted in place to H - E."""
     sa, _, _, sd = entries
-    sa -= energy
-    sd -= energy
+    np.subtract(sa, energy, out=sa)
+    np.subtract(sd, energy, out=sd)
     return _rerouted(_closed_form_sweep(*entries), partial(_entry_blocks, entries))
 
 
