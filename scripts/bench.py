@@ -24,8 +24,9 @@ worker and the K grid of the benchmark's `tails-small` workload (0.5-3 in
 steps of 0.5, then 4, 6, 8), seed 907, on full rectangles: the workload's
 cartan run (uniform [-2, 2], adjacency, 4 x 2, E = 0), Cauchy (scale 1,
 cutoff 1e6, adjacency) 4 x 2 at E = 0.5, both on the W = 2 Schur sweep and
-its inertia counts, and, as a control that keeps one ``eigvalsh`` per
-sample, uniform [-2, 2] adjacency 4 x 3 at E = 0.  Unit: samples.
+its inertia counts, and, as a control that takes its masks from one
+``eigvalsh`` per sample and log|det| from the sampler's batch, uniform
+[-2, 2] adjacency 4 x 3 at E = 0.  Unit: samples.
 
 Suite ``direct``: `logdet_direct`, route (a)'s one banded LU (`dgbtrf`, with
 its condition estimate), on the two strips of the `routes` workload (Cauchy
