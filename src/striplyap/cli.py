@@ -18,7 +18,7 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,29 +62,15 @@ class RunConfig:
     command: str
     disorder: DisorderSpec
     geometry: StripGeometry
-    energy: float = 0.0
-    n_samples: int = 1000
-    seed: int = 1
-    workers: int = 1
-    params: dict = field(default_factory=dict)
-    tolerances: dict = field(default_factory=dict)
+    energy: float
+    n_samples: int
+    seed: int
+    workers: int
+    params: dict
 
     def to_document(self) -> dict:
-        return {
-            "command": self.command,
-            "disorder": json.loads(self.disorder.to_json()),
-            "geometry": {
-                "width": self.geometry.width,
-                "bandwidth": self.geometry.bandwidth,
-                "columns": self.geometry.columns,
-            },
-            "energy": self.energy,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "workers": self.workers,
-            "params": self.params,
-            "tolerances": self.tolerances,
-        }
+        # the disorder's own document, which adds D0 and D1 to its fields
+        return {**dataclasses.asdict(self), "disorder": json.loads(self.disorder.to_json())}
 
     def config_hash(self) -> str:
         doc = self.to_document()
@@ -101,6 +87,7 @@ def load_config(path: str | Path, command: str, overrides: dict | None = None) -
 
 
 def config_from_document(doc: dict, command: str, overrides: dict | None = None) -> RunConfig:
+    """The run config of a JSON document, with the defaults of absent keys; ``overrides`` may set ``seed`` and ``workers``."""
     overrides = overrides or {}
     if not isinstance(doc, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -126,11 +113,10 @@ def config_from_document(doc: dict, command: str, overrides: dict | None = None)
             disorder=spec,
             geometry=geometry,
             energy=float(doc.get("energy", 0.0)),
-            n_samples=int(overrides.get("n_samples", doc.get("n_samples", 1000))),
+            n_samples=int(doc.get("n_samples", 1000)),
             seed=int(overrides.get("seed", doc.get("seed", 1))),
             workers=int(overrides.get("workers", doc.get("workers", 1))),
             params=dict(doc.get("params", {})),
-            tolerances=dict(doc.get("tolerances", {})),
         )
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"bad run setting: {exc}") from exc
@@ -162,19 +148,7 @@ def write_csv(path: Path, header: list, rows: list) -> None:
 
 
 def write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=1, default=_json_default) + "\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if dataclasses.is_dataclass(obj):
-        return dataclasses.asdict(obj)
-    raise TypeError(f"not serializable: {type(obj)}")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -371,6 +345,8 @@ EXPERIMENTS = tuple(_EXPERIMENT_TABLE)
 def run_experiment(config: RunConfig, out_dir: Path) -> list:
     if config.command not in _EXPERIMENT_TABLE:
         raise ConfigurationError(f"unknown experiment {config.command!r}")
+    if config.n_samples < 2:
+        raise ConfigurationError("an experiment needs n_samples >= 2")
     runner, csv_name, columns, summary_name = _EXPERIMENT_TABLE[config.command]
     mc = (config.n_samples, config.seed, config.workers)
     rows, summary = runner(config.disorder, config.geometry, config.energy, config.params, mc)
@@ -515,11 +491,7 @@ def main(argv=None) -> int:
             outputs = plot_export(Path(args.table), args.kind, out_dir)
             write_manifest(out_dir, None, outputs, started)
             return 0
-        overrides = {}
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.workers is not None:
-            overrides["workers"] = args.workers
+        overrides = {k: v for k, v in (("seed", args.seed), ("workers", args.workers)) if v is not None}
         command = args.kind if args.command == "experiment" else args.command
         config = load_config(args.config, command, overrides)
         out_dir = _resolve_out(args.out, command)

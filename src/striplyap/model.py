@@ -143,22 +143,24 @@ class Region:
 
 
 def _check_density(density: str, params: dict) -> None:
+    # every test below is false on NaN, so a NaN parameter is rejected
     if density == "uniform":
         lo, hi = params["lo"], params["hi"]
-        if not lo < hi:
-            raise ConfigurationError("uniform density needs lo < hi")
+        if not -np.inf < lo < hi < np.inf:
+            raise ConfigurationError("uniform density needs finite lo < hi")
     elif density == "cauchy":
         scale = params["scale"]
         cutoff = params.get("cutoff", 1e6)
-        if scale <= 0 or cutoff <= 0:
-            raise ConfigurationError("cauchy density needs positive scale and cutoff")
+        if not (0 < scale < np.inf and cutoff > 0):  # an infinite cutoff is the untruncated law
+            raise ConfigurationError("cauchy density needs finite positive scale and positive cutoff")
     elif density == "point":
-        params["value"]
+        if not np.isfinite(params["value"]):
+            raise ConfigurationError("point mass needs a finite value")
     elif density == "table":
         edges = np.asarray(params["edges"], dtype=float)
         masses = np.asarray(params["masses"], dtype=float)
-        if edges.ndim != 1 or len(edges) != len(masses) + 1 or np.any(np.diff(edges) <= 0):
-            raise ConfigurationError("table density needs increasing edges, one more than masses")
+        if edges.ndim != 1 or len(edges) != len(masses) + 1 or not np.all(np.isfinite(edges)) or np.any(np.diff(edges) <= 0):
+            raise ConfigurationError("table density needs finite increasing edges, one more than masses")
         if np.any(masses < 0) or not np.isclose(masses.sum(), 1.0):
             raise ConfigurationError("table masses must be nonnegative and sum to 1")
     else:
@@ -178,8 +180,8 @@ class DisorderSpec:
         _check_density(self.density, self.params)
         if self.u_law not in U_LAWS:
             raise ConfigurationError(f"unsupported u_law {self.u_law!r}")
-        if self.u_law == "random_band" and self.u_params.get("coupling", 1.0) < 0:
-            raise ConfigurationError("random_band coupling must be nonnegative")
+        if self.u_law == "random_band" and not 0 <= self.u_params.get("coupling", 1.0) < np.inf:
+            raise ConfigurationError("random_band coupling must be finite and nonnegative")
 
     @classmethod
     def uniform(cls, lo: float, hi: float, u_law: str = "zero", **u_params) -> "DisorderSpec":
@@ -339,13 +341,6 @@ def s_matrix(sample: DisorderSample, n: int) -> np.ndarray:
     return _column_blocks(sample.potentials, sample.u_law, sample.u_band, 0.0, (n - 1, n))[0]
 
 
-def _bonded(a: tuple[int, int], b: tuple[int, int], bandwidth: int) -> bool:
-    # horizontal hop or same-column coupling within the band
-    if a[1] == b[1] and abs(a[0] - b[0]) == 1:
-        return True
-    return a[0] == b[0] and 0 < abs(a[1] - b[1]) <= bandwidth
-
-
 def boundary(region: Region, subregion: Region, geometry: StripGeometry) -> frozenset:
     """Sites of region \\ subregion that carry a bond into the subregion."""
     if not subregion.issubset(region):
@@ -356,8 +351,9 @@ def boundary(region: Region, subregion: Region, geometry: StripGeometry) -> froz
     out = set()
     for site in outer:
         n, w = site
+        # the sites bonded to this one: its horizontal neighbours and the same-column sites within the band
         for cand in [(n - 1, w), (n + 1, w)] + [(n, w2) for w2 in range(w - d, w + d + 1) if w2 != w]:
-            if cand in inner and _bonded(site, cand, d):
+            if cand in inner:
                 out.add(site)
                 break
     return frozenset(out)

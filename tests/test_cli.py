@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -124,6 +125,60 @@ def test_non_finite_energy_exits_2(tmp_path, energy, capsys):
         assert main(argv + ["--config", str(cfg), "--out", str(out)]) == 2
         assert "energy must be finite" in capsys.readouterr().err
         assert not (out / "dets.json").exists()
+
+
+NAN_POINT = {"density": "point", "params": {"value": math.nan}, "u_law": "adjacency", "u_params": {}}
+
+
+@pytest.mark.parametrize(
+    "disorder, width, argv, code",
+    [
+        (NAN_POINT, 2, ["experiment", "negtail"], 2),
+        (NAN_POINT, 2, ["experiment", "cartan"], 2),
+        (NAN_POINT, 2, ["dets"], 2),
+        ({"density": "uniform", "params": {"lo": -math.inf, "hi": 1.0}, "u_law": "adjacency", "u_params": {}}, 2, ["lyapunov"], 2),
+        (
+            {"density": "uniform", "params": {"lo": -1.0, "hi": 1.0}, "u_law": "random_band", "u_params": {"coupling": math.nan}},
+            3,
+            ["experiment", "cartan"],
+            2,
+        ),
+        # an infinite Cauchy cutoff is the untruncated law, not a malformed one
+        *(
+            ({"density": "cauchy", "params": {"scale": 1.0, "cutoff": math.inf}, "u_law": "adjacency", "u_params": {}}, 2, argv, 0)
+            for argv in (["experiment", "negtail"], ["experiment", "cartan"], ["dets"])
+        ),
+    ],
+    ids=[
+        "nan-value-negtail", "nan-value-cartan", "nan-value-dets", "inf-lo-lyapunov", "nan-coupling-cartan",
+        "inf-cutoff-negtail", "inf-cutoff-cartan", "inf-cutoff-dets",
+    ],
+)
+def test_non_finite_disorder_exits_2(tmp_path, disorder, width, argv, code, capsys):
+    cfg = write_config(tmp_path, disorder=disorder, geometry={"width": width, "bandwidth": 1, "columns": 4}, n_samples=64)
+    assert main(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")]) == code
+    err = capsys.readouterr().err
+    assert ("finite" in err) if code else not err
+
+
+@pytest.mark.parametrize("kind", cli_mod.EXPERIMENTS)
+def test_experiment_with_one_sample_exits_2(tmp_path, kind, capsys):
+    cfg = write_config(tmp_path, n_samples=1)
+    out = tmp_path / kind
+    assert main(["experiment", kind, "--config", str(cfg), "--out", str(out)]) == 2
+    assert "n_samples >= 2" in capsys.readouterr().err
+    assert not (out / f"{kind}.csv").exists()
+
+
+def test_manifest_config_document(tmp_path):
+    cfg = write_config(tmp_path, tolerances={"rel": 1e-9})
+    out = tmp_path / "neg"
+    assert main(["experiment", "negtail", "--config", str(cfg), "--seed", "9", "--out", str(out)]) == 0
+    doc = json.loads((out / "manifest.json").read_text())["config"]
+    assert sorted(doc) == ["command", "disorder", "energy", "geometry", "n_samples", "params", "seed", "workers"]
+    assert doc["geometry"] == {"width": 2, "bandwidth": 1, "columns": 8}
+    assert doc["disorder"]["D0"] == 0.5 and doc["disorder"]["D1"] == 2.0
+    assert (doc["command"], doc["n_samples"], doc["seed"], doc["workers"]) == ("negtail", 500, 9, 1)
 
 
 def test_experiment_determinism_across_workers(tmp_path):

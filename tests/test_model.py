@@ -326,6 +326,31 @@ def test_unsupported_density_rejected():
         DisorderSpec.uniform(1.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "density, params, u_params",
+    [
+        ("uniform", {"lo": -1.0, "hi": np.inf}, {}),
+        ("cauchy", {"scale": np.inf, "cutoff": 1e6}, {}),
+        ("cauchy", {"scale": np.nan, "cutoff": 1e6}, {}),
+        ("cauchy", {"scale": 1.0, "cutoff": np.nan}, {}),
+        ("point", {"value": -np.inf}, {}),
+        ("table", {"edges": [-np.inf, 0.0, 2.0], "masses": [0.25, 0.75]}, {}),
+        ("table", {"edges": [-1.0, np.nan, 2.0], "masses": [0.25, 0.75]}, {}),
+        ("table", {"edges": [-1.0, 0.0, 2.0], "masses": [np.nan, 0.75]}, {}),
+        ("uniform", {"lo": -1.0, "hi": 1.0}, {"coupling": np.inf}),
+    ],
+)
+def test_non_finite_parameters_rejected(density, params, u_params):
+    with pytest.raises(ConfigurationError, match="finite|sum to 1"):
+        DisorderSpec(density, params, "random_band", u_params)
+
+
+def test_infinite_cauchy_cutoff_is_the_untruncated_law():
+    spec = DisorderSpec.cauchy(2.0, cutoff=np.inf)
+    assert spec.sup_density == pytest.approx(1.0 / (np.pi * 2.0))
+    assert np.all(np.isfinite(sample_disorder(StripGeometry(1, 1, 1000), spec, seed=4).potentials))
+
+
 def test_diagonal_includes_coupling_diagonal():
     # diagonal entries are V_k minus the diagonal of the coupling matrix
     geo = StripGeometry(3, 2, 2)

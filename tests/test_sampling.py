@@ -295,8 +295,15 @@ def test_every_kernel_keys_its_draws_by_sample_index(monkeypatch, spec, geometry
             assert np.array_equal(x, y[..., :n], equal_nan=True)
 
 
+def _infinite_coupling() -> DisorderSpec:
+    """A random band of coupling inf: set after construction, which rejects it, so that the draws reach the sampler's own check."""
+    spec = DisorderSpec.uniform(-1.0, 1.0, u_law="random_band", coupling=1.0)
+    spec.u_params["coupling"] = np.inf
+    return spec
+
+
 @pytest.mark.parametrize(
-    "spec", [DisorderSpec.uniform(-1e308, 1e308, u_law="adjacency"), DisorderSpec.uniform(-1.0, 1.0, u_law="random_band", coupling=np.inf)],
+    "spec", [DisorderSpec.uniform(-1e308, 1e308, u_law="adjacency"), _infinite_coupling()],
     ids=["potential", "coupling"],
 )
 @pytest.mark.parametrize("width", [2, 3])
