@@ -64,7 +64,6 @@ SEEDS = (1, 5, 907)
 ROUTES_SEEDS = {8: ("dets_cauchy", "dets_band", "verify"), 21: ("dets_cauchy", "dets_band", "verify"), 901: ("dets_cauchy", "dets_band"), 21000: ("verify",)}
 SKIPPED = ("manifest.json", "traceback.txt")
 CARTAN_K = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
-UNIFORM2 = {"density": "uniform", "params": {"lo": -2.0, "hi": 2.0}}
 ADVERSARIAL = {
     "point0 E=0": ({"density": "point", "params": {"value": 0.0}}, 0.0),
     "point0 E=1": ({"density": "point", "params": {"value": 0.0}}, 1.0),
@@ -97,14 +96,15 @@ def matrix() -> list:
     for name, (law, energy) in ADVERSARIAL.items():
         for kind, columns, params in (("negtail", 17, {}), ("ldt", 18, {"columns": [16, 18]}), ("cartan", 5, {"k_grid": CARTAN_K})):
             out.append((f"{kind} {name}", ["experiment", kind], _adversarial(law, columns, energy, params)))
-    for name, law, columns in (("uniform2", UNIFORM2, 4), ("point0", ADVERSARIAL["point0 E=0"][0], 5)):
+    for name, law, columns in (("uniform2", {"density": "uniform", "params": {"lo": -2.0, "hi": 2.0}}, 4), ("point0", ADVERSARIAL["point0 E=0"][0], 5)):
         out.append((f"cartan {name} E=0 {columns}x3", ["experiment", "cartan"], _adversarial(law, columns, 0.0, {"k_grid": CARTAN_K}, width=3)))
     for name, columns in (("point0 E=1", 5), ("point0 E=1", 11), ("point0 E=1", 301), ("resonant E=0", 400)):
         law, energy = ADVERSARIAL[name]
         out.append((f"dets {name} {columns}x2", ["dets", "--route", "all"], _adversarial(law, columns, energy, {})))
     nan_point = {"density": "point", "params": {"value": math.nan}}
     out.append(("negtail pointNaN E=0", ["experiment", "negtail"], _adversarial(nan_point, 17, 0.0, {})))
-    one_sample = {**_adversarial(UNIFORM2, 18, 0.0, {"columns": [16, 18]}), "n_samples": 1}
+    uniform2 = {"density": "uniform", "params": {"lo": -2.0, "hi": 2.0}}
+    one_sample = {**_adversarial(uniform2, 18, 0.0, {"columns": [16, 18]}), "n_samples": 1}
     out.append(("ldt uniform2 E=0 n=1", ["experiment", "ldt"], one_sample))
     return out
 
